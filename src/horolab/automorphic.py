@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .fitting import DecayReport, fit_decay_report
 from .modular import ModularPoint, reduce_many
@@ -44,6 +43,8 @@ TWO_PI = 2.0 * math.pi
 SQRT3_HALF = math.sqrt(3.0) / 2.0
 K_UNDERFLOW_X = 700.0           # exp(-x) underflows well before this
 K_NEGLIGIBLE_X = 46.0           # K_it(x) < 4e-21 beyond; dropped in series
+K_SPLINE_X0 = 5.0               # K-spline grid: uniform on [5, 46], below sqrt(3) pi
+K_SPLINE_KNOTS = 8500
 EISENSTEIN_TRUNCATION = 16      # series length on reduced points
 MAX_BESSEL_ORDER = 30.0
 
@@ -222,6 +223,45 @@ def bessel_K_imag(t: float, x, base_step: float = 1.0 / 64, return_underflow: bo
     return out
 
 
+def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cubic spline through (x, y) with not-a-knot ends (len(x) >= 4).
+
+    Returns the (4, n-1) piecewise-polynomial coefficients: on [x[i], x[i+1]]
+    the spline is sum_k c[k, i] (s - x[i])^(3-k).  The knot slopes solve the
+    usual tridiagonal system, whose first and last rows make the third
+    derivative continuous at x[1] and x[-2], by one Thomas sweep; on a
+    uniform grid every pivot is at least 0.46 dx, so no pivoting is needed.
+    """
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    diag = np.empty(n)
+    lower = np.empty(n - 1)  # lower[i] is the coefficient of s[i] in row i+1
+    upper = np.empty(n - 1)  # upper[i] is the coefficient of s[i+1] in row i
+    rhs = np.empty(n)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    lower[:-1] = dx[1:]
+    upper[1:] = dx[:-1]
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    diag[-1], lower[-1] = dx[-2], d
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    dg, lo, up, r = diag.tolist(), lower.tolist(), upper.tolist(), rhs.tolist()
+    for i in range(n - 1):
+        f = lo[i] / dg[i]
+        dg[i + 1] -= f * up[i]
+        r[i + 1] -= f * r[i]
+    r[-1] /= dg[-1]
+    for i in range(n - 2, -1, -1):
+        r[i] = (r[i] - up[i] * r[i + 1]) / dg[i]
+    s = np.array(r)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 # ---------------------------------------------------------------------------
 # Eisenstein parameters and evaluation
 
@@ -231,7 +271,9 @@ class EisensteinParams:
     """Precomputed data for E(z, 1/2 + it): zeta/xi factors and K-spline.
 
     The scattering coefficient c(t) has |c| = 1 on the unitary axis; this
-    is asserted at construction within 1e-9.
+    is asserted at construction within 1e-9.  The K-spline behind k_fast is
+    built on first use: a not-a-knot cubic through bessel_K_imag at
+    K_SPLINE_KNOTS equispaced knots on [5, 46], looked up by index.
     """
 
     t: float
@@ -265,15 +307,24 @@ class EisensteinParams:
         return 2.0 * self.zeta_1p2it / self._xi1
 
     def k_fast(self, w: np.ndarray) -> np.ndarray:
-        """Spline-accelerated K_it on [sqrt(3) pi, 46]; 0 beyond, where the
-        dropped mass is below 4e-21."""
+        """K_it(w) from the K-spline; exactly 0 for w >= 46, where the
+        dropped mass is below 4e-21.
+
+        The knots are uniform, so the interval of w is floor((w - 5) / dx),
+        clipped to the last interval, with no search; the value is the
+        interval's cubic in Horner form.  Absolute error is below 1e-14 on
+        [sqrt(3) pi, 46).
+        """
         if self._kspline is None:
-            grid = np.linspace(5.0, K_NEGLIGIBLE_X, 8500)
-            self._kspline = CubicSpline(grid, bessel_K_imag(self.t, grid))
-        out = np.zeros_like(w)
-        live = w < K_NEGLIGIBLE_X
-        out[live] = self._kspline(w[live])
-        return out
+            grid = np.linspace(K_SPLINE_X0, K_NEGLIGIBLE_X, K_SPLINE_KNOTS)
+            self._kspline = grid, _not_a_knot_spline(grid, bessel_K_imag(self.t, grid))
+        grid, coef = self._kspline
+        w = np.asarray(w, dtype=float)
+        dx = (K_NEGLIGIBLE_X - K_SPLINE_X0) / (K_SPLINE_KNOTS - 1)
+        i = np.clip((w - K_SPLINE_X0) / dx, 0, K_SPLINE_KNOTS - 2).astype(np.intp)
+        s = w - grid[i]
+        c0, c1, c2, c3 = coef.take(i, axis=1)
+        return np.where(w < K_NEGLIGIBLE_X, ((c0 * s + c1) * s + c2) * s + c3, 0.0)
 
     def fourier_coefficient(self, m: int, y) -> complex | np.ndarray:
         """a_m(y), the coefficient of e(m x) at height y (m != 0)."""
@@ -295,10 +346,8 @@ def constant_term(y, p: EisensteinParams):
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any(y_arr <= 0):
         raise ValueError("require y > 0")
-    ly = np.log(y_arr)
-    out = np.sqrt(y_arr) * (
-        np.exp(1j * p.t * ly) + p.c * np.exp(-1j * p.t * ly)
-    )
+    e = np.exp(1j * p.t * np.log(y_arr))
+    out = np.sqrt(y_arr) * (e + p.c * np.conj(e))
     return complex(out[0]) if np.asarray(y).ndim == 0 else out
 
 
@@ -310,18 +359,38 @@ def hecke_eis(m: int, p: EisensteinParams) -> complex:
 
 
 def eisenstein_values(x, y, p: EisensteinParams) -> np.ndarray:
-    """E(x + iy, 1/2 + it) on arrays of reduced coordinates (y >= sqrt3/2)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    val = constant_term(y, p)
-    sq = np.sqrt(y)
-    for idx, n in enumerate(range(1, p.truncation + 1)):
-        w = TWO_PI * n * y
-        if np.all(w >= K_NEGLIGIBLE_X):
+    """E(x + iy, 1/2 + it) on arrays of reduced coordinates (y >= sqrt3/2).
+
+    The n-th term is live where w = 2 pi n y < 46 and exactly 0 elsewhere,
+    so only live points are evaluated.  Points are ordered by their number
+    of live terms, which makes each n's live set a prefix; their sums are
+    accumulated there and scattered back once.  The result has the
+    broadcast shape of x and y.
+    """
+    x, y = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
+    )
+    xf, yf = x.reshape(-1), y.reshape(-1)
+    val = constant_term(yf, p)
+    depth = np.zeros(yf.size, dtype=np.min_scalar_type(p.truncation))
+    live_counts = []
+    for n in range(1, p.truncation + 1):
+        live = TWO_PI * n * yf < K_NEGLIGIBLE_X
+        count = np.count_nonzero(live)
+        if count == 0:
             break
+        depth += live
+        live_counts.append(count)
+    order = np.argsort(depth, kind="stable")[::-1][: np.count_nonzero(depth)]
+    xs, ys, acc = xf[order], yf[order], val[order]
+    sq = np.sqrt(ys)
+    for n, k in enumerate(live_counts, start=1):
         # the +-m pair of e(m x) coefficients combines to 2 a_n cos(2 pi n x)
-        val = val + 2.0 * p._coef[idx] * sq * p.k_fast(w) * np.cos(TWO_PI * n * x)
-    return val
+        acc[:k] += (2.0 * p._coef[n - 1]) * (
+            sq[:k] * p.k_fast(TWO_PI * n * ys[:k]) * np.cos(TWO_PI * n * xs[:k])
+        )
+    val[order] = acc
+    return val.reshape(x.shape)
 
 
 def eisenstein_value(z: ModularPoint, p: EisensteinParams) -> complex:
@@ -439,16 +508,19 @@ class TwistedSumSpec:
         return (0.5 if self.regime == "half_plus_delta" else 1.0) + self.delta
 
 
-def twisted_hecke_sum(spec: TwistedSumSpec, y: float, _sigma_cache=None) -> complex:
+def twisted_hecke_sum(
+    spec: TwistedSumSpec, y: float, _sigma_cache=None, _params: EisensteinParams | None = None
+) -> complex:
     """sum over m != 0 of lambda(|m|) |m|^-e W(|m| y) e(m alpha).
 
     W(u) = sqrt(u) K_it(2 pi u); the +-m pair combines into
     2 cos(2 pi m alpha).  Terms beyond the K underflow horizon vanish
-    exactly, so the sum is finite and deterministic.
+    exactly, so the sum is finite and deterministic.  A sweep passes the
+    divisor sums and EisensteinParams(spec.t) it shares across heights.
     """
     if not 0.0 < y < 0.5:
         raise ValueError("require 0 < y < 1/2")
-    p = EisensteinParams(spec.t)
+    p = _params if _params is not None else EisensteinParams(spec.t)
     m_end = math.floor(K_UNDERFLOW_X / (TWO_PI * y))
     m = np.arange(1, m_end + 1)
     if _sigma_cache is not None and _sigma_cache.size >= m_end:
@@ -469,8 +541,9 @@ def twisted_sum_series(spec: TwistedSumSpec, y_grid) -> DecayReport:
     y_grid = np.asarray(sorted(y_grid, reverse=True), dtype=float)
     m_end = math.floor(K_UNDERFLOW_X / (TWO_PI * float(y_grid.min())))
     cache = sigma_range(2j * spec.t, m_end)
+    params = EisensteinParams(spec.t)
     values = np.array(
-        [twisted_hecke_sum(spec, float(y), _sigma_cache=cache) for y in y_grid]
+        [twisted_hecke_sum(spec, float(y), _sigma_cache=cache, _params=params) for y in y_grid]
     )
     report = fit_decay_report(
         y_grid, np.abs(values), metadata={"kind": "twisted_sum"}, param_name="y"

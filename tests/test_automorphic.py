@@ -1,12 +1,19 @@
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.special import kv as scipy_kv
 
 from horolab.automorphic import (
+    K_NEGLIGIBLE_X,
+    K_SPLINE_KNOTS,
+    K_SPLINE_X0,
+    SQRT3_HALF,
     EisensteinParams,
     PoleProximityError,
     TwistedSumSpec,
@@ -253,6 +260,73 @@ def test_eisenstein_laplace_eigenvalue(params_t1):
     assert abs(lhs - rhs) < 1e-5 * abs(rhs)
 
 
+def test_k_fast_matches_bessel_on_reduced_range(params_t1):
+    rng = np.random.default_rng(11)
+    w = np.concatenate(
+        ([math.sqrt(3) * math.pi, np.nextafter(K_NEGLIGIBLE_X, 0.0)],
+         rng.uniform(math.sqrt(3) * math.pi, K_NEGLIGIBLE_X, 10_000))
+    )
+    err = np.abs(params_t1.k_fast(w) - bessel_K_imag(params_t1.t, w))
+    assert err.max() <= 1e-14
+
+
+def test_k_fast_exactly_zero_beyond_negligible(params_t1):
+    w = np.array([K_NEGLIGIBLE_X, 46.5, 100.0, 700.0, 1e6])
+    assert np.array_equal(params_t1.k_fast(w), np.zeros(w.size))
+
+
+def test_k_fast_matches_scipy_not_a_knot_spline(params_t1):
+    grid = np.linspace(K_SPLINE_X0, K_NEGLIGIBLE_X, K_SPLINE_KNOTS)
+    oracle = CubicSpline(grid, bessel_K_imag(params_t1.t, grid))  # not-a-knot by default
+    w = np.random.default_rng(12).uniform(K_SPLINE_X0, K_NEGLIGIBLE_X, 10_000)
+    assert np.abs(params_t1.k_fast(w) - oracle(w)).max() <= 1e-18
+
+
+def eisenstein_dense(x, y, p):
+    """constant term plus the full truncation sum with bessel_K_imag, unpruned."""
+    val = constant_term(y, p)
+    for m in range(1, p.truncation + 1):
+        val += 2.0 * p.fourier_coefficient(m, y) * np.cos(2 * np.pi * m * x)
+    return val
+
+
+def test_eisenstein_values_match_dense_reference(params_t1):
+    rng = np.random.default_rng(13)
+    y = np.geomspace(SQRT3_HALF, 40.0, 400)
+    x = rng.uniform(-0.5, 0.5, y.size)
+    err = np.abs(eisenstein_values(x, y, params_t1) - eisenstein_dense(x, y, params_t1))
+    # k_fast is within 1e-14 of K_it; term n scales it by 2 |a_n| sqrt(y), y < 46/(2 pi)
+    scale = sum(
+        2 * abs(params_t1.whittaker_norm * hecke_eis(m, params_t1))
+        for m in range(1, params_t1.truncation + 1)
+    )
+    assert err.max() < 1e-14 * scale * math.sqrt(K_NEGLIGIBLE_X / (2 * np.pi))
+
+
+def test_eisenstein_values_in_cusp_equal_constant_term(params_t1):
+    y = np.array([np.nextafter(K_NEGLIGIBLE_X / (2 * np.pi), np.inf), 8.0, 50.0, 1e4])
+    x = np.array([0.1, -0.3, 0.5, 0.0])
+    assert np.array_equal(eisenstein_values(x, y, params_t1), constant_term(y, params_t1))
+
+
+def test_eisenstein_values_empty_and_shape(params_t1):
+    assert eisenstein_values(np.array([]), np.array([]), params_t1).shape == (0,)
+    rng = np.random.default_rng(14)
+    x = rng.uniform(-0.5, 0.5, (3, 5))
+    y = rng.uniform(SQRT3_HALF, 9.0, (3, 5))
+    got = eisenstein_values(x, y, params_t1)
+    assert got.shape == (3, 5)
+    assert np.array_equal(got.ravel(), eisenstein_values(x.ravel(), y.ravel(), params_t1))
+    assert np.array_equal(eisenstein_values(x.T, y.T, params_t1), got.T)  # Fortran order
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle; the package must not need it at run time
+    code = "import sys, horolab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # Hecke eigenvalues
 
@@ -368,6 +442,15 @@ def test_twisted_sum_against_mpmath_oracle():
         w = math.sqrt(m * y) * float(mp.re(mp.besselk(1j, 2 * math.pi * m * y)))
         oracle += lam * m ** (-spec.exponent) * w * 2.0
     assert twisted_hecke_sum(spec, y) == pytest.approx(oracle, rel=1e-8)
+
+
+def test_twisted_sum_series_matches_single_sums():
+    spec = TwistedSumSpec(t=1.0, delta=0.3, alpha=0.37)
+    ys = 2.0 ** -np.arange(2, 7)
+    report = twisted_sum_series(spec, ys)
+    direct = np.array([twisted_hecke_sum(spec, float(y)) for y in report.params])
+    assert np.array_equal(report.extra_columns["re"], direct.real)
+    assert np.array_equal(report.extra_columns["im"], direct.imag)
 
 
 def test_twisted_sum_decay_untwisted():
