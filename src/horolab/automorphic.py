@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fitting import DecayReport, fit_decay_report
+from .fitting import DecayReport, csv_table, fit_decay_report
 from .modular import ModularPoint, reduce_many
 
 TWO_PI = 2.0 * math.pi
@@ -414,26 +414,28 @@ def horocycle_fourier_coeff(phi, m: int, y: float, n_quad: int) -> complex:
     """(1/N) sum_j phi(reduce(x_j + iy)) e(-m x_j) on x_j = j/N.
 
     Equispaced quadrature of a smooth periodic integrand: spectrally
-    accurate.  n_quad must be a power of two with n_quad >= 4|m|.
+    accurate.  The value is read from the same FFT as the spectral-gap
+    sweep.  n_quad must be a power of two with n_quad >= 4|m|.
     """
     if n_quad < 4 or n_quad & (n_quad - 1):
         raise ValueError("n_quad must be a power of two >= 4")
     if n_quad < 4 * abs(m):
         raise ValueError("n_quad must be at least 4|m|")
+    return complex(_horocycle_spectrum(phi, y, n_quad)[m % n_quad])
+
+
+def _horocycle_spectrum(phi, y: float, n_quad: int) -> np.ndarray:
+    """One FFT of phi on x_j = j/n_quad at height y; index m (mod n_quad)
+    holds the e(m x) coefficient."""
     xs = np.arange(n_quad) / n_quad
     xr, yr = reduce_many(xs, np.full(n_quad, y))
     vals = np.asarray(phi(xr, yr), dtype=complex)
-    phase = np.exp(-2j * np.pi * m * xs)
-    return complex(np.mean(vals * phase))
+    return np.fft.fft(vals) / n_quad
 
 
 def _all_fourier_coeffs(phi, y: float, m_max: int) -> np.ndarray:
     """|phi_hat_y(m)| for m = 1..m_max via one FFT (n = next pow2 of 4 m_max)."""
-    n_quad = 1 << max(8, math.ceil(math.log2(4 * m_max)))
-    xs = np.arange(n_quad) / n_quad
-    xr, yr = reduce_many(xs, np.full(n_quad, y))
-    vals = np.asarray(phi(xr, yr), dtype=complex)
-    spec = np.fft.fft(vals) / n_quad  # index m holds the e(m x) coefficient
+    spec = _horocycle_spectrum(phi, y, 1 << max(8, math.ceil(math.log2(4 * m_max))))
     pos = np.abs(spec[1 : m_max + 1])
     neg = np.abs(spec[-m_max:][::-1])
     return np.maximum(pos, neg)
@@ -453,9 +455,7 @@ def spectral_gap_fit(phi, y_grid) -> DecayReport:
     sups = np.array(
         [_all_fourier_coeffs(phi, y, math.ceil(1.0 / y)).max() for y in y_grid]
     )
-    return fit_decay_report(
-        y_grid, sups, metadata={"kind": "spectral_gap"}, param_name="y"
-    )
+    return fit_decay_report(y_grid, sups, param_name="y")
 
 
 def truncation_tail_mass(p: EisensteinParams, y: float, sigma: float) -> float:
@@ -545,9 +545,7 @@ def twisted_sum_series(spec: TwistedSumSpec, y_grid) -> DecayReport:
     values = np.array(
         [twisted_hecke_sum(spec, float(y), _sigma_cache=cache, _params=params) for y in y_grid]
     )
-    report = fit_decay_report(
-        y_grid, np.abs(values), metadata={"kind": "twisted_sum"}, param_name="y"
-    )
+    report = fit_decay_report(y_grid, np.abs(values), param_name="y")
     report.extra_columns = {
         "re": values.real,
         "im": values.imag,
@@ -557,19 +555,10 @@ def twisted_sum_series(spec: TwistedSumSpec, y_grid) -> DecayReport:
 
 def spectral_gap_csv(report: DecayReport) -> str:
     """`y,sup_abs_coeff` rows for a spectral-gap sweep."""
-    lines = ["y,sup_abs_coeff"]
-    for y, sup in zip(report.params, report.errors):
-        lines.append(f"{float(y)!r},{float(sup)!r}")
-    return "\r\n".join(lines) + "\r\n"
+    return csv_table("y,sup_abs_coeff", report.params, report.errors)
 
 
 def twisted_csv(report: DecayReport) -> str:
     """`y,re,im,abs` rows for a twisted-sum sweep."""
-    lines = ["y,re,im,abs"]
-    re = report.extra_columns["re"]
-    im = report.extra_columns["im"]
-    for i, y in enumerate(report.params):
-        lines.append(
-            f"{float(y)!r},{float(re[i])!r},{float(im[i])!r},{float(report.errors[i])!r}"
-        )
-    return "\r\n".join(lines) + "\r\n"
+    cols = report.extra_columns
+    return csv_table("y,re,im,abs", report.params, cols["re"], cols["im"], report.errors)

@@ -20,7 +20,7 @@ from . import measures as _measures
 from . import diophantine as _dio
 from .automorphic import spectral_gap_csv, spectral_gap_fit
 from .experiments import ExperimentConfig, run_basis_identity_check, run_equidistribution
-from .fitting import DecayReport
+from .fitting import DecayReport, csv_table
 from .oscillatory import (
     exponent_fit_oscillatory,
     oscillatory_integral,
@@ -37,25 +37,22 @@ class CliError(Exception):
     pass
 
 
-def _parse_range(text: str, production: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise CliError(f"{production}: expected start:stop:step, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1]), float(parts[2])
-    except ValueError:
-        raise CliError(f"{production}: bad number in {text!r}") from None
+_YGRID_FIELDS = (("ymax", float), ("ratio", float), ("count", int))
 
 
-def _parse_ygrid(text: str) -> tuple[float, float, int]:
+def _parse_triple(text: str, production: str, fields) -> tuple:
+    """`a:b:c` as three values; fields holds the (name, type) of each."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise CliError(f"<ygrid>: expected ymax:ratio:count, got {text!r}")
-    try:
-        y_max, ratio, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise CliError(f"<ygrid>: bad number in {text!r}") from None
-    return y_max, ratio, count
+        names = ":".join(name for name, _ in fields)
+        raise CliError(f"{production}: expected {names}, got {text!r}")
+    values = []
+    for (name, kind), part in zip(fields, parts):
+        try:
+            values.append(kind(part))
+        except ValueError:
+            raise CliError(f"{production}: bad {name} {part!r} in {text!r}") from None
+    return tuple(values)
 
 
 def _write(path: str | None, payload: str, default_stream):
@@ -115,17 +112,15 @@ def _report_exit(args, command: str, report: DecayReport, csv_text: str) -> int:
 
 def _cmd_fourier(args) -> int:
     measure = _measures.parse_measure(args.measure)
-    start, stop, step = _parse_range(args.xi, "<xi-range>")
+    start, stop, step = _parse_triple(
+        args.xi, "<xi-range>", (("start", float), ("stop", float), ("step", float))
+    )
     if step <= 0:
         raise CliError("<xi-range>: step must be positive")
     xs = np.arange(start, stop + 0.5 * step, step)
     vals = _measures.fourier_transform(measure, xs, args.tail_tol)
-    lines = ["xi,re,im,abs"]
-    for x, v in zip(xs, np.atleast_1d(vals)):
-        lines.append(
-            f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r},{float(abs(v))!r}"
-        )
-    _emit(args, "\r\n".join(lines) + "\r\n", _summary("fourier", args))
+    csv_text = csv_table("xi,re,im,abs", xs, vals.real, vals.imag, np.abs(vals))
+    _emit(args, csv_text, _summary("fourier", args))
     return 0
 
 
@@ -137,9 +132,6 @@ def _cmd_dim(args) -> int:
     est = _measures.estimate_dim_l1(
         measure, grid, star=args.star, theta_grid=args.theta_grid
     )
-    lines = ["X,partial_sum"]
-    for X, s in zip(est.X_grid, est.sums):
-        lines.append(f"{int(X)},{float(s)!r}")
     status = "degenerate" if est.degenerate else "ok"
     summary = _summary(
         "dim", args, exponent=est.dimension, stderr=est.stderr, r2=None, status=status
@@ -153,12 +145,12 @@ def _cmd_dim(args) -> int:
             raise CliError(str(exc)) from None
         summary["config"]["cvy_lower_bound"] = bound
         summary["config"]["hausdorff_dimension"] = measure.hausdorff_dimension()
-    _emit(args, "\r\n".join(lines) + "\r\n", summary)
+    _emit(args, csv_table("X,partial_sum", est.X_grid, est.sums), summary)
     return 0
 
 
 def _experiment_config(args, method_default: str) -> ExperimentConfig:
-    y_max, ratio, count = _parse_ygrid(args.ygrid)
+    y_max, ratio, count = _parse_triple(args.ygrid, "<ygrid>", _YGRID_FIELDS)
     args.method = args.method or method_default  # echoed in the JSON config
     return ExperimentConfig(
         measure=args.measure,
@@ -189,7 +181,7 @@ def _cmd_basis_check(args) -> int:
 
 
 def _cmd_spectral_gap(args) -> int:
-    y_max, ratio, count = _parse_ygrid(args.ygrid)
+    y_max, ratio, count = _parse_triple(args.ygrid, "<ygrid>", _YGRID_FIELDS)
     phi = EisensteinTest(t=args.t, component="complex")
     ys = y_max * ratio ** np.arange(count)
     report = spectral_gap_fit(phi, ys)
@@ -216,23 +208,26 @@ def _cmd_khintchine(args) -> int:
 def _cmd_stationary(args) -> int:
     phase = parse_phase(args.phase)
     window = parse_window(args.window)
-    start, stop, count = _parse_range(args.xigrid, "<xi-grid>")
+    start, stop, count = _parse_triple(
+        args.xigrid, "<xi-grid>", (("start", float), ("stop", float), ("count", int))
+    )
     if not (start > 0 and stop > start and count >= 6):
         raise CliError("<xi-grid>: expected start:stop:count with stop > start > 0, count >= 6")
-    grid = np.geomspace(start, stop, int(count))
+    grid = np.geomspace(start, stop, count)
     report = exponent_fit_oscillatory(phase, window, grid, tol=args.tol)
-    lines = ["xi,re,im,abs,leading_abs"]
+    vals, leads = [], []
     for xi in grid:
-        val = oscillatory_integral(phase, window, float(xi), tol=args.tol)
+        vals.append(oscillatory_integral(phase, window, float(xi), tol=args.tol))
         try:
-            lead = abs(stationary_phase_leading(phase, window, float(xi)))
+            leads.append(abs(stationary_phase_leading(phase, window, float(xi))))
         except ValueError:
-            lead = float("nan")
-        lines.append(
-            f"{float(xi)!r},{float(val.real)!r},{float(val.imag)!r},"
-            f"{float(abs(val))!r},{float(lead)!r}"
-        )
-    return _report_exit(args, "stationary", report, "\r\n".join(lines) + "\r\n")
+            leads.append(float("nan"))
+    # Python's abs(complex), not np.abs: the two can differ in the last bit
+    csv_text = csv_table(
+        "xi,re,im,abs,leading_abs", grid,
+        [v.real for v in vals], [v.imag for v in vals], [abs(v) for v in vals], leads,
+    )
+    return _report_exit(args, "stationary", report, csv_text)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
-def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     """Expand --config FILE into leading flags (command line overrides)."""
     if "--config" not in argv:
         return argv
@@ -347,7 +342,7 @@ def cli_main(argv: list[str]) -> int:
     parser = build_parser()
     try:
         if argv and argv[0] not in ("-h", "--help") and "--config" in argv:
-            argv = _apply_config_file(argv, parser)
+            argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:

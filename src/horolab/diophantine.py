@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import measures as _measures
+from .fitting import csv_table
 
 RATIONAL_DETECTION_TOL = 1e-15
 
@@ -98,21 +99,6 @@ class ConstPsi(ApproximationFunction):
 
     def __call__(self, q):
         return np.full(np.shape(q) or (), self.value)
-
-
-@dataclass
-class TablePsi(ApproximationFunction):
-    """User table psi[q]; indexed from q = 2."""
-
-    values: tuple
-
-    @property
-    def label(self):
-        return f"table[{len(self.values)}]"
-
-    def __call__(self, q):
-        q = np.asarray(q, dtype=int)
-        return np.asarray(self.values, dtype=float)[q - 2]
 
 
 class PsiParseError(ValueError):
@@ -230,10 +216,7 @@ class KhintchineProfile:
     regime: str  # "divergent-like" | "convergent-like"
 
     def to_csv(self) -> str:
-        lines = ["q,hit_rate,two_psi"]
-        for q, r, tp in zip(self.qs, self.hit_rates, self.two_psi):
-            lines.append(f"{int(q)},{float(r)!r},{float(tp)!r}")
-        return "\r\n".join(lines) + "\r\n"
+        return csv_table("q,hit_rate,two_psi", self.qs, self.hit_rates, self.two_psi)
 
 
 def khintchine_sum(psi: ApproximationFunction, Q: int) -> float:
@@ -256,19 +239,22 @@ def khintchine_profile(
     """Per-q hit rates and the counting mean over sampled points.
 
     For each sampled x, counts N_x(Q) = #{2 <= q <= Q : dist(qx, Z) < psi(q)}.
-    Per-q rates are tabulated up to rate_q_max (default: min(Q, 1000));
-    the counting mean uses the full range q <= Q.  The regime flag
-    compares the last doubling increment of the mean count against three
-    standard errors: flat growth marks the convergent-like regime.
+    Per-q rates are tabulated up to rate_q_max (default: min(Q, 1000)),
+    which must lie in [2, Q]; the counting mean uses the full range q <= Q.
+    The regime flag compares the last doubling increment of the mean count
+    against three standard errors: flat growth marks the convergent-like
+    regime.
     """
     if Q < 10:
         raise ValueError("require Q >= 10")
+    if rate_q_max is None:
+        rate_q_max = min(Q, 1000)
+    if not 2 <= rate_q_max <= Q:
+        raise ValueError(f"rate_q_max must lie in [2, Q = {Q}], got {rate_q_max}")
     psi.check_monotone(Q)
     if depth is None:
         depth = max(40, _measures.default_sample_depth(measure))
     xs = _measures.sample(measure, depth, n_samples, seed)
-    if rate_q_max is None:
-        rate_q_max = min(Q, 1000)
 
     qs_all = np.arange(2, Q + 1)
     psi_all = np.asarray(psi(qs_all), dtype=float)

@@ -18,7 +18,7 @@ K-Bessel horizon (beyond which terms vanish to working precision).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .automorphic import (
     constant_term,
     sigma_range,
 )
-from .fitting import DecayReport, fit_decay_report, geometric_grid
+from .fitting import DecayReport, csv_table, fit_decay_report, geometric_grid
 from .modular import HorocycleConfig, mX_integral, mu_y_value
 from .testfunctions import EisensteinTest, parse_test_function
 
@@ -52,7 +52,6 @@ class ExperimentConfig:
     seed: int = 0
     sigma: float = 1.2
     tol: float = 1e-6
-    tail_tol: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.y_max <= 1.0:
@@ -70,12 +69,28 @@ class ExperimentConfig:
     def y_grid(self) -> np.ndarray:
         return geometric_grid(self.y_max, self.y_ratio, self.y_count)
 
-    def echo(self) -> dict:
-        return {k: v for k, v in sorted(asdict(self).items())}
-
 
 def _sub_seed(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def _mu_y_series(measure, phi, cfg: ExperimentConfig):
+    """mu_y(phi) and its error estimate at each height of cfg.y_grid.
+
+    Height k draws from its own sub-seed, so every row is reproducible on
+    its own.
+    """
+    values, errs = [], []
+    for k, y in enumerate(cfg.y_grid):
+        hc = HorocycleConfig(x0=cfg.x0, q=cfg.q, y=float(y))
+        value, err = mu_y_value(
+            measure, phi, hc,
+            method=cfg.method, budget=cfg.budget,
+            seed=_sub_seed(cfg.seed, k), tol=cfg.tol,
+        )
+        values.append(value)
+        errs.append(err)
+    return np.array(values), np.array(errs)
 
 
 def run_equidistribution(cfg: ExperimentConfig) -> DecayReport:
@@ -95,32 +110,8 @@ def run_equidistribution(cfg: ExperimentConfig) -> DecayReport:
     else:
         reference, ref_err = mX_integral(phi, 10 * cfg.budget, _sub_seed(cfg.seed, 10**6))
 
-    ys = cfg.y_grid
-    errors = np.empty(ys.size)
-    bars = np.empty(ys.size)
-    for k, y in enumerate(ys):
-        hc = HorocycleConfig(x0=cfg.x0, q=cfg.q, y=float(y))
-        value, err = mu_y_value(
-            measure, phi, hc,
-            method=cfg.method, budget=cfg.budget,
-            seed=_sub_seed(cfg.seed, k), tol=cfg.tol,
-        )
-        errors[k] = abs(value - reference)
-        bars[k] = err + ref_err
-    from . import __version__
-
-    report = fit_decay_report(
-        ys, errors, bars,
-        metadata={
-            "kind": "equidistribution",
-            "version": __version__,
-            "measure": cfg.measure,
-            "test": cfg.test,
-            "reference": repr(reference),
-        },
-        param_name="y",
-    )
-    return report
+    values, errs = _mu_y_series(measure, phi, cfg)
+    return fit_decay_report(cfg.y_grid, np.abs(values - reference), errs + ref_err, param_name="y")
 
 
 @dataclass
@@ -134,23 +125,13 @@ class BasisCheckReport:
     quad_errors: np.ndarray
     max_discrepancy: float
     envelope_constant: float      # max discrepancy / sqrt(y)
-    metadata: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = ["y,mu_re,mu_im,series_re,series_im,discrepancy"]
-        for i, y in enumerate(self.ys):
-            lines.append(
-                ",".join(
-                    repr(float(v))
-                    for v in (
-                        y,
-                        self.measured[i].real, self.measured[i].imag,
-                        self.predicted[i].real, self.predicted[i].imag,
-                        self.discrepancies[i],
-                    )
-                )
-            )
-        return "\r\n".join(lines) + "\r\n"
+        return csv_table(
+            "y,mu_re,mu_im,series_re,series_im,discrepancy",
+            self.ys, self.measured.real, self.measured.imag,
+            self.predicted.real, self.predicted.imag, self.discrepancies,
+        )
 
 
 def eisenstein_series_prediction(
@@ -196,21 +177,11 @@ def run_basis_identity_check(cfg: ExperimentConfig) -> BasisCheckReport:
     params = complex_phi.params
 
     ys = cfg.y_grid
-    measured = np.empty(ys.size, dtype=complex)
-    predicted = np.empty(ys.size, dtype=complex)
-    quad = np.empty(ys.size)
-    for k, y in enumerate(ys):
-        hc = HorocycleConfig(x0=cfg.x0, q=cfg.q, y=float(y))
-        value, err = mu_y_value(
-            measure, complex_phi, hc,
-            method=cfg.method, budget=cfg.budget,
-            seed=_sub_seed(cfg.seed, k), tol=cfg.tol,
-        )
-        measured[k] = value
-        quad[k] = err
-        predicted[k] = eisenstein_series_prediction(
-            measure, params, float(y) / cfg.q, cfg.x0, cfg.q, cfg.sigma, cfg.tail_tol
-        )
+    measured, quad = _mu_y_series(measure, complex_phi, cfg)
+    predicted = np.array([
+        eisenstein_series_prediction(measure, params, float(y) / cfg.q, cfg.x0, cfg.q, cfg.sigma)
+        for y in ys
+    ])
     disc = np.abs(measured - predicted)
     return BasisCheckReport(
         ys=ys,
@@ -220,5 +191,4 @@ def run_basis_identity_check(cfg: ExperimentConfig) -> BasisCheckReport:
         quad_errors=quad,
         max_discrepancy=float(disc.max()),
         envelope_constant=float((disc / np.sqrt(ys)).max()),
-        metadata={"kind": "basis_identity", "measure": cfg.measure, "test": cfg.test},
     )

@@ -13,7 +13,6 @@ the robust fit coincides with the plain one.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +22,24 @@ import numpy as np
 NULL_REJECT_LOGRATIO = 1.0
 # Floor for taking logs of error values.
 _LOG_FLOOR = 1e-300
+
+
+def csv_table(header: str, *columns) -> str:
+    """CSV text: the header line, then one row per index of the columns.
+
+    Integer and boolean columns print as integers, every other column as
+    repr(float(v)), so a rerun reproduces the bytes; lines end in CRLF.
+    """
+    cells = []
+    for col in columns:
+        col = np.asarray(col)
+        if col.dtype.kind in "biu":
+            cells.append([str(int(v)) for v in col.tolist()])
+        else:
+            cells.append([repr(float(v)) for v in col.tolist()])
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError("CSV columns differ in length")
+    return "\r\n".join([header, *(",".join(row) for row in zip(*cells))]) + "\r\n"
 
 
 class DegenerateFitError(ValueError):
@@ -108,34 +125,22 @@ class DecayReport:
     r2_plain: float
     kept: np.ndarray
     status: str = "ok"  # ok | inconclusive | degenerate | superpolynomial
-    metadata: dict = field(default_factory=dict)
     param_name: str = "y"
-    value_columns: tuple[str, ...] = ("error", "error_bar")
     extra_columns: dict = field(default_factory=dict)
 
-    def rows(self):
-        return list(zip(self.params, self.errors, self.error_bars))
-
     def to_csv(self) -> str:
-        """RFC-4180-style CSV with mandatory header; floats via repr."""
-        buf = io.StringIO()
-        cols = [self.param_name, *self.value_columns, *self.extra_columns, "kept"]
-        buf.write(",".join(cols) + "\r\n")
-        values = [self.errors, self.error_bars][: len(self.value_columns)]
-        for i in range(len(self.params)):
-            row = [repr(float(self.params[i]))]
-            row += [repr(float(v[i])) for v in values]
-            row += [repr(float(c[i])) for c in self.extra_columns.values()]
-            row.append(str(int(self.kept[i])))
-            buf.write(",".join(row) + "\r\n")
-        return buf.getvalue()
+        """`<param>,error,error_bar,<extra columns>,kept` rows."""
+        header = ",".join([self.param_name, "error", "error_bar", *self.extra_columns, "kept"])
+        return csv_table(
+            header, self.params, self.errors, self.error_bars,
+            *self.extra_columns.values(), self.kept,
+        )
 
 
 def fit_decay_report(
     params,
     errors,
     error_bars=None,
-    metadata=None,
     param_name: str = "y",
 ) -> DecayReport:
     """Build a DecayReport for error ~ C*param^eta (eta > 0 means decay).
@@ -162,7 +167,7 @@ def fit_decay_report(
             exponent=0.0, exponent_stderr=0.0, r2=1.0,
             exponent_plain=0.0, r2_plain=1.0,
             kept=np.ones(params.size, dtype=bool),
-            status=status, metadata=metadata or {}, param_name=param_name,
+            status=status, param_name=param_name,
         )
 
     status = "ok"
@@ -180,8 +185,7 @@ def fit_decay_report(
         params, errors, error_bars,
         exponent=robust.slope, exponent_stderr=robust.stderr, r2=robust.r2,
         exponent_plain=plain.slope, r2_plain=plain.r2,
-        kept=robust.kept, status=status, metadata=metadata or {},
-        param_name=param_name,
+        kept=robust.kept, status=status, param_name=param_name,
     )
 
 

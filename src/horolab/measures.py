@@ -386,16 +386,28 @@ def l1_partial_sum(
     """
     if X < 1:
         raise ValueError("X must be >= 1")
-    m = np.arange(-X, X + 1, dtype=float)
-    if not star:
-        return float(np.sum(fourier_abs(measure, m, tail_tol)))
-    if theta_grid < 1:
+    return float(_partial_sums(measure, np.array([X]), star, theta_grid, tail_tol)[0])
+
+
+def _partial_sums(measure, X_grid: np.ndarray, star: bool, theta_grid: int, tail_tol: float):
+    """S(X) at every X of the ascending integer X_grid, from one cumulative
+    sum per shift theta; star mode takes the maximum over the theta-grid."""
+    if star and theta_grid < 1:
         raise ValueError("theta_grid must be >= 1")
-    best = -np.inf
-    for k in range(theta_grid):
-        theta = k / theta_grid
-        best = max(best, float(np.sum(fourier_abs(measure, m + theta, tail_tol))))
-    return best
+    m = np.arange(1, int(X_grid[-1]) + 1, dtype=float)
+
+    def sums_for(theta: float) -> np.ndarray:
+        a_pos = fourier_abs(measure, m + theta, tail_tol)
+        a_neg = fourier_abs(measure, -m + theta, tail_tol)
+        center = fourier_abs(measure, np.array([theta]), tail_tol)[0]
+        csum = np.cumsum(a_pos + a_neg)
+        return center + csum[X_grid - 1]
+
+    S = sums_for(0.0)
+    if star:
+        for k in range(1, theta_grid):
+            S = np.maximum(S, sums_for(k / theta_grid))
+    return S
 
 
 @dataclass
@@ -434,24 +446,10 @@ def estimate_dim_l1(
         raise ValueError("X_grid must span at least two decades")
 
     X_max = int(X_grid[-1])
-    m = np.arange(1, X_max + 1, dtype=float)
-    shift_x0 = _tree_shift(measure)
-
-    def sums_for(theta: float) -> np.ndarray:
-        a_pos = fourier_abs(measure, m + theta, tail_tol)
-        a_neg = fourier_abs(measure, -m + theta, tail_tol)
-        center = fourier_abs(measure, np.array([theta]), tail_tol)[0]
-        csum = np.cumsum(a_pos + a_neg)
-        return center + csum[X_grid - 1]
-
+    S = _partial_sums(measure, X_grid, star, theta_grid, tail_tol)
+    theta_err = None
     if star:
-        S = sums_for(0.0)
-        for k in range(1, theta_grid):
-            S = np.maximum(S, sums_for(k / theta_grid))
-        theta_err = TWO_PI * (1.0 + abs(shift_x0)) * X_max / theta_grid
-    else:
-        S = sums_for(0.0)
-        theta_err = None
+        theta_err = TWO_PI * (1.0 + abs(_tree_shift(measure))) * X_max / theta_grid
 
     degenerate = bool(np.allclose(S, S[0], rtol=1e-12, atol=0.0))
     if degenerate:

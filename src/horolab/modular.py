@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import measures as _measures
+
 BOUNDARY_BAND = 1e-12
 MAX_REDUCE_STEPS = 10_000
 
@@ -192,8 +194,6 @@ def mX_integral(phi, n_samples: int, seed) -> tuple[float | complex, float]:
 # ---------------------------------------------------------------------------
 # mu_y against a fractal measure
 
-from . import measures as _measures  # noqa: E402  (leaf import, no cycle)
-
 
 def _cylinder_nodes(measure, cfg: HorocycleConfig, budget: int, tol: float, lip: float):
     """Depth, node positions (pre-horocycle), and weights for cylinder sums."""
@@ -276,13 +276,13 @@ def mu_y_value(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    lip = getattr(phi, "lipschitz", None)
 
     def evaluate(xs_line: np.ndarray):
         xr, yr = reduce_many(cfg.x0 + xs_line / cfg.q, cfg.y / cfg.q)
         return np.asarray(phi(xr, yr))
 
     if method == "cylinder":
+        lip = getattr(phi, "lipschitz", None)
         xs, ws, err = _cylinder_nodes(measure, cfg, budget, tol, lip)
         vals = evaluate(xs)
         total = np.sum(vals * ws)

@@ -329,7 +329,6 @@ def exponent_fit_oscillatory(
         r2_plain=plain.r2,
         kept=robust.kept,
         status=status,
-        metadata={"kind": "oscillatory_exponent"},
         param_name="xi",
     )
     report.extra_columns = {"envelope": envelope}

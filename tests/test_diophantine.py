@@ -217,3 +217,14 @@ def test_profile_consistent_with_measure_Aq():
 def test_profile_validation():
     with pytest.raises(ValueError):
         khintchine_profile(parse_measure("leb"), PowerPsi(1.0), 5, 1000, seed=0)
+    # per-q rates exist only for 2 <= q <= Q: no fake zero rows, no numpy error
+    for rate_q_max in (0, 1, 21, 30):
+        with pytest.raises(ValueError, match="rate_q_max"):
+            khintchine_profile(
+                parse_measure("leb"), PowerPsi(1.0), 20, 1000, seed=0, rate_q_max=rate_q_max
+            )
+    for rate_q_max in (2, 20):
+        profile = khintchine_profile(
+            parse_measure("leb"), PowerPsi(1.0), 20, 1000, seed=0, rate_q_max=rate_q_max
+        )
+        assert profile.qs[-1] == rate_q_max == profile.hit_rates.size + 1

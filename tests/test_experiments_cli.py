@@ -205,6 +205,48 @@ def test_cli_byte_identical_reruns(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+SMALL_RUNS = {
+    "fourier": ("--measure", "cantor:3:0,2", "--xi", "0:20:0.5"),
+    "dim": ("--measure", "cantor:3:0,2", "--xmax", "10000", "--star", "--theta-grid", "4"),
+    "equidist": (
+        "--measure", "cantor:450:0..446", "--ygrid", "0.25:0.5:5", "--budget", "5000",
+    ),
+    "basis-check": (
+        "--measure", "cantor:3:0,2", "--q", "2", "--x0", "0.25", "--ygrid", "0.2:0.5:3",
+        "--method", "montecarlo", "--budget", "5000",
+    ),
+    "spectral-gap": ("--t", "1", "--ygrid", "0.125:0.5:4"),
+    "khintchine": ("--measure", "cantor:3:0,2", "--Q", "50", "--samples", "1000"),
+    "stationary": ("--phase", "poly:0,0,1", "--xigrid", "10:1000:6"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_cli_every_subcommand_reruns_byte_identical(command, tmp_path, capsys):
+    outputs = []
+    for run in (1, 2):
+        out_file, json_file = tmp_path / f"{run}.csv", tmp_path / f"{run}.json"
+        code = cli_main(
+            [command, *SMALL_RUNS[command], "--seed", "7",
+             "--out", str(out_file), "--json-out", str(json_file)]
+        )
+        assert code in (0, 2)  # byte identity is the claim, not fit quality
+        outputs.append((out_file.read_bytes(), json_file.read_bytes()))
+    assert outputs[0] == outputs[1]
+    csv_bytes, json_bytes = outputs[0]
+    assert csv_bytes.count(b"\r\n") >= 4 and csv_bytes.endswith(b"\r\n")
+    assert json.loads(json_bytes)["command"] == command
+
+
+def test_cli_dim_rejects_empty_theta_grid(capsys):
+    code, _, err = run_cli(
+        capsys, "dim", "--measure", "cantor:3:0,2", "--xmax", "10000", "--star",
+        "--theta-grid", "0",
+    )
+    assert code == 1
+    assert "theta_grid" in err
+
+
 def test_cli_spectral_gap_csv_shape(tmp_path, capsys):
     out_file = tmp_path / "gap.csv"
     code, out, _ = run_cli(
@@ -252,6 +294,11 @@ def test_cli_stationary_quadratic(tmp_path, capsys):
         (("stationary", "--phase", "poly:3"), "<phase>"),
         (("khintchine", "--measure", "leb", "--psi", "exp:2"), "<psi>"),
         (("fourier", "--measure", "leb", "--xi", "0-1-1"), "<xi-range>"),
+        (("stationary", "--phase", "poly:0,0,1", "--xigrid", "10:10000:6.5"),
+         "<xi-grid>: bad count '6.5'"),
+        (("stationary", "--phase", "poly:0,0,1", "--xigrid", "10:10000"),
+         "expected start:stop:count"),
+        (("spectral-gap", "--ygrid", "0.125:0.5:ten"), "<ygrid>: bad count 'ten'"),
     ],
 )
 def test_cli_malformed_literals_name_production(capsys, argv, needle):

@@ -3,6 +3,7 @@ import pytest
 
 from horolab.fitting import (
     DegenerateFitError,
+    csv_table,
     fit_decay_report,
     geometric_grid,
     least_squares_loglog,
@@ -78,6 +79,23 @@ def test_report_rows_sorted_and_csv_round_trip():
     kept = [r for r in rows if r[3] == "1"]
     fit = least_squares_loglog([float(r[0]) for r in kept], [float(r[1]) for r in kept])
     assert fit.slope == pytest.approx(rep.exponent, abs=1e-9)
+
+
+def test_csv_table_format():
+    text = csv_table(
+        "q,flag,u,x",
+        np.array([2, -3]), np.array([True, False]), np.array([7, 8], dtype=np.uint8),
+        [0.1, 1e-20],
+    )
+    assert text == "q,flag,u,x\r\n2,1,7,0.1\r\n-3,0,8,1e-20\r\n"
+    # floats print with repr, so every bit survives a round trip
+    x = np.array([1 / 3, 2.0**-1074, np.nan, -np.inf, 1e300])
+    rows = csv_table("x", x).split("\r\n")
+    assert rows[0] == "x" and rows[-1] == ""
+    assert rows[1:-1] == [repr(float(v)) for v in x]
+    assert csv_table("a,b") == "a,b\r\n"
+    with pytest.raises(ValueError, match="length"):
+        csv_table("a,b", [1.0, 2.0], [1.0])
 
 
 def test_geometric_grid_values():

@@ -250,6 +250,10 @@ def test_dimension_grid_validation():
         estimate_dim_l1(CANTOR3, [100, 200, 300])  # too few points
     with pytest.raises(ValueError):
         estimate_dim_l1(CANTOR3, [100, 200, 400, 800])  # under two decades
+    with pytest.raises(ValueError, match="theta_grid"):
+        estimate_dim_l1(CANTOR3, [100, 1000, 5000, 10**4], star=True, theta_grid=0)
+    with pytest.raises(ValueError, match="theta_grid"):
+        l1_partial_sum(CANTOR3, 100, star=True, theta_grid=0)
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,37 @@ def test_mu_y_cylinder_needs_lipschitz_declaration():
         )
 
 
+def test_lipschitz_is_computed_once(monkeypatch):
+    from horolab import testfunctions
+
+    calls = []
+    real_values = testfunctions.eisenstein_values
+    monkeypatch.setattr(
+        testfunctions, "eisenstein_values", lambda *a: calls.append(1) or real_values(*a)
+    )
+    phi = EisensteinTest(1.0)
+    first = phi.lipschitz
+    assert len(calls) == 4 and phi.lipschitz == first and len(calls) == 4
+
+    bump = BumpTest(0.9, 2.5)
+    first = bump.lipschitz
+    monkeypatch.setattr(BumpTest, "__call__", lambda *a: pytest.fail("grid rebuilt"))
+    assert bump.lipschitz == first
+
+
+def test_mu_y_montecarlo_reads_no_lipschitz():
+    class NoLipschitz(BumpTest):
+        @property
+        def lipschitz(self):
+            raise AssertionError("Monte Carlo read the Lipschitz constant")
+
+    measure = parse_measure("cantor:3:0,2")
+    cfg = HorocycleConfig(0.0, 1, 0.1)
+    got = mu_y_value(measure, NoLipschitz(0.9, 2.5), cfg, method="montecarlo", budget=5000, seed=3)
+    want = mu_y_value(measure, BumpTest(0.9, 2.5), cfg, method="montecarlo", budget=5000, seed=3)
+    assert got == want
+
+
 def test_mu_y_general_convolution_cylinder_refused():
     measure = parse_measure("cantor:3:0,2 * leb")
     phi = BumpTest(0.9, 2.5)
