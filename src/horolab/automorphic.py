@@ -103,6 +103,9 @@ def gamma_complex(z: complex) -> complex:
     return cmath.exp(log_gamma(z))
 
 
+# zeta_1line sums ZETA_TERMS terms directly, then one Euler-Maclaurin
+# correction per Bernoulli number B_2, ..., B_28
+ZETA_TERMS = 100
 _BERNOULLI_2K = (
     1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730,
     7.0 / 6, -3617.0 / 510, 43867.0 / 798, -174611.0 / 330, 854513.0 / 138,
@@ -110,7 +113,7 @@ _BERNOULLI_2K = (
 )
 
 
-def zeta_1line(s: complex, n_terms: int = 100, n_corrections: int = 14) -> complex:
+def zeta_1line(s: complex) -> complex:
     """Riemann zeta by Euler-Maclaurin, for Re(s) >= 1, |Im(s)| <= 62.
 
     zeta(s) = sum_{n<=N} n^-s + N^(1-s)/(s-1) - N^-s/2
@@ -123,16 +126,16 @@ def zeta_1line(s: complex, n_terms: int = 100, n_corrections: int = 14) -> compl
         raise PoleProximityError("s within 1e-6 of the pole at 1")
     if abs(s.imag) > 62.0:
         raise ValueError("zeta_1line validated only for |Im(s)| <= 62")
-    N = n_terms
+    N = ZETA_TERMS
     n = np.arange(1, N + 1, dtype=float)
     total = complex(np.sum(n ** (-s)))
     total += N ** (1.0 - s) / (s - 1.0)
     total -= 0.5 * N ** (-s)
     rising = s  # s(s+1)...(s+2k-2), updated per correction term
     fact = 1.0
-    for k in range(1, n_corrections + 1):
+    for k, b2k in enumerate(_BERNOULLI_2K, 1):
         fact *= (2 * k - 1) * (2 * k)
-        total += _BERNOULLI_2K[k - 1] / fact * rising * N ** (-s - 2 * k + 1)
+        total += b2k / fact * rising * N ** (-s - 2 * k + 1)
         rising *= (s + 2 * k - 1) * (s + 2 * k)
     return total
 

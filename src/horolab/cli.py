@@ -22,7 +22,8 @@ from .automorphic import spectral_gap_csv, spectral_gap_fit
 from .experiments import ExperimentConfig, run_basis_identity_check, run_equidistribution
 from .fitting import DecayReport, csv_table
 from .oscillatory import (
-    exponent_fit_oscillatory,
+    QuadratureBudgetError,
+    envelope_fit,
     oscillatory_integral,
     parse_phase,
     parse_window,
@@ -211,21 +212,26 @@ def _cmd_stationary(args) -> int:
     start, stop, count = _parse_triple(
         args.xigrid, "<xi-grid>", (("start", float), ("stop", float), ("count", int))
     )
-    if not (start > 0 and stop > start and count >= 6):
-        raise CliError("<xi-grid>: expected start:stop:count with stop > start > 0, count >= 6")
+    if not (start > 0 and stop >= 100 * start and count >= 6):
+        raise CliError(
+            "<xi-grid>: expected start:stop:count with stop >= 100 * start > 0, count >= 6"
+        )
     grid = np.geomspace(start, stop, count)
-    report = exponent_fit_oscillatory(phase, window, grid, tol=args.tol)
-    vals, leads = [], []
+    try:
+        vals = [oscillatory_integral(phase, window, float(xi), tol=args.tol) for xi in grid]
+    except QuadratureBudgetError as exc:
+        raise CliError(f"<xi-grid>: {exc}") from None
+    # Python's abs(complex), not np.abs: the two can differ in the last bit
+    report = envelope_fit(grid, [abs(v) for v in vals])
+    leads = []
     for xi in grid:
-        vals.append(oscillatory_integral(phase, window, float(xi), tol=args.tol))
         try:
             leads.append(abs(stationary_phase_leading(phase, window, float(xi))))
         except ValueError:
             leads.append(float("nan"))
-    # Python's abs(complex), not np.abs: the two can differ in the last bit
     csv_text = csv_table(
         "xi,re,im,abs,leading_abs", grid,
-        [v.real for v in vals], [v.imag for v in vals], [abs(v) for v in vals], leads,
+        [v.real for v in vals], [v.imag for v in vals], report.errors, leads,
     )
     return _report_exit(args, "stationary", report, csv_text)
 

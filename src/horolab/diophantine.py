@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import measures as _measures
-from .fitting import csv_table
+from .fitting import LiteralParseError, csv_table
 
 RATIONAL_DETECTION_TOL = 1e-15
 
@@ -101,11 +101,6 @@ class ConstPsi(ApproximationFunction):
         return np.full(np.shape(q) or (), self.value)
 
 
-class PsiParseError(ValueError):
-    def __init__(self, detail: str):
-        super().__init__(f"psi literal, production <psi>: {detail}")
-
-
 def parse_psi(text: str) -> ApproximationFunction:
     """Parse `pow:<tau>`, `qlogq`, `const:<c>`."""
     text = text.strip()
@@ -116,8 +111,8 @@ def parse_psi(text: str) -> ApproximationFunction:
             try:
                 return cls(float(text[len(prefix):]))
             except ValueError as exc:
-                raise PsiParseError(str(exc)) from None
-    raise PsiParseError(f"unknown psi literal {text!r}")
+                raise LiteralParseError("<psi>", str(exc)) from None
+    raise LiteralParseError("<psi>", f"unknown psi literal {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +242,8 @@ def khintchine_profile(
     """
     if Q < 10:
         raise ValueError("require Q >= 10")
+    if n_samples < 2:  # the standard errors use ddof=1
+        raise ValueError(f"require n_samples >= 2, got {n_samples}")
     if rate_q_max is None:
         rate_q_max = min(Q, 1000)
     if not 2 <= rate_q_max <= Q:

@@ -20,6 +20,8 @@ import numpy as np
 
 # Rows more than this many log-units below the fit line count as nulls.
 NULL_REJECT_LOGRATIO = 1.0
+# Rejection rounds of robust_loglog before the last fit is kept.
+MAX_REJECT_ROUNDS = 10
 # Floor for taking logs of error values.
 _LOG_FLOOR = 1e-300
 
@@ -40,6 +42,14 @@ def csv_table(header: str, *columns) -> str:
     if len({len(c) for c in cells}) > 1:
         raise ValueError("CSV columns differ in length")
     return "\r\n".join([header, *(",".join(row) for row in zip(*cells))]) + "\r\n"
+
+
+class LiteralParseError(ValueError):
+    """A malformed command-line literal; production names the grammar rule."""
+
+    def __init__(self, production: str, detail: str):
+        self.production = production
+        super().__init__(f"literal, production {production}: {detail}")
 
 
 class DegenerateFitError(ValueError):
@@ -78,7 +88,7 @@ def least_squares_loglog(params, values, mask=None) -> FitResult:
     return FitResult(slope, intercept, stderr, r2, np.array(mask, dtype=bool))
 
 
-def robust_loglog(params, values, max_rounds: int = 10) -> FitResult:
+def robust_loglog(params, values) -> FitResult:
     """Null-rejecting log-log fit.
 
     Iteratively drops rows whose residual is below -NULL_REJECT_LOGRATIO
@@ -91,7 +101,7 @@ def robust_loglog(params, values, max_rounds: int = 10) -> FitResult:
     n = params.size
     mask = np.ones(n, dtype=bool)
     fit = least_squares_loglog(params, values, mask)
-    for _ in range(max_rounds):
+    for _ in range(MAX_REJECT_ROUNDS):
         resid = np.log(np.maximum(values, _LOG_FLOOR)) - (
             fit.slope * np.log(params) + fit.intercept
         )

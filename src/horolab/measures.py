@@ -27,7 +27,7 @@ from functools import singledispatch
 
 import numpy as np
 
-from .fitting import least_squares_loglog
+from .fitting import LiteralParseError, least_squares_loglog
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_TAIL_TOL = 1e-12
@@ -551,17 +551,11 @@ _MEASURE_GRAMMAR = (
 )
 
 
-class MeasureParseError(ValueError):
-    def __init__(self, production: str, detail: str):
-        self.production = production
-        super().__init__(f"measure literal, production {production}: {detail}")
-
-
 def parse_measure(text: str) -> MeasureExpr:
     """Parse `cantor:<b>:<digits>`, `leb`, `dirac:<x>`, `*`, `+<x0>`."""
     parts = [p.strip() for p in text.strip().split("*")]
     if any(not p for p in parts):
-        raise MeasureParseError("<measure>", f"empty convolution factor in {text!r}")
+        raise LiteralParseError("<measure>", f"empty convolution factor in {text!r}")
     expr = _parse_term(parts[0])
     for p in parts[1:]:
         expr = Convolution(expr, _parse_term(p))
@@ -575,7 +569,7 @@ def _parse_term(text: str) -> MeasureExpr:
         try:
             shift = float(shift_text)
         except ValueError:
-            raise MeasureParseError("<shift>", f"bad shift {shift_text!r}") from None
+            raise LiteralParseError("<shift>", f"bad shift {shift_text!r}") from None
     else:
         base_text = text
     atom = _parse_atom(base_text.strip())
@@ -595,21 +589,21 @@ def _parse_atom(text: str) -> MeasureExpr:
         try:
             return DiracMass(float(text[len("dirac:"):]))
         except ValueError:
-            raise MeasureParseError("<atom>", f"bad dirac point in {text!r}") from None
+            raise LiteralParseError("<atom>", f"bad dirac point in {text!r}") from None
     if text.startswith("cantor:"):
         fields = text.split(":")
         if len(fields) != 3:
-            raise MeasureParseError("<atom>", f"expected cantor:<b>:<digits>, got {text!r}")
+            raise LiteralParseError("<atom>", f"expected cantor:<b>:<digits>, got {text!r}")
         try:
             b = int(fields[1])
         except ValueError:
-            raise MeasureParseError("<atom>", f"bad base in {text!r}") from None
+            raise LiteralParseError("<atom>", f"bad base in {text!r}") from None
         digits = _parse_digits(fields[2])
         try:
             return FractalMeasure(b, digits)
         except ValueError as exc:
-            raise MeasureParseError("<atom>", str(exc)) from None
-    raise MeasureParseError("<atom>", f"unknown measure atom {text!r}")
+            raise LiteralParseError("<atom>", str(exc)) from None
+    raise LiteralParseError("<atom>", f"unknown measure atom {text!r}")
 
 
 def _parse_digits(text: str) -> tuple[int, ...]:
@@ -622,4 +616,4 @@ def _parse_digits(text: str) -> tuple[int, ...]:
             return tuple(range(lo, hi + 1))
         return tuple(int(d) for d in text.split(","))
     except ValueError:
-        raise MeasureParseError("<digits>", f"bad digit list {text!r}") from None
+        raise LiteralParseError("<digits>", f"bad digit list {text!r}") from None

@@ -7,9 +7,12 @@ behavior w(x_i) * C_k * xi^(-1/k) built from the model integral
 
     int_0^inf e(lambda u^k) du = Gamma(1 + 1/k) (2 pi lambda)^(-1/k) e(1/(4k)).
 
-Roots of f' are isolated with exact rational arithmetic (square-free
-factorization, then certified real-root isolation), so multiplicities are
-exact and the k_i are trustworthy.
+Stationary points are certified in exact rational arithmetic on the exact
+binary values of the coefficients: Yun's square-free decomposition splits
+f' into factors of known multiplicity, a Sturm sequence isolates the real
+roots of each factor, and bisection narrows each root until both ends of
+its interval round to the same float, so every root is correctly rounded
+and every order k_i is exact.
 """
 
 from __future__ import annotations
@@ -19,14 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
-from .fitting import DecayReport, least_squares_loglog, robust_loglog
+from .fitting import DecayReport, LiteralParseError, least_squares_loglog, robust_loglog
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 NODES_PER_OSCILLATION = 12
 MAX_XI = 1e6
 BOUNDARY_TOL = 1e-9
+ENVELOPE_WINDOW = 2  # grid neighbours on each side of the decay envelope's running max
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -49,6 +52,8 @@ class PhasePolynomial:
             trimmed.pop()
         if len(trimmed) <= 1:
             raise ValueError("phase must be a non-constant polynomial")
+        if not all(math.isfinite(c) for c in trimmed):
+            raise ValueError(f"phase coefficients must be finite, got {self.coeffs}")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in trimmed))
 
     @property
@@ -75,6 +80,12 @@ class Window:
     center: float
     radius: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.center) and math.isfinite(self.radius)):
+            raise ValueError("window center and radius must be finite")
+        if self.radius <= 0:
+            raise ValueError("radius must be positive")
+
     @property
     def support(self) -> tuple[float, float]:
         return (self.center - self.radius, self.center + self.radius)
@@ -89,10 +100,6 @@ class RaisedCosineWindow(Window):
 
     center: float = 0.0
     radius: float = 1.0
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
 
     @property
     def label(self):
@@ -120,10 +127,6 @@ class SmoothBumpWindow(Window):
 
     center: float = 0.0
     radius: float = 1.0
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
 
     @property
     def label(self):
@@ -157,30 +160,15 @@ class StationaryData:
 def find_stationary_points(f: PhasePolynomial, w: Window) -> StationaryData:
     """Certified real roots of f' inside supp(w), with multiplicities.
 
-    Exact rational square-free factorization splits f' into factors of
-    known multiplicity; real-root isolation on each factor certifies the
-    roots.  A root within BOUNDARY_TOL of the support boundary raises:
-    boundary stationary points change the asymptotics.
+    Yun's square-free decomposition of the exact f' gives factors of known
+    multiplicity; a Sturm sequence isolates the real roots of each factor.
+    A root within BOUNDARY_TOL of the support boundary raises: boundary
+    stationary points change the asymptotics.
     """
-    if f.degree < 1:
-        raise ValueError("degree must be at least 1")
     a, b = w.support
-    x = sympy.Symbol("x")
-    exact = [Fraction(c) for c in f.coeffs]
-    poly = sympy.Poly(
-        sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(exact)),
-        x,
-    )
-    dpoly = poly.diff(x)
-    if dpoly.is_zero:
-        raise ValueError("phase is constant")
     points = []
-    _, factors = sympy.Poly(dpoly, x).sqf_list()
-    for factor, mult in factors:
-        if factor.degree() < 1:
-            continue
-        for root in factor.real_roots():
-            xr = float(root.evalf(30))
+    for factor, mult in _squarefree(_deriv([Fraction(c) for c in f.coeffs])):
+        for xr in _real_roots(factor):
             if xr <= a - BOUNDARY_TOL or xr >= b + BOUNDARY_TOL:
                 continue
             if abs(xr - a) < BOUNDARY_TOL or abs(xr - b) < BOUNDARY_TOL:
@@ -188,17 +176,100 @@ def find_stationary_points(f: PhasePolynomial, w: Window) -> StationaryData:
                     f"stationary point {xr} at the support boundary"
                 )
             k = mult + 1
-            points.append(
-                StationaryPoint(
-                    x=xr,
-                    order=k,
-                    phase_value=float(f(np.array(xr))),
-                    scale=f.derivative_value(k, xr),
-                )
-            )
+            points.append(StationaryPoint(xr, k, float(f(np.array(xr))), f.derivative_value(k, xr)))
     points.sort(key=lambda p: p.x)
     max_order = max((p.order for p in points), default=0)
     return StationaryData(points=points, max_order=max_order)
+
+
+# Exact polynomials are lists of Fractions by increasing degree with a
+# nonzero last entry; [] is the zero polynomial.
+
+
+def _trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _deriv(p: list) -> list:
+    return [k * p[k] for k in range(1, len(p))]
+
+
+def _divmod(n: list, d: list) -> tuple[list, list]:
+    """Exact quotient and remainder of n by a nonzero d."""
+    r = list(n)
+    q = [Fraction(0)] * max(0, len(r) - len(d) + 1)
+    for i in reversed(range(len(q))):
+        q[i] = r[i + len(d) - 1] / d[-1]
+        for j, dj in enumerate(d):
+            r[i + j] -= q[i] * dj
+    return q, _trim(r[: len(d) - 1])
+
+
+def _gcd(p: list, q: list) -> list:
+    while q:
+        p, q = q, _divmod(p, q)[1]
+    return [c / p[-1] for c in p]  # monic
+
+
+def _squarefree(p: list) -> list[tuple[list, int]]:
+    """Yun's square-free decomposition: p = const * prod(factor**mult)."""
+    dp = _deriv(p)
+    g = _gcd(p, dp)
+    b, c = _divmod(p, g)[0], _divmod(dp, g)[0]
+    out, mult = [], 1
+    while len(b) > 1:  # here deg c = deg b - 1
+        d = _trim([u - v for u, v in zip(c, _deriv(b))])
+        factor = _gcd(b, d)
+        if len(factor) > 1:
+            out.append((factor, mult))
+        b, c = _divmod(b, factor)[0], _divmod(d, factor)[0]
+        mult += 1
+    return out
+
+
+def _scaled_value(p: list, x: Fraction) -> int:
+    """p(x) * den(x)**deg(p), for integer coefficients: the sign of p(x)."""
+    acc, power = 0, 1
+    for c in reversed(p):
+        acc, power = acc * x.numerator + c * power, power * x.denominator
+    return acc
+
+
+def _real_roots(p: list) -> list[float]:
+    """Real roots of a square-free p, ascending, each correctly rounded.
+
+    The Sturm sequence, scaled to integers, counts the roots in (lo, hi].
+    Bisection starts from a power of two above the Cauchy bound (capped at
+    2**1023, beyond which no window reaches), so every midpoint is dyadic,
+    and stops on a one-root interval whose ends round to the same float or
+    whose upper end is the root.
+    """
+    if len(p) == 2:
+        return [float(-p[0] / p[1])]
+    seq = [p, _deriv(p)]
+    while seq[-1]:
+        seq.append([-c for c in _divmod(seq[-2], seq[-1])[1]])
+    scale = math.lcm(*(c.denominator for q in seq for c in q))
+    seq = [[int(c * scale) for c in q] for q in seq[:-1]]
+
+    def changes(x):
+        signs = [v > 0 for v in (_scaled_value(q, x) for q in seq) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    cauchy = math.ceil(1 + max(abs(c / p[-1]) for c in p))
+    bound = Fraction(2 ** min(cauchy.bit_length(), 1023))
+    roots, stack = [], [(-bound, bound, changes(-bound), changes(bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1 and (float(lo) == float(hi) or _scaled_value(seq[0], hi) == 0):
+            roots.append(float(hi))
+        elif v_lo > v_hi:
+            mid = (lo + hi) / 2
+            v_mid = changes(mid)
+            stack += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +302,7 @@ def _composite_gl(f: PhasePolynomial, w: Window, xi: float, panels: int) -> comp
     return total
 
 
-def oscillatory_integral(
-    f: PhasePolynomial,
-    w: Window,
-    xi: float,
-    tol: float = 1e-8,
-    max_xi: float = MAX_XI,
-) -> complex:
+def oscillatory_integral(f: PhasePolynomial, w: Window, xi: float, tol: float = 1e-8) -> complex:
     """int e(xi f(x)) w(x) dx by composite Gauss-Legendre panels.
 
     Panel count starts at NODES_PER_OSCILLATION nodes per oscillation of
@@ -245,8 +310,8 @@ def oscillatory_integral(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if abs(xi) > max_xi:
-        raise QuadratureBudgetError(f"|xi| = {abs(xi)} beyond configured maximum {max_xi}")
+    if abs(xi) > MAX_XI:
+        raise QuadratureBudgetError(f"|xi| = {abs(xi)} beyond the maximum {MAX_XI}")
     a, b = w.support
     n_osc = abs(xi) * _total_variation(f, a, b) + 1.0
     panels = max(6, math.ceil(NODES_PER_OSCILLATION * n_osc / GL_NODES.size))
@@ -258,7 +323,7 @@ def oscillatory_integral(
         val = nxt
         if delta <= tol:
             return val
-    raise QuadratureBudgetError("panel refinement did not reach tolerance")
+    raise QuadratureBudgetError(f"panel refinement did not reach tol {tol} at xi = {xi}")
 
 
 def stationary_phase_leading(f: PhasePolynomial, w: Window, xi: float) -> complex:
@@ -287,26 +352,31 @@ def stationary_phase_leading(f: PhasePolynomial, w: Window, xi: float) -> comple
 
 
 def exponent_fit_oscillatory(
-    f: PhasePolynomial,
-    w: Window,
-    xi_grid,
-    tol: float = 1e-10,
-    envelope_window: int = 2,
+    f: PhasePolynomial, w: Window, xi_grid, tol: float = 1e-10
 ) -> DecayReport:
-    """Fit |I(xi)| ~ xi^(-beta) on the upper envelope of a xi-sweep.
+    """Fit |I(xi)| ~ xi^(-beta) on a xi-sweep of oscillatory_integral.
 
-    The envelope takes the running max over +-envelope_window grid
-    neighbors, suppressing interference nulls.  beta lands near 1/k for a
-    worst stationary order k; beta > 2 marks superpolynomial decay (no
-    stationary point inside the window).
+    The grid needs at least 6 points spanning two decades; the fit is
+    envelope_fit's.
     """
     xi_grid = np.asarray(sorted(float(x) for x in xi_grid))
     if xi_grid.size < 6:
         raise ValueError("xi_grid needs at least 6 points")
     if math.log10(xi_grid[-1] / xi_grid[0]) < 2.0 - 1e-9:
         raise ValueError("xi_grid must span at least two decades")
-    values = np.array([abs(oscillatory_integral(f, w, x, tol=tol)) for x in xi_grid])
-    m = envelope_window
+    return envelope_fit(xi_grid, [abs(oscillatory_integral(f, w, x, tol=tol)) for x in xi_grid])
+
+
+def envelope_fit(xi_grid, values) -> DecayReport:
+    """Fit values |I(xi)| ~ xi^(-beta) on an ascending xi_grid by their envelope.
+
+    The envelope takes the running max over +-ENVELOPE_WINDOW grid
+    neighbors, suppressing interference nulls.  beta lands near 1/k for a
+    worst stationary order k; beta > 2 marks superpolynomial decay (no
+    stationary point inside the window).
+    """
+    xi_grid, values = np.asarray(xi_grid, dtype=float), np.asarray(values, dtype=float)
+    m = ENVELOPE_WINDOW
     envelope = np.array(
         [values[max(0, i - m) : i + m + 1].max() for i in range(values.size)]
     )
@@ -318,42 +388,28 @@ def exponent_fit_oscillatory(
         status = "superpolynomial"
     elif beta <= 0.0:
         status = "inconclusive"
-    report = DecayReport(
-        params=xi_grid,
-        errors=values,
-        error_bars=np.zeros_like(values),
-        exponent=beta,
-        exponent_stderr=robust.stderr,
-        r2=robust.r2,
-        exponent_plain=-plain.slope,
-        r2_plain=plain.r2,
-        kept=robust.kept,
-        status=status,
-        param_name="xi",
+    return DecayReport(
+        xi_grid, values, np.zeros_like(values),
+        exponent=beta, exponent_stderr=robust.stderr, r2=robust.r2,
+        exponent_plain=-plain.slope, r2_plain=plain.r2,
+        kept=robust.kept, status=status, param_name="xi",
+        extra_columns={"envelope": envelope},
     )
-    report.extra_columns = {"envelope": envelope}
-    return report
-
-
-class PhaseParseError(ValueError):
-    def __init__(self, production: str, detail: str):
-        self.production = production
-        super().__init__(f"literal, production {production}: {detail}")
 
 
 def parse_phase(text: str) -> PhasePolynomial:
     """Parse `poly:c0,c1,c2,...` (coefficients by increasing degree)."""
     text = text.strip()
     if not text.startswith("poly:"):
-        raise PhaseParseError("<phase>", f"expected poly:c0,c1,..., got {text!r}")
+        raise LiteralParseError("<phase>", f"expected poly:c0,c1,..., got {text!r}")
     try:
         coeffs = tuple(float(c) for c in text[len("poly:"):].split(","))
     except ValueError:
-        raise PhaseParseError("<phase>", f"bad coefficient in {text!r}") from None
+        raise LiteralParseError("<phase>", f"bad coefficient in {text!r}") from None
     try:
         return PhasePolynomial(coeffs)
     except ValueError as exc:
-        raise PhaseParseError("<phase>", str(exc)) from None
+        raise LiteralParseError("<phase>", str(exc)) from None
 
 
 def parse_window(text: str) -> Window:
@@ -363,9 +419,9 @@ def parse_window(text: str) -> Window:
         if text.startswith(prefix):
             parts = text[len(prefix):].split(",")
             if len(parts) != 2:
-                raise PhaseParseError("<window>", f"expected {prefix}center,radius")
+                raise LiteralParseError("<window>", f"expected {prefix}center,radius")
             try:
                 return cls(float(parts[0]), float(parts[1]))
             except ValueError as exc:
-                raise PhaseParseError("<window>", str(exc)) from None
-    raise PhaseParseError("<window>", f"unknown window literal {text!r}")
+                raise LiteralParseError("<window>", str(exc)) from None
+    raise LiteralParseError("<window>", f"unknown window literal {text!r}")

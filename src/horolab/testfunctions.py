@@ -17,12 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .automorphic import EisensteinParams, eisenstein_values
-
-
-class TestFunctionParseError(ValueError):
-    def __init__(self, production: str, detail: str):
-        self.production = production
-        super().__init__(f"test-function literal, production {production}: {detail}")
+from .fitting import LiteralParseError
 
 
 class EisensteinTest:
@@ -151,34 +146,34 @@ def parse_test_function(text: str):
         body = text[len("eisenstein:"):]
         kv = _keyvals(body, "<test:eisenstein>")
         if set(kv) != {"t"}:
-            raise TestFunctionParseError("<test:eisenstein>", f"expected t=<real>, got {body!r}")
+            raise LiteralParseError("<test:eisenstein>", f"expected t=<real>, got {body!r}")
         return EisensteinTest(t=kv["t"])
     if text.startswith("bump:"):
         kv = _keyvals(text[len("bump:"):], "<test:bump>")
         if set(kv) != {"y0", "y1"}:
-            raise TestFunctionParseError("<test:bump>", "expected y0=<a>,y1=<b>")
+            raise LiteralParseError("<test:bump>", "expected y0=<a>,y1=<b>")
         return BumpTest(kv["y0"], kv["y1"])
     if text.startswith("indicator:"):
         kv = _keyvals(text[len("indicator:"):], "<test:indicator>")
         if set(kv) != {"ygt"}:
-            raise TestFunctionParseError("<test:indicator>", "expected ygt=<c>")
+            raise LiteralParseError("<test:indicator>", "expected ygt=<c>")
         return IndicatorTest(kv["ygt"])
     if text.startswith("const:"):
         try:
             return ConstantTest(float(text[len("const:"):]))
         except ValueError:
-            raise TestFunctionParseError("<test:const>", f"bad value in {text!r}") from None
-    raise TestFunctionParseError("<test>", f"unknown test function {text!r}")
+            raise LiteralParseError("<test:const>", f"bad value in {text!r}") from None
+    raise LiteralParseError("<test>", f"unknown test function {text!r}")
 
 
 def _keyvals(body: str, production: str) -> dict:
     out = {}
     for item in body.split(","):
         if "=" not in item:
-            raise TestFunctionParseError(production, f"expected key=value, got {item!r}")
+            raise LiteralParseError(production, f"expected key=value, got {item!r}")
         key, val = item.split("=", 1)
         try:
             out[key.strip()] = float(val)
         except ValueError:
-            raise TestFunctionParseError(production, f"bad number {val!r}") from None
+            raise LiteralParseError(production, f"bad number {val!r}") from None
     return out

@@ -321,8 +321,12 @@ def test_eisenstein_values_empty_and_shape(params_t1):
 
 
 def test_import_loads_no_scipy():
-    # scipy is a test-only oracle; the package must not need it at run time
-    code = "import sys, horolab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # scipy, sympy and mpmath are test-only oracles; the package must not
+    # need them at run time
+    code = (
+        "import sys, horolab; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'sympy', 'mpmath')))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
 

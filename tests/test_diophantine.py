@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from horolab.diophantine import (
     ConstPsi,
     PowerPsi,
-    PsiParseError,
     QLogQPsi,
     convergents,
     dirichlet_approx,
@@ -17,6 +16,7 @@ from horolab.diophantine import (
     measure_of_Aq,
     parse_psi,
 )
+from horolab.fitting import LiteralParseError
 from horolab.measures import parse_measure
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -119,8 +119,9 @@ def test_psi_literals_round_trip():
     assert isinstance(parse_psi("pow:1.5"), PowerPsi)
     assert isinstance(parse_psi("qlogq"), QLogQPsi)
     assert isinstance(parse_psi("const:0.5"), ConstPsi)
-    with pytest.raises(PsiParseError):
+    with pytest.raises(LiteralParseError) as err:
         parse_psi("exp:1")
+    assert err.value.production == "<psi>"
 
 
 def test_psi_monotonicity_check():
@@ -217,6 +218,13 @@ def test_profile_consistent_with_measure_Aq():
 def test_profile_validation():
     with pytest.raises(ValueError):
         khintchine_profile(parse_measure("leb"), PowerPsi(1.0), 5, 1000, seed=0)
+    # the standard errors use ddof=1: one sample would report NaN
+    for n_samples in (0, 1):
+        with pytest.raises(ValueError, match="n_samples"):
+            khintchine_profile(parse_measure("leb"), PowerPsi(1.0), 20, n_samples, seed=0)
+    assert math.isfinite(
+        khintchine_profile(parse_measure("leb"), PowerPsi(1.0), 20, 2, seed=0).mean_count_stderr
+    )
     # per-q rates exist only for 2 <= q <= Q: no fake zero rows, no numpy error
     for rate_q_max in (0, 1, 21, 30):
         with pytest.raises(ValueError, match="rate_q_max"):

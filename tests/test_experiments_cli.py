@@ -299,6 +299,10 @@ def test_cli_stationary_quadratic(tmp_path, capsys):
         (("stationary", "--phase", "poly:0,0,1", "--xigrid", "10:10000"),
          "expected start:stop:count"),
         (("spectral-gap", "--ygrid", "0.125:0.5:ten"), "<ygrid>: bad count 'ten'"),
+        (("stationary", "--phase", "poly:0,0,1", "--xigrid", "10:2000000:6"),
+         "horolab: error: <xi-grid>: |xi| = 2000000.0 beyond"),
+        (("stationary", "--phase", "poly:0,0,nan"), "<phase>"),
+        (("stationary", "--phase", "poly:0,0,1", "--window", "coswin:0,nan"), "<window>"),
     ],
 )
 def test_cli_malformed_literals_name_production(capsys, argv, needle):

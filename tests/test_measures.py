@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from horolab.fitting import LiteralParseError
 from horolab.measures import (
     Convolution,
     DiracMass,
     FractalMeasure,
     LebesgueUnit,
-    MeasureParseError,
     NonArithmeticDigitsError,
     PrecisionLossError,
     b_of_s,
@@ -341,7 +341,7 @@ def test_parse_round_trip_variants():
     ],
 )
 def test_parse_errors_name_the_production(bad, production):
-    with pytest.raises(MeasureParseError) as err:
+    with pytest.raises(LiteralParseError) as err:
         parse_measure(bad)
     assert production in str(err.value)
 

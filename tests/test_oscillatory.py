@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import Phase, assume, given, settings, strategies as st
 from scipy.integrate import quad
 
+from horolab.fitting import LiteralParseError
 from horolab.oscillatory import (
+    BOUNDARY_TOL,
     BoundaryStationaryPointError,
-    PhaseParseError,
     PhasePolynomial,
     QuadratureBudgetError,
     RaisedCosineWindow,
@@ -69,6 +72,80 @@ def test_stationary_point_at_boundary_rejected():
     # f' = 2x vanishes exactly at the left edge of [0, 2]
     with pytest.raises(BoundaryStationaryPointError):
         find_stationary_points(X2, RaisedCosineWindow(1.0, 1.0))
+
+
+def _sympy_stationary_points(f):
+    """(x, order) of every real root of f', by sympy: the test oracle."""
+    x = sympy.Symbol("x")
+    exact = [sympy.Rational(*c.as_integer_ratio()) for c in f.coeffs]
+    _, factors = sympy.Poly(exact[::-1], x).diff(x).sqf_list()
+    return sorted(
+        (float(root.evalf(30)), mult + 1)
+        for factor, mult in factors
+        if factor.degree() >= 1
+        for root in factor.real_roots()
+    )
+
+
+def _int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+@st.composite
+def _phase_with_repeated_roots(draw):
+    """f with f' = L * g * prod (d x - p)^m: roots p/d of multiplicity up to
+    4 and a random integer factor g (simple, irrational or complex roots).
+    L = lcm(1..deg f) makes every coefficient of f an integer below 2^53,
+    so the float coefficients are exact."""
+    d = draw(st.sampled_from([1, 2, 4, 8]))
+    dpoly = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+    while len(dpoly) > 1 and dpoly[-1] == 0:
+        dpoly.pop()
+    assume(dpoly != [0])
+    for p, m in draw(st.lists(st.tuples(st.integers(-3 * d, 3 * d), st.integers(1, 4)),
+                              min_size=1, max_size=3)):
+        for _ in range(m):
+            dpoly = _int_poly_mul(dpoly, [-p, d])
+    assume(len(dpoly) <= 8)
+    lcm = math.lcm(*range(1, len(dpoly) + 1))
+    coeffs = [0] + [lcm * c // (j + 1) for j, c in enumerate(dpoly)]
+    assume(max(abs(c) for c in coeffs) < 2**53)
+    return PhasePolynomial(tuple(float(c) for c in coeffs))
+
+
+# no shrink phase: a failure reports the example as generated; every example
+# runs sympy's root isolation, and shrinking a failure ran for minutes and
+# grew past 1 GB
+@settings(max_examples=60, derandomize=True, deadline=None, phases=[Phase.generate])
+@given(
+    _phase_with_repeated_roots(),
+    st.sampled_from(["inside", "left", "right"]),
+    st.integers(0, 20),
+    st.floats(-2e-9, 2e-9),
+    st.floats(0.25, 4.0),
+)
+def test_stationary_points_match_sympy_oracle(f, edge, pick, delta, radius):
+    # every root equals sympy's float(root.evalf(30)) exactly, with its
+    # multiplicity; a window edge within 1e-9 of a root raises on both sides
+    roots = _sympy_stationary_points(f)
+    x0 = roots[pick % len(roots)][0]
+    center = {"inside": x0, "left": x0 + delta + radius, "right": x0 + delta - radius}[edge]
+    w = RaisedCosineWindow(center, radius)
+    a, b = w.support
+    inside = [(x, k) for x, k in roots if a - BOUNDARY_TOL < x < b + BOUNDARY_TOL]
+    if any(abs(x - a) < BOUNDARY_TOL or abs(x - b) < BOUNDARY_TOL for x, _ in inside):
+        with pytest.raises(BoundaryStationaryPointError):
+            find_stationary_points(f, w)
+    else:
+        data = find_stationary_points(f, w)
+        assert [(p.x, p.order) for p in data.points] == inside
+    # the whole real line: every root of f' and its order
+    everywhere = RaisedCosineWindow(0.0, 1e6)
+    assert [(p.x, p.order) for p in find_stationary_points(f, everywhere).points] == roots
 
 
 def test_no_stationary_points_for_monotone_phase():
@@ -218,10 +295,15 @@ def test_parse_phase_and_window():
         ("spline:1,2", "<phase>"),
         ("coswin:1", "<window>"),
         ("sqwin:0,1", "<window>"),
+        ("poly:0,0,nan", "<phase>"),
+        ("poly:inf,1", "<phase>"),
+        ("coswin:0,nan", "<window>"),
+        ("bumpwin:nan,1", "<window>"),
+        ("coswin:0,inf", "<window>"),
     ],
 )
 def test_parse_errors_name_production(bad, production):
     parser = parse_phase if production == "<phase>" else parse_window
-    with pytest.raises(PhaseParseError) as err:
+    with pytest.raises(LiteralParseError) as err:
         parser(bad)
     assert production in str(err.value)
