@@ -23,6 +23,7 @@ from .experiments import ExperimentConfig, run_basis_identity_check, run_equidis
 from .fitting import DecayReport, csv_table
 from .oscillatory import (
     QuadratureBudgetError,
+    check_xi_grid,
     envelope_fit,
     oscillatory_integral,
     parse_phase,
@@ -212,15 +213,16 @@ def _cmd_stationary(args) -> int:
     start, stop, count = _parse_triple(
         args.xigrid, "<xi-grid>", (("start", float), ("stop", float), ("count", int))
     )
-    if not (start > 0 and stop >= 100 * start and count >= 6):
-        raise CliError(
-            "<xi-grid>: expected start:stop:count with stop >= 100 * start > 0, count >= 6"
-        )
-    grid = np.geomspace(start, stop, count)
+    if not start > 0:
+        raise CliError(f"<xi-grid>: start must be positive, got {start}")
+    try:
+        grid = check_xi_grid(np.geomspace(start, stop, count))
+    except ValueError as exc:
+        raise CliError(f"<xi-grid>: {exc}") from None
     try:
         vals = [oscillatory_integral(phase, window, float(xi), tol=args.tol) for xi in grid]
     except QuadratureBudgetError as exc:
-        raise CliError(f"<xi-grid>: {exc}") from None
+        raise CliError(f"--tol: {exc}") from None
     # Python's abs(complex), not np.abs: the two can differ in the last bit
     report = envelope_fit(grid, [abs(v) for v in vals])
     leads = []

@@ -81,10 +81,9 @@ class Window:
     radius: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.center) and math.isfinite(self.radius)):
-            raise ValueError("window center and radius must be finite")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        a, b = self.support  # _real_roots searches (-2**1023, 2**1023]
+        if not (self.radius > 0 and -(2.0**1023) < a and b < 2.0**1023):
+            raise ValueError(f"window needs radius > 0 and support in +-2**1023, got [{a}, {b}]")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -241,10 +240,10 @@ def _real_roots(p: list) -> list[float]:
     """Real roots of a square-free p, ascending, each correctly rounded.
 
     The Sturm sequence, scaled to integers, counts the roots in (lo, hi].
-    Bisection starts from a power of two above the Cauchy bound (capped at
-    2**1023, beyond which no window reaches), so every midpoint is dyadic,
-    and stops on a one-root interval whose ends round to the same float or
-    whose upper end is the root.
+    Bisection starts from a power of two above the Cauchy bound, capped at
+    2**1023 as every Window support lies strictly inside, so every midpoint
+    is dyadic, and stops on a one-root interval whose ends round to the
+    same float or whose upper end is the root.
     """
     if len(p) == 2:
         return [float(-p[0] / p[1])]
@@ -308,9 +307,9 @@ def oscillatory_integral(f: PhasePolynomial, w: Window, xi: float, tol: float = 
     Panel count starts at NODES_PER_OSCILLATION nodes per oscillation of
     xi*f and doubles until two successive refinements agree within tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if abs(xi) > MAX_XI:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not abs(xi) <= MAX_XI:
         raise QuadratureBudgetError(f"|xi| = {abs(xi)} beyond the maximum {MAX_XI}")
     a, b = w.support
     n_osc = abs(xi) * _total_variation(f, a, b) + 1.0
@@ -354,17 +353,23 @@ def stationary_phase_leading(f: PhasePolynomial, w: Window, xi: float) -> comple
 def exponent_fit_oscillatory(
     f: PhasePolynomial, w: Window, xi_grid, tol: float = 1e-10
 ) -> DecayReport:
-    """Fit |I(xi)| ~ xi^(-beta) on a xi-sweep of oscillatory_integral.
+    """envelope_fit of |oscillatory_integral| on a xi_grid that passes check_xi_grid."""
+    xi_grid = check_xi_grid(xi_grid)
+    return envelope_fit(xi_grid, [abs(oscillatory_integral(f, w, x, tol=tol)) for x in xi_grid])
 
-    The grid needs at least 6 points spanning two decades; the fit is
-    envelope_fit's.
-    """
+
+def check_xi_grid(xi_grid) -> np.ndarray:
+    """xi_grid sorted, once it has at least 6 points in (0, MAX_XI] spanning two decades."""
     xi_grid = np.asarray(sorted(float(x) for x in xi_grid))
     if xi_grid.size < 6:
-        raise ValueError("xi_grid needs at least 6 points")
+        raise ValueError(f"need at least 6 points, got {xi_grid.size}")
+    if not np.all(xi_grid > 0):
+        raise ValueError(f"xi must be positive, got {xi_grid.min()}")
+    if not np.all(xi_grid <= MAX_XI):
+        raise ValueError(f"|xi| = {xi_grid.max()} beyond the maximum {MAX_XI}")
     if math.log10(xi_grid[-1] / xi_grid[0]) < 2.0 - 1e-9:
-        raise ValueError("xi_grid must span at least two decades")
-    return envelope_fit(xi_grid, [abs(oscillatory_integral(f, w, x, tol=tol)) for x in xi_grid])
+        raise ValueError(f"xi from {xi_grid[0]} to {xi_grid[-1]} spans under two decades")
+    return xi_grid
 
 
 def envelope_fit(xi_grid, values) -> DecayReport:

@@ -285,6 +285,17 @@ def test_cli_stationary_quadratic(tmp_path, capsys):
     assert header == "xi,re,im,abs,leading_abs"
 
 
+@pytest.mark.parametrize("xigrid", ["1.1:110:6", "0.07:7:6"])
+def test_cli_stationary_accepts_exact_two_decades(xigrid, tmp_path, capsys):
+    # stop is 100 * start in decimal, a hair below it in floats
+    out_file = tmp_path / "st.csv"
+    code, _, _ = run_cli(
+        capsys, "stationary", "--phase", "poly:0,0,1", "--xigrid", xigrid, "--out", str(out_file),
+    )
+    assert code == 0
+    assert len(out_file.read_text().splitlines()) == 7
+
+
 @pytest.mark.parametrize(
     "argv, needle",
     [
@@ -303,6 +314,12 @@ def test_cli_stationary_quadratic(tmp_path, capsys):
          "horolab: error: <xi-grid>: |xi| = 2000000.0 beyond"),
         (("stationary", "--phase", "poly:0,0,nan"), "<phase>"),
         (("stationary", "--phase", "poly:0,0,1", "--window", "coswin:0,nan"), "<window>"),
+        (("stationary", "--phase", "poly:0,0,1", "--xigrid", "10:999:6"),
+         "<xi-grid>: xi from 10.0 to 999.0 spans under two decades"),
+        (("stationary", "--phase", "poly:0,0,1", "--tol", "nan"),
+         "horolab: error: tol must be positive and finite"),
+        (("stationary", "--phase", "poly:0,0,1", "--xigrid", "1:100:6", "--tol", "1e-300"),
+         "horolab: error: --tol: panel refinement did not reach tol 1e-300"),
     ],
 )
 def test_cli_malformed_literals_name_production(capsys, argv, needle):

@@ -14,6 +14,7 @@ from horolab.oscillatory import (
     QuadratureBudgetError,
     RaisedCosineWindow,
     SmoothBumpWindow,
+    check_xi_grid,
     exponent_fit_oscillatory,
     find_stationary_points,
     oscillatory_integral,
@@ -256,6 +257,24 @@ def test_exponent_fit_cubic():
     assert 0.30 <= report.exponent <= 0.37
 
 
+def test_check_xi_grid_is_the_one_grid_rule():
+    # exact two-decade grids pass although 1.1 * 100 > 110 in floats
+    for start, stop in ((1.1, 110.0), (0.07, 7.0)):
+        grid = np.geomspace(start, stop, 6)
+        assert check_xi_grid(grid[::-1]).tolist() == grid.tolist()
+    for bad, needle in [
+        (np.geomspace(10, 1000, 5), "at least 6"),
+        (np.geomspace(10, 999, 6), "two decades"),
+        ([0.0, 1, 10, 100, 1000, 1e4], "positive"),
+        ([np.nan, 1, 10, 100, 1000, 1e4], "positive"),
+        (np.geomspace(10, 2e6, 6), "beyond the maximum"),
+    ]:
+        with pytest.raises(ValueError, match=needle):
+            check_xi_grid(bad)
+    with pytest.raises(ValueError, match="two decades"):
+        exponent_fit_oscillatory(X2, W1, np.geomspace(10, 999, 6))
+
+
 def test_exponent_fit_linear_flags_superpolynomial():
     f = PhasePolynomial((0.0, 1.0))
     grid = np.geomspace(10, 2000, 12)
@@ -300,6 +319,7 @@ def test_parse_phase_and_window():
         ("coswin:0,nan", "<window>"),
         ("bumpwin:nan,1", "<window>"),
         ("coswin:0,inf", "<window>"),
+        ("coswin:1.5e308,1", "<window>"),  # beyond the 2**1023 root search
     ],
 )
 def test_parse_errors_name_production(bad, production):
