@@ -280,16 +280,14 @@ class EisensteinParams:
     """
 
     t: float
-    truncation: int = EISENSTEIN_TRUNCATION
     nu: float = field(init=False)
     zeta_1p2it: complex = field(init=False)
     c: complex = field(init=False)
+    truncation = EISENSTEIN_TRUNCATION  # a class constant, not a field
 
     def __post_init__(self):
-        if self.t == 0.0:
-            raise ValueError("spectral parameter t must be nonzero")
-        if self.truncation < 8:
-            raise ValueError("series truncation must be >= 8")
+        if self.t == 0.0 or not math.isfinite(self.t):
+            raise ValueError(f"spectral parameter t must be finite and nonzero, got {self.t}")
         t = self.t
         self.nu = 0.25 + t * t
         self.zeta_1p2it = zeta_1line(1.0 + 2j * t)
@@ -359,6 +357,16 @@ def hecke_eis(m: int, p: EisensteinParams) -> complex:
     if m < 1:
         raise ValueError("m must be a positive integer")
     return m ** (-1j * p.t) * complex(divisor_tau(m, 2j * p.t)) / p.zeta_1p2it
+
+
+def hecke_range(p: EisensteinParams, m_max: int) -> np.ndarray:
+    """lambda(m) for m = 1..m_max (index m-1) from one sigma_range sieve.
+
+    hecke_range(p, N)[:k] equals hecke_range(p, k) bit for bit, so a sweep
+    sieves once, for its smallest height, and slices the table elsewhere.
+    """
+    m = np.arange(1, m_max + 1)
+    return m ** (-1j * p.t) * sigma_range(2j * p.t, m_max) / p.zeta_1p2it
 
 
 def eisenstein_values(x, y, p: EisensteinParams) -> np.ndarray:
@@ -458,7 +466,14 @@ def spectral_gap_fit(phi, y_grid) -> DecayReport:
     sups = np.array(
         [_all_fourier_coeffs(phi, y, math.ceil(1.0 / y)).max() for y in y_grid]
     )
-    return fit_decay_report(y_grid, sups, param_name="y")
+    return fit_decay_report(y_grid, sups)
+
+
+def _underflow_horizon(y: float) -> int:
+    """Last m with 2 pi m y below the K underflow horizon, for y in (0, 1/2)."""
+    if not 0.0 < y < 0.5:
+        raise ValueError("require 0 < y < 1/2")
+    return math.floor(K_UNDERFLOW_X / (TWO_PI * y))
 
 
 def truncation_tail_mass(p: EisensteinParams, y: float, sigma: float) -> float:
@@ -469,10 +484,8 @@ def truncation_tail_mass(p: EisensteinParams, y: float, sigma: float) -> float:
     """
     if sigma <= 1.0:
         raise ValueError("require sigma > 1")
-    if not 0.0 < y < 0.5:
-        raise ValueError("require 0 < y < 1/2")
+    m_end = _underflow_horizon(y)
     m_start = math.floor(y ** (-sigma)) + 1
-    m_end = math.floor(K_UNDERFLOW_X / (TWO_PI * y))
     if m_end < m_start:
         return 0.0
     m = np.arange(m_start, m_end + 1)
@@ -511,26 +524,20 @@ class TwistedSumSpec:
         return (0.5 if self.regime == "half_plus_delta" else 1.0) + self.delta
 
 
-def twisted_hecke_sum(
-    spec: TwistedSumSpec, y: float, _sigma_cache=None, _params: EisensteinParams | None = None
-) -> complex:
+def twisted_hecke_sum(spec: TwistedSumSpec, y: float) -> complex:
     """sum over m != 0 of lambda(|m|) |m|^-e W(|m| y) e(m alpha).
 
     W(u) = sqrt(u) K_it(2 pi u); the +-m pair combines into
     2 cos(2 pi m alpha).  Terms beyond the K underflow horizon vanish
-    exactly, so the sum is finite and deterministic.  A sweep passes the
-    divisor sums and EisensteinParams(spec.t) it shares across heights.
+    exactly, so the sum is finite and deterministic.  Each call sieves its
+    own lambda table; twisted_sum_series sieves once for a whole sweep.
     """
-    if not 0.0 < y < 0.5:
-        raise ValueError("require 0 < y < 1/2")
-    p = _params if _params is not None else EisensteinParams(spec.t)
-    m_end = math.floor(K_UNDERFLOW_X / (TWO_PI * y))
-    m = np.arange(1, m_end + 1)
-    if _sigma_cache is not None and _sigma_cache.size >= m_end:
-        tau = _sigma_cache[:m_end]
-    else:
-        tau = sigma_range(2j * spec.t, m_end)
-    lam = m ** (-1j * spec.t) * tau / p.zeta_1p2it
+    return _twisted_sum(spec, y, hecke_range(EisensteinParams(spec.t), _underflow_horizon(y)))
+
+
+def _twisted_sum(spec: TwistedSumSpec, y: float, lam: np.ndarray) -> complex:
+    """twisted_hecke_sum at y from lam = lambda(1.._underflow_horizon(y))."""
+    m = np.arange(1, lam.size + 1)
     u = m * y
     w_vals = np.sqrt(u) * bessel_K_imag(spec.t, TWO_PI * u)
     total = np.sum(
@@ -540,15 +547,12 @@ def twisted_hecke_sum(
 
 
 def twisted_sum_series(spec: TwistedSumSpec, y_grid) -> DecayReport:
-    """|twisted_hecke_sum| over a descending y-grid with a decay fit."""
+    """|twisted_hecke_sum| over a descending y-grid with a decay fit; sieves once."""
     y_grid = np.asarray(sorted(y_grid, reverse=True), dtype=float)
-    m_end = math.floor(K_UNDERFLOW_X / (TWO_PI * float(y_grid.min())))
-    cache = sigma_range(2j * spec.t, m_end)
-    params = EisensteinParams(spec.t)
-    values = np.array(
-        [twisted_hecke_sum(spec, float(y), _sigma_cache=cache, _params=params) for y in y_grid]
-    )
-    report = fit_decay_report(y_grid, np.abs(values), param_name="y")
+    ends = [_underflow_horizon(float(y)) for y in y_grid]
+    lam = hecke_range(EisensteinParams(spec.t), ends[-1])
+    values = np.array([_twisted_sum(spec, float(y), lam[:n]) for y, n in zip(y_grid, ends)])
+    report = fit_decay_report(y_grid, np.abs(values))
     report.extra_columns = {
         "re": values.real,
         "im": values.imag,

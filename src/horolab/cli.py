@@ -66,9 +66,10 @@ def _write(path: str | None, payload: str, default_stream):
 
 
 def _emit(args, csv_text: str | None, summary: dict) -> None:
+    # strict JSON: a NaN or inf raises here, before any output is written
+    json_text = json.dumps(summary, allow_nan=False) + "\n"
     if csv_text is not None:
         _write(args.out, csv_text, sys.stdout)
-    json_text = json.dumps(summary) + "\n"
     if args.json_out not in (None, "-"):
         _write(args.json_out, json_text, sys.stdout)
     elif args.out not in (None, "-") or csv_text is None:
@@ -196,12 +197,11 @@ def _cmd_khintchine(args) -> int:
     profile = _dio.khintchine_profile(
         measure, psi, args.Q, args.samples, args.seed, rate_q_max=args.rate_qmax
     )
-    ratio = profile.mean_count / profile.comparison_sum if profile.comparison_sum else float("nan")
     summary = _summary("khintchine", args, exponent=None, stderr=None, r2=None, status="ok")
     summary["config"]["mean_count"] = profile.mean_count
     summary["config"]["mean_count_stderr"] = profile.mean_count_stderr
     summary["config"]["comparison_sum"] = profile.comparison_sum
-    summary["config"]["count_ratio"] = ratio
+    summary["config"]["count_ratio"] = profile.mean_count / profile.comparison_sum
     summary["config"]["regime"] = profile.regime
     _emit(args, profile.to_csv(), summary)
     return 0

@@ -61,8 +61,8 @@ class PowerPsi(ApproximationFunction):
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("require tau > 0")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"require finite tau > 0, got {self.tau}")
 
     @property
     def label(self):
@@ -90,8 +90,8 @@ class ConstPsi(ApproximationFunction):
     value: float
 
     def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError("require a positive constant")
+        if not 0 < self.value < math.inf:
+            raise ValueError(f"require a positive finite constant, got {self.value}")
 
     @property
     def label(self):
@@ -181,15 +181,13 @@ def measure_of_Aq(
     psi: ApproximationFunction,
     n_samples: int,
     seed,
-    depth: int | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of mu{x : dist(q x, Z) < psi(q)}."""
     if q < 1:
         raise ValueError("require q >= 1")
     if n_samples < 1000:
         raise ValueError("require at least 10^3 samples")
-    if depth is None:
-        depth = max(40, _measures.default_sample_depth(measure))
+    depth = max(40, _measures.default_sample_depth(measure))
     xs = _measures.sample(measure, depth, n_samples, seed)
     hits = _dist_to_integers(q * xs) < float(psi(q))
     rate = hits.mean()
@@ -201,7 +199,6 @@ def measure_of_Aq(
 class KhintchineProfile:
     """Counting profile N_x(Q) against the heuristic 2 sum psi."""
 
-    Q: int
     qs: np.ndarray
     hit_rates: np.ndarray
     two_psi: np.ndarray
@@ -228,7 +225,6 @@ def khintchine_profile(
     Q: int,
     n_samples: int,
     seed,
-    depth: int | None = None,
     rate_q_max: int | None = None,
 ) -> KhintchineProfile:
     """Per-q hit rates and the counting mean over sampled points.
@@ -249,8 +245,7 @@ def khintchine_profile(
     if not 2 <= rate_q_max <= Q:
         raise ValueError(f"rate_q_max must lie in [2, Q = {Q}], got {rate_q_max}")
     psi.check_monotone(Q)
-    if depth is None:
-        depth = max(40, _measures.default_sample_depth(measure))
+    depth = max(40, _measures.default_sample_depth(measure))
     xs = _measures.sample(measure, depth, n_samples, seed)
 
     qs_all = np.arange(2, Q + 1)
@@ -280,7 +275,6 @@ def khintchine_profile(
 
     qs = np.arange(2, rate_q_max + 1)
     return KhintchineProfile(
-        Q=Q,
         qs=qs,
         hit_rates=rate_hits,
         two_psi=2.0 * np.asarray(psi(qs), dtype=float),

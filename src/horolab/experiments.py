@@ -29,7 +29,7 @@ from .automorphic import (
     TWO_PI,
     bessel_K_imag,
     constant_term,
-    sigma_range,
+    hecke_range,
 )
 from .fitting import DecayReport, csv_table, fit_decay_report, geometric_grid
 from .modular import HorocycleConfig, mX_integral, mu_y_value
@@ -64,6 +64,9 @@ class ExperimentConfig:
             raise ValueError("budget must be positive")
         if self.q < 1:
             raise ValueError("q must be >= 1")
+        if not all(map(math.isfinite, (self.x0, self.sigma, self.tol))) or self.tol <= 0:
+            raise ValueError(f"x0, sigma, tol must be finite and tol > 0, got "
+                             f"{self.x0}, {self.sigma}, {self.tol}")
 
     @property
     def y_grid(self) -> np.ndarray:
@@ -111,7 +114,7 @@ def run_equidistribution(cfg: ExperimentConfig) -> DecayReport:
         reference, ref_err = mX_integral(phi, 10 * cfg.budget, _sub_seed(cfg.seed, 10**6))
 
     values, errs = _mu_y_series(measure, phi, cfg)
-    return fit_decay_report(cfg.y_grid, np.abs(values - reference), errs + ref_err, param_name="y")
+    return fit_decay_report(cfg.y_grid, np.abs(values - reference), errs + ref_err)
 
 
 @dataclass
@@ -122,7 +125,6 @@ class BasisCheckReport:
     measured: np.ndarray          # complex mu_y values
     predicted: np.ndarray         # complex series values
     discrepancies: np.ndarray
-    quad_errors: np.ndarray
     max_discrepancy: float
     envelope_constant: float      # max discrepancy / sqrt(y)
 
@@ -137,34 +139,37 @@ class BasisCheckReport:
 def eisenstein_series_prediction(
     measure,
     params: EisensteinParams,
-    height: float,
+    height,
     x0: float,
     q: int,
     sigma: float,
-    tail_tol: float = 1e-12,
-) -> complex:
+):
     """constant_term(height) + coefficient sum against mu_hat(m/q) phases.
 
     `height` is the height at which the horocycle points actually sit
-    (y/q when the base point carries a(1/q)).  The coefficient sum runs to
-    the larger of height^-sigma and the K-Bessel horizon, so omitted terms
-    are zero to working precision.
+    (y/q when the base point carries a(1/q)), a scalar or an array.  The
+    coefficient sum runs to the larger of height^-sigma and the K-Bessel
+    horizon, so omitted terms are zero to working precision.  The lambda
+    table is sieved once, for the smallest height, and sliced at the others.
     """
-    m_max = max(
-        math.ceil(height ** (-sigma)),
-        math.floor(K_NEGLIGIBLE_X / (TWO_PI * height)),
-    )
-    m = np.arange(1, m_max + 1)
-    tau = sigma_range(2j * params.t, m_max)
-    lam = m ** (-1j * params.t) * tau / params.zeta_1p2it
-    a_m = params.whittaker_norm * lam * math.sqrt(height) * bessel_K_imag(
-        params.t, TWO_PI * m * height
-    )
-    mu_hat = _measures.fourier_transform(measure, m / q, tail_tol)
-    phases = np.exp(2j * np.pi * m * x0)
-    # +-m pairs: a_m is even in m and mu_hat(-u) conjugates for real measures
-    total = np.sum(a_m * 2.0 * np.real(phases * mu_hat))
-    return complex(constant_term(height, params) + total)
+    heights = np.atleast_1d(np.asarray(height, dtype=float)).tolist()
+    m_maxes = [
+        max(math.ceil(h ** (-sigma)), math.floor(K_NEGLIGIBLE_X / (TWO_PI * h)))
+        for h in heights
+    ]
+    lam = hecke_range(params, max(m_maxes))
+    out = []
+    for h, m_max in zip(heights, m_maxes):
+        m = np.arange(1, m_max + 1)
+        a_m = params.whittaker_norm * lam[:m_max] * math.sqrt(h) * bessel_K_imag(
+            params.t, TWO_PI * m * h
+        )
+        mu_hat = _measures.fourier_transform(measure, m / q)
+        phases = np.exp(2j * np.pi * m * x0)
+        # +-m pairs: a_m is even in m and mu_hat(-u) conjugates for real measures
+        total = np.sum(a_m * 2.0 * np.real(phases * mu_hat))
+        out.append(complex(constant_term(h, params) + total))
+    return out[0] if np.ndim(height) == 0 else np.array(out)
 
 
 def run_basis_identity_check(cfg: ExperimentConfig) -> BasisCheckReport:
@@ -177,18 +182,14 @@ def run_basis_identity_check(cfg: ExperimentConfig) -> BasisCheckReport:
     params = complex_phi.params
 
     ys = cfg.y_grid
-    measured, quad = _mu_y_series(measure, complex_phi, cfg)
-    predicted = np.array([
-        eisenstein_series_prediction(measure, params, float(y) / cfg.q, cfg.x0, cfg.q, cfg.sigma)
-        for y in ys
-    ])
+    measured, _ = _mu_y_series(measure, complex_phi, cfg)
+    predicted = eisenstein_series_prediction(measure, params, ys / cfg.q, cfg.x0, cfg.q, cfg.sigma)
     disc = np.abs(measured - predicted)
     return BasisCheckReport(
         ys=ys,
         measured=measured,
         predicted=predicted,
         discrepancies=disc,
-        quad_errors=quad,
         max_discrepancy=float(disc.max()),
         envelope_constant=float((disc / np.sqrt(ys)).max()),
     )

@@ -52,6 +52,17 @@ class LiteralParseError(ValueError):
         super().__init__(f"literal, production {production}: {detail}")
 
 
+def parse_real(text: str, production: str) -> float:
+    """float(text) if finite, else a LiteralParseError naming production."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise LiteralParseError(production, f"bad number {text!r}")
+    return value
+
+
 class DegenerateFitError(ValueError):
     """All fitted values identical; a slope cannot be estimated."""
 
@@ -151,7 +162,6 @@ def fit_decay_report(
     params,
     errors,
     error_bars=None,
-    param_name: str = "y",
 ) -> DecayReport:
     """Build a DecayReport for error ~ C*param^eta (eta > 0 means decay).
 
@@ -177,7 +187,7 @@ def fit_decay_report(
             exponent=0.0, exponent_stderr=0.0, r2=1.0,
             exponent_plain=0.0, r2_plain=1.0,
             kept=np.ones(params.size, dtype=bool),
-            status=status, param_name=param_name,
+            status=status,
         )
 
     status = "ok"
@@ -195,7 +205,7 @@ def fit_decay_report(
         params, errors, error_bars,
         exponent=robust.slope, exponent_stderr=robust.stderr, r2=robust.r2,
         exponent_plain=plain.slope, r2_plain=plain.r2,
-        kept=robust.kept, status=status, param_name=param_name,
+        kept=robust.kept, status=status,
     )
 
 

@@ -22,12 +22,12 @@ variant drive the Fourier l^1-dimension estimate 1 - slope(log S / log X).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import singledispatch
 
 import numpy as np
 
-from .fitting import LiteralParseError, least_squares_loglog
+from .fitting import LiteralParseError, least_squares_loglog, parse_real
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_TAIL_TOL = 1e-12
@@ -56,6 +56,8 @@ class FractalMeasure:
         b, D = self.base, self.digits
         if b < 2:
             raise ValueError("base must be >= 2")
+        if not math.isfinite(self.shift):
+            raise ValueError(f"shift must be finite, got {self.shift}")
         if len(D) < 1:
             raise ValueError("need at least one digit")
         if any(d < 0 or d >= b for d in D):
@@ -109,6 +111,10 @@ class LebesgueUnit:
 @dataclass(frozen=True)
 class DiracMass:
     point: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.point):
+            raise ValueError(f"point must be finite, got {self.point}")
 
 
 @dataclass(frozen=True)
@@ -355,15 +361,101 @@ def _(measure: Convolution, depth: int, count: int, seed) -> np.ndarray:
     )
 
 
-def default_sample_depth(measure: MeasureExpr, bits: float = 60.0) -> int:
-    """Digit depth saturating double precision (largest base in the tree)."""
+# ---------------------------------------------------------------------------
+# Cylinder nodes
+
+
+class CylinderBudgetError(ValueError):
+    """Cylinder enumeration exceeds the budget; use method='montecarlo'."""
+
+
+@singledispatch
+def cylinder_nodes(measure, y: float, q: int, budget: int, tol: float, lip):
+    """Nodes, weights and width for the cylinder sum of mu_y at height y under a(1/q).
+
+    The width is the length of the digit cylinders whose midpoints are the
+    nodes, at most y * tol / (lip * q) for lip >= y|grad phi|, so the sum errs
+    by at most lip * width / (2 y); it is 0 for a point mass (one exact node)
+    and None for Lebesgue (midpoint rule, checked at half resolution).
+    """
+    raise CylinderBudgetError("cylinder method unavailable for this expression")
+
+
+@cylinder_nodes.register
+def _(measure: FractalMeasure, y: float, q: int, budget: int, tol: float, lip):
+    if lip is None:
+        raise ValueError("cylinder method needs a test function with a "
+                         "declared Lipschitz constant")
+    b, l = measure.base, measure.n_digits
+    depth = max(1, math.ceil(math.log(lip * q / (y * tol)) / math.log(b)))
+    count = l**depth
+    if count > budget:
+        raise CylinderBudgetError(
+            f"cylinder enumeration needs {l}^{depth} nodes > budget {budget}; "
+            "use method='montecarlo'"
+        )
+    digits = np.asarray(measure.digits, dtype=float)
+    w = measure.weight_array
+    xs = np.zeros(count)
+    ws = np.ones(count)
+    scale = 1.0
+    for j in range(depth):
+        scale /= b
+        reps = l ** (depth - 1 - j)
+        idx = (np.arange(count) // reps) % l
+        xs += digits[idx] * scale
+        if not measure.is_uniform:
+            ws *= w[idx]
+    if measure.is_uniform:
+        ws = np.full(count, 1.0 / count)
+    else:
+        ws /= ws.sum()
+    xs += measure.shift + 0.5 * scale  # cylinder midpoints
+    return xs, ws, scale
+
+
+@cylinder_nodes.register
+def _(measure: LebesgueUnit, y: float, q: int, budget: int, tol: float, lip):
+    n = 1 << max(8, math.ceil(math.log2(8.0 / y)))
+    n = min(n, 1 << math.floor(math.log2(max(budget, 256))))
+    return (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n), None
+
+
+@cylinder_nodes.register
+def _(measure: DiracMass, y: float, q: int, budget: int, tol: float, lip):
+    return np.array([measure.point]), np.array([1.0]), 0.0
+
+
+@cylinder_nodes.register
+def _(measure: Convolution, y: float, q: int, budget: int, tol: float, lip):
+    # fold point masses into a plain shift; anything else has no cylinder
+    # structure worth enumerating
+    leaf, extra = measure, 0.0
+    while isinstance(leaf, Convolution):
+        if isinstance(leaf.left, DiracMass):
+            extra, leaf = extra + leaf.left.point, leaf.right
+        elif isinstance(leaf.right, DiracMass):
+            extra, leaf = extra + leaf.right.point, leaf.left
+        else:
+            raise CylinderBudgetError(
+                "cylinder method does not enumerate general convolutions; "
+                "use method='montecarlo'"
+            )
+    if isinstance(leaf, FractalMeasure):
+        return cylinder_nodes(replace(leaf, shift=leaf.shift + extra), y, q, budget, tol, lip)
+    xs, ws, width = cylinder_nodes(leaf, y, q, budget, tol, lip)
+    return xs + extra, ws, width
+
+
+def default_sample_depth(measure: MeasureExpr) -> int:
+    """Digit depth saturating double precision, 60 bits (largest base in the tree)."""
     if isinstance(measure, Convolution):
         return max(
-            default_sample_depth(measure.left, bits),
-            default_sample_depth(measure.right, bits),
+            default_sample_depth(measure.left),
+            default_sample_depth(measure.right),
         )
     if isinstance(measure, FractalMeasure):
-        return max(1, math.ceil(bits * math.log(2) / math.log(measure.base)) + 1)
+        return max(1, math.ceil(60.0 * math.log(2) / math.log(measure.base)) + 1)
     return 1
 
 
@@ -376,7 +468,6 @@ def l1_partial_sum(
     X: int,
     star: bool = False,
     theta_grid: int = 64,
-    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> float:
     """S(X) = sum_{|m|<=X} |mu_hat(m)|; star mode maximizes over shifts.
 
@@ -386,10 +477,10 @@ def l1_partial_sum(
     """
     if X < 1:
         raise ValueError("X must be >= 1")
-    return float(_partial_sums(measure, np.array([X]), star, theta_grid, tail_tol)[0])
+    return float(_partial_sums(measure, np.array([X]), star, theta_grid)[0])
 
 
-def _partial_sums(measure, X_grid: np.ndarray, star: bool, theta_grid: int, tail_tol: float):
+def _partial_sums(measure, X_grid: np.ndarray, star: bool, theta_grid: int):
     """S(X) at every X of the ascending integer X_grid, from one cumulative
     sum per shift theta; star mode takes the maximum over the theta-grid."""
     if star and theta_grid < 1:
@@ -397,9 +488,9 @@ def _partial_sums(measure, X_grid: np.ndarray, star: bool, theta_grid: int, tail
     m = np.arange(1, int(X_grid[-1]) + 1, dtype=float)
 
     def sums_for(theta: float) -> np.ndarray:
-        a_pos = fourier_abs(measure, m + theta, tail_tol)
-        a_neg = fourier_abs(measure, -m + theta, tail_tol)
-        center = fourier_abs(measure, np.array([theta]), tail_tol)[0]
+        a_pos = fourier_abs(measure, m + theta)
+        a_neg = fourier_abs(measure, -m + theta)
+        center = fourier_abs(measure, np.array([theta]))[0]
         csum = np.cumsum(a_pos + a_neg)
         return center + csum[X_grid - 1]
 
@@ -436,7 +527,6 @@ def estimate_dim_l1(
     X_grid,
     star: bool = False,
     theta_grid: int = 64,
-    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> DimensionEstimate:
     """Least-squares slope of log S(X) on log X; dimension = 1 - slope."""
     X_grid = np.asarray(sorted(int(x) for x in X_grid))
@@ -446,7 +536,7 @@ def estimate_dim_l1(
         raise ValueError("X_grid must span at least two decades")
 
     X_max = int(X_grid[-1])
-    S = _partial_sums(measure, X_grid, star, theta_grid, tail_tol)
+    S = _partial_sums(measure, X_grid, star, theta_grid)
     theta_err = None
     if star:
         theta_err = TWO_PI * (1.0 + abs(_tree_shift(measure))) * X_max / theta_grid
@@ -507,7 +597,7 @@ def cvy_bound_for_measure(measure: FractalMeasure, allow_non_ap: bool = False) -
     return cvy_lower_bound(measure.base, measure.n_digits)
 
 
-def b_of_s(s: float, ceiling: int = B_OF_S_CEILING) -> int:
+def b_of_s(s: float) -> int:
     """Smallest b >= 3 with s - log(4+log(2b))/log b > 39/64 and b - b^s >= 2.
 
     Both constraints are monotone in b (the log-ratio term is strictly
@@ -528,8 +618,8 @@ def b_of_s(s: float, ceiling: int = B_OF_S_CEILING) -> int:
         while not ok(hi):
             lo = hi
             hi *= 2
-            if hi > ceiling:
-                raise ValueError(f"no admissible b below ceiling {ceiling}")
+            if hi > B_OF_S_CEILING:
+                raise ValueError(f"no admissible b below ceiling {B_OF_S_CEILING}")
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if ok(mid):
@@ -566,10 +656,7 @@ def _parse_term(text: str) -> MeasureExpr:
     shift = 0.0
     if "+" in text:
         base_text, shift_text = text.split("+", 1)
-        try:
-            shift = float(shift_text)
-        except ValueError:
-            raise LiteralParseError("<shift>", f"bad shift {shift_text!r}") from None
+        shift = parse_real(shift_text, "<shift>")
     else:
         base_text = text
     atom = _parse_atom(base_text.strip())
@@ -586,10 +673,7 @@ def _parse_atom(text: str) -> MeasureExpr:
     if text == "leb":
         return LebesgueUnit()
     if text.startswith("dirac:"):
-        try:
-            return DiracMass(float(text[len("dirac:"):]))
-        except ValueError:
-            raise LiteralParseError("<atom>", f"bad dirac point in {text!r}") from None
+        return DiracMass(parse_real(text[len("dirac:"):], "<atom>"))
     if text.startswith("cantor:"):
         fields = text.split(":")
         if len(fields) != 3:

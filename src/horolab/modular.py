@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as _measures
+from .measures import CylinderBudgetError  # noqa: F401  (mu_y_value's refusal)
 
 BOUNDARY_BAND = 1e-12
 MAX_REDUCE_STEPS = 10_000
@@ -27,10 +28,6 @@ MAX_REDUCE_STEPS = 10_000
 
 class ReductionDivergedError(RuntimeError):
     """Reduction failed to terminate; numerically degenerate input."""
-
-
-class CylinderBudgetError(ValueError):
-    """Cylinder enumeration exceeds the budget; use method='montecarlo'."""
 
 
 @dataclass(frozen=True)
@@ -48,9 +45,6 @@ class ModularPoint:
             or self.x * self.x + self.y * self.y < 1.0 - BOUNDARY_BAND
         ):
             raise ValueError("point flagged reduced lies outside the fundamental domain")
-
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -195,68 +189,6 @@ def mX_integral(phi, n_samples: int, seed) -> tuple[float | complex, float]:
 # mu_y against a fractal measure
 
 
-def _cylinder_nodes(measure, cfg: HorocycleConfig, budget: int, tol: float, lip: float):
-    """Depth, node positions (pre-horocycle), and weights for cylinder sums."""
-    m, extra = measure, 0.0
-    while isinstance(m, _measures.Convolution):
-        # fold point masses into a plain shift; anything else has no
-        # cylinder structure worth enumerating
-        if isinstance(m.left, _measures.DiracMass):
-            extra, m = extra + m.left.point, m.right
-        elif isinstance(m.right, _measures.DiracMass):
-            extra, m = extra + m.right.point, m.left
-        else:
-            raise CylinderBudgetError(
-                "cylinder method does not enumerate general convolutions; "
-                "use method='montecarlo'"
-            )
-    if isinstance(m, _measures.FractalMeasure) and extra:
-        m = _measures.FractalMeasure(m.base, m.digits, m.weights, m.shift + extra)
-
-    if isinstance(m, _measures.DiracMass):
-        return np.array([m.point + extra]), np.array([1.0]), 0.0
-
-    if isinstance(m, _measures.LebesgueUnit):
-        n = 1 << max(8, math.ceil(math.log2(8.0 / cfg.y)))
-        n = min(n, 1 << math.floor(math.log2(max(budget, 256))))
-        xs = (np.arange(n) + 0.5) / n + extra
-        return xs, np.full(n, 1.0 / n), None  # error estimated by refinement
-
-    if isinstance(m, _measures.FractalMeasure):
-        if lip is None:
-            raise ValueError("cylinder method needs a test function with a "
-                             "declared Lipschitz constant")
-        b, l = m.base, m.n_digits
-        depth = max(1, math.ceil(math.log(lip * cfg.q / (cfg.y * tol)) / math.log(b)))
-        if l**depth > budget:
-            raise CylinderBudgetError(
-                f"cylinder enumeration needs {l}^{depth} nodes > budget {budget}; "
-                "use method='montecarlo'"
-            )
-        count = l**depth
-        digits = np.asarray(m.digits, dtype=float)
-        w = m.weight_array
-        xs = np.zeros(count)
-        ws = np.ones(count)
-        scale = 1.0
-        for j in range(depth):
-            scale /= b
-            reps = l ** (depth - 1 - j)
-            idx = (np.arange(count) // reps) % l
-            xs += digits[idx] * scale
-            if not m.is_uniform:
-                ws *= w[idx]
-        if m.is_uniform:
-            ws = np.full(count, 1.0 / count)
-        else:
-            ws /= ws.sum()
-        xs += m.shift + 0.5 * scale  # cylinder midpoints
-        err = lip * scale / (2.0 * cfg.y)
-        return xs, ws, err
-
-    raise CylinderBudgetError("cylinder method unavailable for this expression")
-
-
 def mu_y_value(
     measure,
     phi,
@@ -265,7 +197,6 @@ def mu_y_value(
     budget: int = 10**5,
     seed=0,
     tol: float = 1e-6,
-    depth: int | None = None,
 ) -> tuple[float | complex, float]:
     """integral of phi(n(x0 + x/q) a(y/q)) d mu(x) with an error estimate.
 
@@ -283,18 +214,19 @@ def mu_y_value(
 
     if method == "cylinder":
         lip = getattr(phi, "lipschitz", None)
-        xs, ws, err = _cylinder_nodes(measure, cfg, budget, tol, lip)
+        xs, ws, width = _measures.cylinder_nodes(measure, cfg.y, cfg.q, budget, tol, lip)
         vals = evaluate(xs)
         total = np.sum(vals * ws)
-        if err is None:  # Lebesgue leaf: compare against half resolution
+        if width is None:  # Lebesgue leaf: compare against half resolution
             half = evaluate(xs[::2])
             err = float(abs(total - half.mean()))
+        else:  # a point mass (width 0) is exact
+            err = lip * width / (2.0 * cfg.y) if width else 0.0
         out = complex(total) if np.iscomplexobj(vals) else float(total)
         return out, float(err)
 
     if method == "montecarlo":
-        if depth is None:
-            depth = _measures.default_sample_depth(measure)
+        depth = _measures.default_sample_depth(measure)
         xs = _measures.sample(measure, depth, budget, seed)
         return _mean_stderr(evaluate(xs))
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fitting import DecayReport, LiteralParseError, least_squares_loglog, robust_loglog
+from .fitting import DecayReport, LiteralParseError, least_squares_loglog, parse_real, robust_loglog
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 NODES_PER_OSCILLATION = 12
@@ -100,10 +100,6 @@ class RaisedCosineWindow(Window):
     center: float = 0.0
     radius: float = 1.0
 
-    @property
-    def label(self):
-        return f"coswin:{self.center:g},{self.radius:g}"
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         u = (x - self.center) / self.radius
@@ -126,10 +122,6 @@ class SmoothBumpWindow(Window):
 
     center: float = 0.0
     radius: float = 1.0
-
-    @property
-    def label(self):
-        return f"bumpwin:{self.center:g},{self.radius:g}"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -312,7 +304,10 @@ def oscillatory_integral(f: PhasePolynomial, w: Window, xi: float, tol: float = 
     if not abs(xi) <= MAX_XI:
         raise QuadratureBudgetError(f"|xi| = {abs(xi)} beyond the maximum {MAX_XI}")
     a, b = w.support
-    n_osc = abs(xi) * _total_variation(f, a, b) + 1.0
+    variation = _total_variation(f, a, b)
+    if not math.isfinite(variation):
+        raise ValueError(f"phase variation over the window support [{a}, {b}] is not finite")
+    n_osc = abs(xi) * variation + 1.0
     panels = max(6, math.ceil(NODES_PER_OSCILLATION * n_osc / GL_NODES.size))
     val = _composite_gl(f, w, xi, panels)
     for _ in range(12):
@@ -407,10 +402,7 @@ def parse_phase(text: str) -> PhasePolynomial:
     text = text.strip()
     if not text.startswith("poly:"):
         raise LiteralParseError("<phase>", f"expected poly:c0,c1,..., got {text!r}")
-    try:
-        coeffs = tuple(float(c) for c in text[len("poly:"):].split(","))
-    except ValueError:
-        raise LiteralParseError("<phase>", f"bad coefficient in {text!r}") from None
+    coeffs = tuple(parse_real(c, "<phase>") for c in text[len("poly:"):].split(","))
     try:
         return PhasePolynomial(coeffs)
     except ValueError as exc:

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .automorphic import EisensteinParams, eisenstein_values
-from .fitting import LiteralParseError
+from .fitting import LiteralParseError, parse_real
 
 
 class EisensteinTest:
@@ -37,10 +37,6 @@ class EisensteinTest:
         self.component = component
         self.params = EisensteinParams(t)
         self.mean = 0.0 if component != "complex" else 0.0 + 0.0j
-
-    @property
-    def label(self) -> str:
-        return f"eisenstein:t={self.t:g}"
 
     @cached_property
     def lipschitz(self) -> float:
@@ -76,10 +72,6 @@ class BumpTest:
         if not 0 < self.y0 < self.y1:
             raise ValueError("require 0 < y0 < y1")
 
-    @property
-    def label(self) -> str:
-        return f"bump:y0={self.y0:g},y1={self.y1:g}"
-
     @cached_property
     def lipschitz(self) -> float:
         # sup of y |w'(y)|: |w'| <= 2*exp(1)*sup|u'|... calibrated on a grid
@@ -108,10 +100,6 @@ class IndicatorTest:
             raise ValueError("require c > 0")
 
     @property
-    def label(self) -> str:
-        return f"indicator:ygt={self.c:g}"
-
-    @property
     def mean(self) -> float | None:
         return 3.0 / (math.pi * self.c) if self.c >= 1.0 else None
 
@@ -124,10 +112,6 @@ class IndicatorTest:
 @dataclass
 class ConstantTest:
     value: float = 1.0
-
-    @property
-    def label(self) -> str:
-        return f"const:{self.value:g}"
 
     @property
     def mean(self) -> float:
@@ -159,10 +143,7 @@ def parse_test_function(text: str):
             raise LiteralParseError("<test:indicator>", "expected ygt=<c>")
         return IndicatorTest(kv["ygt"])
     if text.startswith("const:"):
-        try:
-            return ConstantTest(float(text[len("const:"):]))
-        except ValueError:
-            raise LiteralParseError("<test:const>", f"bad value in {text!r}") from None
+        return ConstantTest(parse_real(text[len("const:"):], "<test:const>"))
     raise LiteralParseError("<test>", f"unknown test function {text!r}")
 
 
@@ -172,8 +153,5 @@ def _keyvals(body: str, production: str) -> dict:
         if "=" not in item:
             raise LiteralParseError(production, f"expected key=value, got {item!r}")
         key, val = item.split("=", 1)
-        try:
-            out[key.strip()] = float(val)
-        except ValueError:
-            raise LiteralParseError(production, f"bad number {val!r}") from None
+        out[key.strip()] = parse_real(val, production)
     return out

@@ -25,6 +25,7 @@ from horolab.automorphic import (
     eisenstein_values,
     gamma_complex,
     hecke_eis,
+    hecke_range,
     horocycle_fourier_coeff,
     sigma_range,
     spectral_gap_fit,
@@ -455,6 +456,27 @@ def test_twisted_sum_series_matches_single_sums():
     direct = np.array([twisted_hecke_sum(spec, float(y)) for y in report.params])
     assert np.array_equal(report.extra_columns["re"], direct.real)
     assert np.array_equal(report.extra_columns["im"], direct.imag)
+
+
+@pytest.mark.parametrize("k", [1, 2, 16, 997, 2999, 3000])
+def test_sieve_prefix_is_bit_identical(k, params_t1):
+    # the sieve adds d^z to index m in increasing d, and lambda is
+    # elementwise, so a long table sliced to k is the short table
+    assert sigma_range(2j, 3000)[:k].tobytes() == sigma_range(2j, k).tobytes()
+    assert hecke_range(params_t1, 3000)[:k].tobytes() == hecke_range(params_t1, k).tobytes()
+    m = min(k, 40)
+    assert hecke_range(params_t1, k)[m - 1] == pytest.approx(hecke_eis(m, params_t1), rel=1e-13)
+
+
+def test_twisted_sum_series_sieves_once(monkeypatch):
+    from horolab import automorphic
+
+    calls = []
+    real = automorphic.sigma_range
+    monkeypatch.setattr(automorphic, "sigma_range", lambda z, m: calls.append(m) or real(z, m))
+    spec = TwistedSumSpec(t=1.0, delta=0.3, alpha=0.37)
+    twisted_sum_series(spec, 2.0 ** -np.arange(2, 9))
+    assert calls == [math.floor(700.0 / (2 * math.pi * 2.0**-8))]
 
 
 def test_twisted_sum_decay_untwisted():

@@ -100,6 +100,41 @@ def test_basis_identity_cantor_with_base_point():
     assert (rep.discrepancies <= rep.envelope_constant * np.sqrt(rep.ys) + 1e-15).all()
 
 
+def test_basis_check_sieves_once_on_criterion_4_grid(monkeypatch):
+    from horolab import automorphic
+
+    calls = []
+    real = automorphic.sigma_range
+    monkeypatch.setattr(automorphic, "sigma_range", lambda z, m: calls.append(m) or real(z, m))
+    cfg = ExperimentConfig(
+        measure="leb", test="eisenstein:t=1",
+        y_max=0.25, y_ratio=0.5, y_count=11,
+        method="cylinder", budget=10**6, seed=4, tol=1e-8,
+    )
+    run_basis_identity_check(cfg)
+    assert len(calls) == 1  # one table for all 11 heights
+
+
+def test_series_prediction_on_an_array_equals_scalar_calls():
+    from horolab.measures import parse_measure
+    from horolab.testfunctions import EisensteinTest
+
+    params = EisensteinTest(1.0, component="complex").params
+    heights = 0.1 * 0.5 ** np.arange(6)
+    for literal, x0, q in (("cantor:3:0,2", 0.25, 2), ("leb", 0.0, 1)):
+        measure = parse_measure(literal)
+        sweep = eisenstein_series_prediction(measure, params, heights, x0, q, 1.2)
+        single = [eisenstein_series_prediction(measure, params, h, x0, q, 1.2) for h in heights]
+        assert isinstance(single[0], complex)
+        assert sweep.tobytes() == np.array(single).tobytes()
+
+
+@pytest.mark.parametrize("field, value", [("x0", math.nan), ("sigma", math.inf), ("tol", 0.0)])
+def test_experiment_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+
+
 def test_basis_prediction_shrinks_with_finer_cylinders():
     # each tolerance step multiplies the enumeration depth: the measured
     # discrepancy must shrink alongside, at three sampled base points
@@ -326,6 +361,38 @@ def test_cli_malformed_literals_name_production(capsys, argv, needle):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert needle in err
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (("fourier", "--measure", "dirac:nan", "--xi", "0:2:1"), "<atom>"),
+        (("fourier", "--measure", "leb+nan", "--xi", "0:2:1"), "<shift>"),
+        (("khintchine", "--measure", "leb", "--psi", "pow:nan", "--Q", "20"), "<psi>"),
+        (("khintchine", "--measure", "leb", "--psi", "const:nan", "--Q", "20"), "<psi>"),
+        (("spectral-gap", "--t", "nan"), "spectral parameter t"),
+        (("equidist", "--measure", "leb", "--test", "eisenstein:t=nan", "--ygrid", "0.25:0.5:4"),
+         "<test:eisenstein>"),
+        (("equidist", "--measure", "leb", "--test", "const:inf", "--ygrid", "0.25:0.5:4"),
+         "<test:const>"),
+        (("equidist", "--measure", "leb", "--x0", "nan", "--ygrid", "0.25:0.5:4"), "x0"),
+        (("stationary", "--phase", "poly:0,0,1", "--window", "coswin:8.9e307,1"),
+         "window support [8.9e+307, 8.9e+307]"),
+    ],
+)
+def test_cli_non_finite_inputs_exit_1(capsys, argv, needle):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert needle in err
+    assert "nan" not in out.lower() and "inf" not in out.lower()
+
+
+def test_cli_json_is_strict():
+    from horolab import cli
+
+    args = cli.build_parser().parse_args(["spectral-gap"])
+    with pytest.raises(ValueError):
+        cli._emit(args, "y\r\n", {"exponent": float("nan")})
 
 
 def test_cli_config_file_matches_flags(tmp_path, capsys):

@@ -229,6 +229,34 @@ def test_mu_y_montecarlo_reads_no_lipschitz():
     assert got == want
 
 
+@pytest.mark.parametrize(
+    "convolved, shifted",
+    [
+        ("cantor:3:0,2*dirac:0.25", "cantor:3:0,2+0.25"),
+        ("dirac:0.25*cantor:3:0,2+0.5", "cantor:3:0,2+0.75"),
+        ("dirac:0.1*leb", "leb+0.1"),
+    ],
+)
+def test_mu_y_cylinder_folds_point_masses_into_shifts(convolved, shifted):
+    phi = EisensteinTest(1.0, component="complex")
+    cfg = HorocycleConfig(0.1, 2, 0.05)
+    got = mu_y_value(parse_measure(convolved), phi, cfg, method="cylinder", budget=10**6, tol=1e-4)
+    want = mu_y_value(parse_measure(shifted), phi, cfg, method="cylinder", budget=10**6, tol=1e-4)
+    assert got == want
+
+
+def test_cylinder_node_widths():
+    from horolab.measures import cylinder_nodes
+
+    xs, ws, width = cylinder_nodes(parse_measure("dirac:0.3"), 0.1, 1, 10, 1e-6, None)
+    assert xs.tolist() == [0.3] and ws.tolist() == [1.0] and width == 0.0
+    assert cylinder_nodes(parse_measure("leb"), 0.1, 1, 10**6, 1e-6, None)[2] is None
+    xs, ws, width = cylinder_nodes(parse_measure("cantor:3:0,2"), 0.1, 1, 10**6, 1e-3, 2.0)
+    assert width <= 0.1 * 1e-3 / 2.0 < 3 * width  # the shallowest depth that is fine enough
+    assert xs.size == 2 ** round(math.log(1 / width, 3)) == 2**10
+    assert ws.sum() == pytest.approx(1.0)
+
+
 def test_mu_y_general_convolution_cylinder_refused():
     measure = parse_measure("cantor:3:0,2 * leb")
     phi = BumpTest(0.9, 2.5)
