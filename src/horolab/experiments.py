@@ -12,7 +12,8 @@ Eisenstein observable matches its Fourier-expansion prediction
     constant_term(y) + sum_{0 < |m| <= M(y)} a_m(y) e(m x0) mu_hat(m/q),
 
 where the coefficient sum extends to the larger of y^-sigma and the
-K-Bessel horizon (beyond which terms vanish to working precision).
+K-Bessel horizon 2 pi m y < 46 (beyond which terms vanish to working
+precision), and never past the underflow horizon 2 pi m y <= 700.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from . import measures as _measures
 from .automorphic import (
     EisensteinParams,
     K_NEGLIGIBLE_X,
+    K_UNDERFLOW_X,
     TWO_PI,
-    bessel_K_imag,
+    bessel_K_series,
     constant_term,
     hecke_range,
 )
@@ -149,19 +151,24 @@ def eisenstein_series_prediction(
     `height` is the height at which the horocycle points actually sit
     (y/q when the base point carries a(1/q)), a scalar or an array.  The
     coefficient sum runs to the larger of height^-sigma and the K-Bessel
-    horizon, so omitted terms are zero to working precision.  The lambda
-    table is sieved once, for the smallest height, and sliced at the others.
+    horizon, so omitted terms are zero to working precision.  height^-sigma
+    is capped at the underflow horizon 2 pi m height <= 700, past which
+    every term is 0 (bessel_K_series makes K 0 from 46 on), and is compared
+    with that cap in logs, so a large sigma neither overflows nor asks for
+    more terms.  The lambda table is sieved once, for the smallest height,
+    and sliced at the others.
     """
     heights = np.atleast_1d(np.asarray(height, dtype=float)).tolist()
-    m_maxes = [
-        max(math.ceil(h ** (-sigma)), math.floor(K_NEGLIGIBLE_X / (TWO_PI * h)))
-        for h in heights
-    ]
+    m_maxes = []
+    for h in heights:
+        cap = math.floor(K_UNDERFLOW_X / (TWO_PI * h))
+        m_sigma = math.ceil(h ** (-sigma)) if -sigma * math.log(h) < math.log(cap) else cap
+        m_maxes.append(max(m_sigma, math.floor(K_NEGLIGIBLE_X / (TWO_PI * h))))
     lam = hecke_range(params, max(m_maxes))
     out = []
     for h, m_max in zip(heights, m_maxes):
         m = np.arange(1, m_max + 1)
-        a_m = params.whittaker_norm * lam[:m_max] * math.sqrt(h) * bessel_K_imag(
+        a_m = params.whittaker_norm * lam[:m_max] * math.sqrt(h) * bessel_K_series(
             params.t, TWO_PI * m * h
         )
         mu_hat = _measures.fourier_transform(measure, m / q)

@@ -387,7 +387,8 @@ def _(measure: FractalMeasure, y: float, q: int, budget: int, tol: float, lip):
         raise ValueError("cylinder method needs a test function with a "
                          "declared Lipschitz constant")
     b, l = measure.base, measure.n_digits
-    depth = max(1, math.ceil(math.log(lip * q / (y * tol)) / math.log(b)))
+    # a constant (lip 0) is exact on one level of cylinders, with bound 0
+    depth = max(1, math.ceil(math.log(lip * q / (y * tol)) / math.log(b))) if lip else 1
     count = l**depth
     if count > budget:
         raise CylinderBudgetError(

@@ -479,6 +479,82 @@ def test_twisted_sum_series_sieves_once(monkeypatch):
     assert calls == [math.floor(700.0 / (2 * math.pi * 2.0**-8))]
 
 
+def _sigma_range_loop(z, m_max):
+    # the plain sieve: one slice update per d, so index m - 1 receives its
+    # divisors in increasing order
+    out = np.zeros(m_max, dtype=complex)
+    for d in range(1, m_max + 1):
+        out[d - 1 :: d] += d ** complex(z)
+    return out
+
+
+@pytest.mark.parametrize(
+    "m_max",
+    [1, 2, 3, 4, 5, 9, 16, 97, 121, 997, 7919, 10201, 2228, 11140, 29987, 228164],
+)
+def test_sigma_range_equals_per_divisor_loop(m_max):
+    # squares, primes, m = 1..5 and twisted-sweep horizons
+    assert sigma_range(2j, m_max).tobytes() == _sigma_range_loop(2j, m_max).tobytes()
+
+
+TWISTED_YS = 0.25 * 2.0 ** -np.array([0, 3, 6, 9])
+
+
+@pytest.fixture(scope="module")
+def full_horizon_terms():
+    """lambda(m) sqrt(m y) K_it(2 pi m y) on every m up to the underflow
+    horizon, with K evaluated on all of them (no 46 cut)."""
+    p = EisensteinParams(1.0)
+    ends = [math.floor(700.0 / (2 * math.pi * y)) for y in TWISTED_YS]
+    lam = hecke_range(p, max(ends))
+    terms = []
+    for y, n in zip(TWISTED_YS, ends):
+        m = np.arange(1, n + 1)
+        u = m * y
+        terms.append((m, lam[:n], np.sqrt(u) * bessel_K_imag(1.0, 2 * math.pi * u)))
+    return terms
+
+
+@pytest.mark.parametrize("regime", ["one_plus_delta", "half_plus_delta"])
+@pytest.mark.parametrize(
+    "alpha",
+    [0.0, 0.5, float(np.random.default_rng(2024).random()), (math.sqrt(5) - 1) / 2, 1.0 / 3],
+)
+def test_twisted_sum_equals_full_horizon_oracle(alpha, regime, full_horizon_terms):
+    # K is 0 from 2 pi m y = 46 on, but the sum keeps the full length, so
+    # numpy's pairwise grouping and every output bit are unchanged
+    spec = TwistedSumSpec(t=1.0, delta=0.5, alpha=alpha, regime=regime)
+    report = twisted_sum_series(spec, TWISTED_YS)
+    oracle = np.array([
+        np.sum(lam * m ** (-spec.exponent) * w * 2.0 * np.cos(2 * math.pi * m * alpha))
+        for m, lam, w in full_horizon_terms
+    ])
+    assert report.extra_columns["re"].tobytes() == oracle.real.tobytes()
+    assert report.extra_columns["im"].tobytes() == oracle.imag.tobytes()
+
+
+def test_twisted_sweep_evaluates_k_only_below_46(monkeypatch):
+    from horolab import automorphic
+
+    nodes = []
+    real = automorphic.bessel_K_imag
+    monkeypatch.setattr(
+        automorphic, "bessel_K_imag", lambda t, x: nodes.append(np.asarray(x)) or real(t, x)
+    )
+    ys = 2.0 ** -np.arange(2, 9)
+    spec = TwistedSumSpec(t=1.0, delta=0.3, alpha=0.37)
+    twisted_sum_series(spec, ys)
+    twisted_hecke_sum(spec, 0.01)
+    x = np.concatenate(nodes)
+    assert x.max() < K_NEGLIGIBLE_X
+    live = [
+        np.count_nonzero(2 * math.pi * np.arange(1, math.floor(700.0 / (2 * math.pi * y)) + 1) * y
+                         < K_NEGLIGIBLE_X)
+        for y in (*ys, 0.01)
+    ]
+    assert x.size == sum(live)
+
+
 def test_twisted_sum_decay_untwisted():
     spec = TwistedSumSpec(t=1.0, delta=0.3, alpha=0.0, regime="one_plus_delta")
     report = twisted_sum_series(spec, 2.0 ** -np.arange(3, 13))

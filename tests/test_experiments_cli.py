@@ -129,6 +129,59 @@ def test_series_prediction_on_an_array_equals_scalar_calls():
         assert sweep.tobytes() == np.array(single).tobytes()
 
 
+def test_series_prediction_stops_at_the_underflow_horizon(monkeypatch):
+    from horolab import automorphic
+    from horolab.measures import parse_measure
+    from horolab.testfunctions import EisensteinTest
+
+    params = EisensteinTest(1.0, component="complex").params
+    heights = 0.25 * 0.5 ** np.arange(4)
+    measure = parse_measure("leb")
+    nodes = []
+    real = automorphic.bessel_K_imag
+    monkeypatch.setattr(
+        automorphic, "bessel_K_imag", lambda t, x: nodes.append(np.asarray(x)) or real(t, x)
+    )
+    base = eisenstein_series_prediction(measure, params, heights, 0.0, 1, 1.2)
+    # h^-sigma overflows a float; the sum is capped at 2 pi m h <= 700
+    huge = eisenstein_series_prediction(measure, params, heights, 0.0, 1, 1e300)
+    assert np.abs(huge - base).max() <= 1e-15
+    assert np.concatenate(nodes).max() < automorphic.K_NEGLIGIBLE_X
+
+
+def test_cli_basis_check_huge_sigma_matches_default(capsys):
+    rows = {}
+    for sigma in ("1.2", "1e300"):
+        code, out, _ = run_cli(
+            capsys, "basis-check", "--measure", "leb", "--sigma", sigma, "--ygrid", "0.25:0.5:4"
+        )
+        assert code == 0
+        rows[sigma] = np.array([[float(v) for v in line.split(",")]
+                                for line in out.strip().split("\r\n")[1:]])
+    assert np.abs(rows["1e300"][:, 3:5] - rows["1.2"][:, 3:5]).max() <= 1e-15
+
+
+def test_cli_cylinder_constant_test_is_exact(capsys):
+    from horolab.measures import parse_measure
+    from horolab.modular import HorocycleConfig, mu_y_value
+    from horolab.testfunctions import ConstantTest
+
+    code, out, err = run_cli(
+        capsys, "equidist", "--measure", "cantor:3:0,2", "--test", "const:1",
+        "--method", "cylinder", "--ygrid", "0.25:0.5:4",
+    )
+    assert code == 0
+    lines = out.strip().split("\r\n")
+    assert lines[0] == "y,error,error_bar,kept"
+    assert [line.split(",")[1:3] for line in lines[1:]] == [["0.0", "0.0"]] * 4
+    # lipschitz 0: one level of cylinders, mu_y = 1 with bound 0
+    for literal in ("cantor:3:0,2", "cantor:3:0,2*dirac:0.25"):
+        for y in (0.25, 0.03125):
+            hc = HorocycleConfig(x0=0.0, q=1, y=y)
+            value = mu_y_value(parse_measure(literal), ConstantTest(1.0), hc, method="cylinder")
+            assert value == (1.0, 0.0)
+
+
 @pytest.mark.parametrize("field, value", [("x0", math.nan), ("sigma", math.inf), ("tol", 0.0)])
 def test_experiment_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
