@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -45,6 +46,7 @@ K_UNDERFLOW_X = 700.0           # exp(-x) underflows well before this
 K_NEGLIGIBLE_X = 46.0           # K_it(x) < 4e-21 beyond; dropped in series
 K_SPLINE_X0 = 5.0               # K-spline grid: uniform on [5, 46], below sqrt(3) pi
 K_SPLINE_KNOTS = 8500
+K_BASE_STEP = 1.0 / 64          # v-step of the K quadrature at orders t <= 8
 EISENSTEIN_TRUNCATION = 16      # series length on reduced points
 MAX_BESSEL_ORDER = 30.0
 
@@ -203,13 +205,13 @@ def _de_weights(t: float, x_min: float, step: float):
     return np.cosh(u), w
 
 
-def bessel_K_imag(t: float, x, base_step: float = 1.0 / 64, return_underflow: bool = False):
+def bessel_K_imag(t: float, x):
     """K_it(x) for x > 0 (scalar or array), by doubly exponential quadrature.
 
-    The v-grid step shrinks as 1/max(1, t/8) so the cos(t sinh v) factor
-    stays resolved up to t = 30; absolute error is below 1e-12 for
-    x >= 1e-3 in that range.  x > 700 underflows: the value is exactly 0
-    and, with return_underflow=True, flagged.
+    The v-grid step K_BASE_STEP shrinks as 1/max(1, t/8) so the
+    cos(t sinh v) factor stays resolved up to t = 30; absolute error is
+    below 1e-12 for x >= 1e-3 in that range.  x > 700 underflows: the value
+    is exactly 0.
     """
     if t < 0 or t > MAX_BESSEL_ORDER:
         raise ValueError(f"supported order range is 0 <= t <= {MAX_BESSEL_ORDER}")
@@ -219,10 +221,9 @@ def bessel_K_imag(t: float, x, base_step: float = 1.0 / 64, return_underflow: bo
     if np.any(x_arr <= 0.0):
         raise ValueError("require x > 0")
     out = np.zeros_like(x_arr)
-    under = x_arr > K_UNDERFLOW_X
-    live = ~under
+    live = ~(x_arr > K_UNDERFLOW_X)
     if live.any():
-        step = base_step / max(1.0, t / 8.0)
+        step = K_BASE_STEP / max(1.0, t / 8.0)
         ch, w = _de_weights(t, float(x_arr[live].min()), step)
         xs = x_arr[live]
         vals = np.empty(xs.size)
@@ -232,13 +233,7 @@ def bessel_K_imag(t: float, x, base_step: float = 1.0 / 64, return_underflow: bo
             # explicit sum keeps the reduction order fixed
             vals[lo:hi] = (np.exp(-np.outer(xs[lo:hi], ch)) * w).sum(axis=1)
         out[live] = vals
-    if scalar:
-        if return_underflow:
-            return float(out[0]), bool(under[0])
-        return float(out[0])
-    if return_underflow:
-        return out, under
-    return out
+    return float(out[0]) if scalar else out
 
 
 def bessel_K_series(t: float, x: np.ndarray) -> np.ndarray:
@@ -294,18 +289,27 @@ def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
+@cache
+def _k_spline(t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The K-spline of order t: its K_SPLINE_KNOTS equispaced knots on
+    [5, 46] and the not-a-knot coefficients through bessel_K_imag there."""
+    grid = np.linspace(K_SPLINE_X0, K_NEGLIGIBLE_X, K_SPLINE_KNOTS)
+    coef = _not_a_knot_spline(grid, bessel_K_imag(t, grid))
+    grid.flags.writeable = coef.flags.writeable = False  # shared by every caller
+    return grid, coef
+
+
 # ---------------------------------------------------------------------------
 # Eisenstein parameters and evaluation
 
 
 @dataclass
 class EisensteinParams:
-    """Precomputed data for E(z, 1/2 + it): zeta/xi factors and K-spline.
+    """Precomputed data for E(z, 1/2 + it): zeta/xi factors and coefficients.
 
     The scattering coefficient c(t) has |c| = 1 on the unitary axis; this
-    is asserted at construction within 1e-9.  The K-spline behind k_fast is
-    built on first use: a not-a-knot cubic through bessel_K_imag at
-    K_SPLINE_KNOTS equispaced knots on [5, 46], looked up by index.
+    is asserted at construction within 1e-9.  k_fast looks K up in
+    _k_spline(t), built once per order t on first use.
     """
 
     t: float
@@ -328,7 +332,6 @@ class EisensteinParams:
         lam = np.array([hecke_eis(int(m), self) for m in n])
         # coefficient of e(m x): a_m(y) = coef[|m|-1] * sqrt(y) * K_it(2 pi |m| y)
         self._coef = self.whittaker_norm * lam
-        self._kspline = None
 
     @property
     def whittaker_norm(self) -> complex:
@@ -345,10 +348,7 @@ class EisensteinParams:
         interval's cubic in Horner form.  Absolute error is below 1e-14 on
         [sqrt(3) pi, 46).
         """
-        if self._kspline is None:
-            grid = np.linspace(K_SPLINE_X0, K_NEGLIGIBLE_X, K_SPLINE_KNOTS)
-            self._kspline = grid, _not_a_knot_spline(grid, bessel_K_imag(self.t, grid))
-        grid, coef = self._kspline
+        grid, coef = _k_spline(self.t)
         w = np.asarray(w, dtype=float)
         dx = (K_NEGLIGIBLE_X - K_SPLINE_X0) / (K_SPLINE_KNOTS - 1)
         i = np.clip((w - K_SPLINE_X0) / dx, 0, K_SPLINE_KNOTS - 2).astype(np.intp)
@@ -564,31 +564,37 @@ def twisted_hecke_sum(spec: TwistedSumSpec, y: float) -> complex:
     the sum with K evaluated on every term.  Each call sieves its own
     lambda table; twisted_sum_series sieves once for a whole sweep.
     """
-    return _twisted_sum(spec, y, hecke_range(EisensteinParams(spec.t), _underflow_horizon(y)))
+    return _twisted_sum(spec, y, hecke_range(EisensteinParams(spec.t), _live_end(y)))
+
+
+def _live_end(y: float) -> int:
+    """Last m with 2 pi m y < 46 in floats, for y in (0, 1/2): the live
+    terms of a series (bessel_K_series), since 2 pi m y rises with m."""
+    m = np.arange(1, _underflow_horizon(y) + 1)
+    return int(np.count_nonzero(TWO_PI * (m * y) < K_NEGLIGIBLE_X))
 
 
 def _twisted_sum(spec: TwistedSumSpec, y: float, lam: np.ndarray) -> complex:
-    """twisted_hecke_sum at y from lam = lambda(1.._underflow_horizon(y)).
+    """twisted_hecke_sum at y from lam = lambda(1..n), n >= _live_end(y).
 
-    K_it is evaluated only where 2 pi m y < 46 and is 0 elsewhere; the
-    array keeps the full underflow-horizon length, so the terms are
-    grouped, and the result rounded, exactly as with K on every term.
+    Terms are evaluated only up to _live_end(y); exact zeros stand for the
+    rest out to the underflow horizon, so the terms are grouped, and the
+    result rounded, exactly as with K on every term.
     """
-    m = np.arange(1, lam.size + 1)
+    k = _live_end(y)
+    m = np.arange(1, k + 1)
     u = m * y
-    w_vals = np.sqrt(u) * bessel_K_series(spec.t, TWO_PI * u)
-    total = np.sum(
-        lam * m ** (-spec.exponent) * w_vals * 2.0 * np.cos(TWO_PI * m * spec.alpha)
-    )
-    return complex(total)
+    w_vals = np.sqrt(u) * bessel_K_imag(spec.t, TWO_PI * u)
+    terms = np.zeros(_underflow_horizon(y), dtype=complex)
+    terms[:k] = lam[:k] * m ** (-spec.exponent) * w_vals * 2.0 * np.cos(TWO_PI * m * spec.alpha)
+    return complex(np.sum(terms))
 
 
 def twisted_sum_series(spec: TwistedSumSpec, y_grid) -> DecayReport:
     """|twisted_hecke_sum| over a descending y-grid with a decay fit; sieves once."""
     y_grid = np.asarray(sorted(y_grid, reverse=True), dtype=float)
-    ends = [_underflow_horizon(float(y)) for y in y_grid]
-    lam = hecke_range(EisensteinParams(spec.t), ends[-1])
-    values = np.array([_twisted_sum(spec, float(y), lam[:n]) for y, n in zip(y_grid, ends)])
+    lam = hecke_range(EisensteinParams(spec.t), _live_end(float(y_grid[-1])))
+    values = np.array([_twisted_sum(spec, float(y), lam) for y in y_grid])
     report = fit_decay_report(y_grid, np.abs(values))
     report.extra_columns = {
         "re": values.real,

@@ -20,7 +20,7 @@ from . import measures as _measures
 from . import diophantine as _dio
 from .automorphic import spectral_gap_csv, spectral_gap_fit
 from .experiments import ExperimentConfig, run_basis_identity_check, run_equidistribution
-from .fitting import DecayReport, csv_table
+from .fitting import DecayReport, csv_table, geometric_grid
 from .oscillatory import (
     QuadratureBudgetError,
     check_xi_grid,
@@ -142,11 +142,9 @@ def _cmd_dim(args) -> int:
     summary["config"]["slope"] = est.slope
     summary["config"]["slope_full"] = est.slope_full
     if isinstance(measure, _measures.FractalMeasure):
-        try:
-            bound = _measures.cvy_bound_for_measure(measure, allow_non_ap=args.allow_non_ap)
-        except _measures.NonArithmeticDigitsError as exc:
-            raise CliError(str(exc)) from None
-        summary["config"]["cvy_lower_bound"] = bound
+        bound = _measures.cvy_bound_for_measure(measure)
+        if bound is not None:  # certified for digits in progression only
+            summary["config"]["cvy_lower_bound"] = bound
         summary["config"]["hausdorff_dimension"] = measure.hausdorff_dimension()
     _emit(args, csv_table("X,partial_sum", est.X_grid, est.sums), summary)
     return 0
@@ -186,8 +184,7 @@ def _cmd_basis_check(args) -> int:
 def _cmd_spectral_gap(args) -> int:
     y_max, ratio, count = _parse_triple(args.ygrid, "<ygrid>", _YGRID_FIELDS)
     phi = EisensteinTest(t=args.t, component="complex")
-    ys = y_max * ratio ** np.arange(count)
-    report = spectral_gap_fit(phi, ys)
+    report = spectral_gap_fit(phi, geometric_grid(y_max, ratio, count))
     return _report_exit(args, "spectral-gap", report, spectral_gap_csv(report))
 
 
@@ -270,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=13)
     p.add_argument("--star", action="store_true")
     p.add_argument("--theta-grid", dest="theta_grid", type=int, default=64)
-    p.add_argument("--allow-non-ap", dest="allow_non_ap", action="store_true",
-                   help="evaluate the progression-only lower bound anyway")
     _add_common(p)
     p.set_defaults(func=_cmd_dim)
 
@@ -318,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
+def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Expand --config FILE into leading flags (command line overrides)."""
     if "--config" not in argv:
         return argv
@@ -326,6 +321,11 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     if idx + 1 >= len(argv):
         raise CliError("--config needs a file path")
     path = argv[idx + 1]
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    switches = {  # store_true flags take no argument
+        a.dest for p in commands.choices.values() for a in p._actions
+        if isinstance(a, argparse._StoreTrueAction)
+    }
     injected = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -336,8 +336,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
                 raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
             flag = "--" + key.replace("_", "-")
-            if key.replace("-", "_") in ("star", "allow_non_ap"):
-                # store_true flags take no argument; a falsy value means omit
+            if key.replace("-", "_") in switches:
+                # a falsy value means omit the flag
                 if value.lower() in ("true", "yes", "1"):
                     injected.append(flag)
             else:
@@ -350,7 +350,7 @@ def cli_main(argv: list[str]) -> int:
     parser = build_parser()
     try:
         if argv and argv[0] not in ("-h", "--help") and "--config" in argv:
-            argv = _apply_config_file(argv)
+            argv = _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:

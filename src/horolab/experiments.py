@@ -56,12 +56,7 @@ class ExperimentConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 < self.y_max <= 1.0:
-            raise ValueError("y_max must lie in (0, 1]")
-        if not 0.0 < self.y_ratio < 1.0:
-            raise ValueError("y_ratio must lie in (0, 1) for a decreasing grid")
-        if self.y_count < 1:
-            raise ValueError("y_count must be positive")
+        geometric_grid(self.y_max, self.y_ratio, self.y_count)  # checks the y-grid rule
         if self.budget < 1:
             raise ValueError("budget must be positive")
         if self.q < 1:

@@ -133,7 +133,6 @@ class DecayReport:
     ``exponent`` is the null-rejecting fit (see module docstring); the rows
     it used are marked in the ``kept`` column of the CSV, so the value is
     reproducible externally by a least-squares fit on exactly those rows.
-    ``exponent_plain`` is the all-rows fit.
     """
 
     params: np.ndarray
@@ -142,8 +141,6 @@ class DecayReport:
     exponent: float
     exponent_stderr: float
     r2: float
-    exponent_plain: float
-    r2_plain: float
     kept: np.ndarray
     status: str = "ok"  # ok | inconclusive | degenerate | superpolynomial
     param_name: str = "y"
@@ -185,14 +182,11 @@ def fit_decay_report(
         return DecayReport(
             params, errors, error_bars,
             exponent=0.0, exponent_stderr=0.0, r2=1.0,
-            exponent_plain=0.0, r2_plain=1.0,
             kept=np.ones(params.size, dtype=bool),
             status=status,
         )
 
     status = "ok"
-
-    plain = least_squares_loglog(params, errors)
     robust = robust_loglog(params, errors)
 
     noisy = errors < 3.0 * error_bars
@@ -204,15 +198,19 @@ def fit_decay_report(
     return DecayReport(
         params, errors, error_bars,
         exponent=robust.slope, exponent_stderr=robust.stderr, r2=robust.r2,
-        exponent_plain=plain.slope, r2_plain=plain.r2,
         kept=robust.kept, status=status,
     )
 
 
-def geometric_grid(start: float, ratio: float, count: int) -> np.ndarray:
-    """start, start*ratio, ..., length count (ratio in (0,1) for descents)."""
+def geometric_grid(y_max: float, ratio: float, count: int) -> np.ndarray:
+    """The descending y-grid y_max, y_max*ratio, ..., of count heights.
+
+    The one y-grid rule: y_max in (0, 1], ratio in (0, 1), count >= 1.
+    """
+    if not 0.0 < y_max <= 1.0:
+        raise ValueError(f"y_max must lie in (0, 1], got {y_max}")
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"y_ratio must lie in (0, 1) for a decreasing grid, got {ratio}")
     if count < 1:
-        raise ValueError("count must be positive")
-    if ratio <= 0:
-        raise ValueError("ratio must be positive")
-    return start * ratio ** np.arange(count)
+        raise ValueError(f"y_count must be positive, got {count}")
+    return y_max * ratio ** np.arange(count)

@@ -39,10 +39,6 @@ class PrecisionLossError(ValueError):
     """Requested digit depth underflows double precision."""
 
 
-class NonArithmeticDigitsError(ValueError):
-    """Digit set is not an arithmetic progression; bound not certified."""
-
-
 @dataclass(frozen=True)
 class FractalMeasure:
     """Self-similar measure with base b, digits D, weights, and shift x0."""
@@ -251,8 +247,9 @@ def _(measure: Convolution, xi, tail_tol: float = DEFAULT_TAIL_TOL):
 
 @singledispatch
 def fourier_abs(measure, xi, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
-    """|mu_hat(xi)| without phase factors; shift-invariant by construction."""
-    raise TypeError(f"not a measure expression: {measure!r}")
+    """|mu_hat(xi)| on an array; a registration skips phase factors, and
+    any other measure takes the modulus of its fourier_transform."""
+    return np.abs(fourier_transform(measure, np.atleast_1d(np.asarray(xi, dtype=float)), tail_tol))
 
 
 @fourier_abs.register
@@ -265,12 +262,6 @@ def _(measure: FractalMeasure, xi, tail_tol: float = DEFAULT_TAIL_TOL):
         u = u / measure.base
         acc = acc * _symbol_abs(measure, u)
     return acc
-
-
-@fourier_abs.register
-def _(measure: LebesgueUnit, xi, tail_tol: float = DEFAULT_TAIL_TOL):
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    return np.abs(fourier_transform(measure, xi_arr))
 
 
 @fourier_abs.register
@@ -540,7 +531,7 @@ def estimate_dim_l1(
     S = _partial_sums(measure, X_grid, star, theta_grid)
     theta_err = None
     if star:
-        theta_err = TWO_PI * (1.0 + abs(_tree_shift(measure))) * X_max / theta_grid
+        theta_err = TWO_PI * _support_radius(measure) * X_max / theta_grid
 
     degenerate = bool(np.allclose(S, S[0], rtol=1e-12, atol=0.0))
     if degenerate:
@@ -559,14 +550,16 @@ def estimate_dim_l1(
     )
 
 
-def _tree_shift(measure: MeasureExpr) -> float:
-    if isinstance(measure, FractalMeasure):
-        return measure.shift
-    if isinstance(measure, DiracMass):
-        return measure.point
+def _support_radius(measure: MeasureExpr) -> float:
+    """R with supp(mu) in [-R, R]: radii add across convolution factors; a
+    fractal leaf lives in [shift, shift + 1], Lebesgue in [0, 1]."""
     if isinstance(measure, Convolution):
-        return _tree_shift(measure.left) + _tree_shift(measure.right)
-    return 0.0
+        return _support_radius(measure.left) + _support_radius(measure.right)
+    if isinstance(measure, DiracMass):
+        return abs(measure.point)
+    if isinstance(measure, FractalMeasure):
+        return abs(measure.shift) + 1.0
+    return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +577,11 @@ def cvy_lower_bound(b: int, l: int) -> float:
     return (math.log(l) - math.log(4.0 + math.log(2.0 * l))) / math.log(b)
 
 
-def cvy_bound_for_measure(measure: FractalMeasure, allow_non_ap: bool = False) -> float:
-    """cvy_lower_bound for a concrete measure; refuses non-progression digits.
-
-    The bound is only certified for digits in arithmetic progression; pass
-    allow_non_ap=True to evaluate the formula anyway.
-    """
-    if measure.digit_progression is None and not allow_non_ap:
-        raise NonArithmeticDigitsError(
-            "digit set is not an arithmetic progression; "
-            "pass allow_non_ap=True to evaluate the formula regardless"
-        )
+def cvy_bound_for_measure(measure: FractalMeasure) -> float | None:
+    """cvy_lower_bound for a concrete measure, or None: the bound is only
+    certified for digits in arithmetic progression."""
+    if measure.digit_progression is None:
+        return None
     return cvy_lower_bound(measure.base, measure.n_digits)
 
 

@@ -20,16 +20,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .fitting import DecayReport, LiteralParseError, least_squares_loglog, parse_real, robust_loglog
+from .fitting import DecayReport, LiteralParseError, parse_real, robust_loglog
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 NODES_PER_OSCILLATION = 12
 MAX_XI = 1e6
 BOUNDARY_TOL = 1e-9
 ENVELOPE_WINDOW = 2  # grid neighbours on each side of the decay envelope's running max
+# A window's radius spans at least 2**26 float spacings at its support's
+# endpoints, so (x - center) / radius keeps half the float digits.
+WINDOW_RESOLUTION = 2.0**-26
+# 2**24 panels are 2**28 nodes, about 25 s of work for one integral on one
+# core; x^2 on coswin:0,1 starts at MAX_XI from 1.5e6 panels, three
+# doublings below.  A count beyond it is refused before it is allocated.
+MAX_PANELS = 2**24
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -67,6 +75,13 @@ class PhasePolynomial:
             acc = acc * x + c
         return acc
 
+    @cached_property
+    def critical_points(self) -> tuple[tuple[float, int], ...]:
+        """Real roots of f' with their multiplicities, ascending, certified
+        exactly (Yun's square-free decomposition, then Sturm bisection)."""
+        df = _deriv([Fraction(c) for c in self.coeffs])
+        return tuple(sorted((x, mult) for factor, mult in _squarefree(df) for x in _real_roots(factor)))
+
     def derivative_value(self, order: int, x: float) -> float:
         coeffs = list(self.coeffs)
         for _ in range(order):
@@ -84,6 +99,11 @@ class Window:
         a, b = self.support  # _real_roots searches (-2**1023, 2**1023]
         if not (self.radius > 0 and -(2.0**1023) < a and b < 2.0**1023):
             raise ValueError(f"window needs radius > 0 and support in +-2**1023, got [{a}, {b}]")
+        if not math.ulp(max(abs(a), abs(b))) <= self.radius * WINDOW_RESOLUTION:
+            raise ValueError(
+                f"window support [{a}, {b}] does not resolve the radius {self.radius}: "
+                f"floats there are spaced above {WINDOW_RESOLUTION} * radius"
+            )
 
     @property
     def support(self) -> tuple[float, float]:
@@ -149,26 +169,20 @@ class StationaryData:
 
 
 def find_stationary_points(f: PhasePolynomial, w: Window) -> StationaryData:
-    """Certified real roots of f' inside supp(w), with multiplicities.
+    """f.critical_points inside supp(w), as stationary points of order mult + 1.
 
-    Yun's square-free decomposition of the exact f' gives factors of known
-    multiplicity; a Sturm sequence isolates the real roots of each factor.
     A root within BOUNDARY_TOL of the support boundary raises: boundary
     stationary points change the asymptotics.
     """
     a, b = w.support
     points = []
-    for factor, mult in _squarefree(_deriv([Fraction(c) for c in f.coeffs])):
-        for xr in _real_roots(factor):
-            if xr <= a - BOUNDARY_TOL or xr >= b + BOUNDARY_TOL:
-                continue
-            if abs(xr - a) < BOUNDARY_TOL or abs(xr - b) < BOUNDARY_TOL:
-                raise BoundaryStationaryPointError(
-                    f"stationary point {xr} at the support boundary"
-                )
-            k = mult + 1
-            points.append(StationaryPoint(xr, k, float(f(np.array(xr))), f.derivative_value(k, xr)))
-    points.sort(key=lambda p: p.x)
+    for xr, mult in f.critical_points:
+        if xr <= a - BOUNDARY_TOL or xr >= b + BOUNDARY_TOL:
+            continue
+        if abs(xr - a) < BOUNDARY_TOL or abs(xr - b) < BOUNDARY_TOL:
+            raise BoundaryStationaryPointError(f"stationary point {xr} at the support boundary")
+        k = mult + 1
+        points.append(StationaryPoint(xr, k, float(f(np.array(xr))), f.derivative_value(k, xr)))
     max_order = max((p.order for p in points), default=0)
     return StationaryData(points=points, max_order=max_order)
 
@@ -268,12 +282,8 @@ def _real_roots(p: list) -> list[float]:
 
 
 def _total_variation(f: PhasePolynomial, a: float, b: float) -> float:
-    dcoeffs = [k * f.coeffs[k] for k in range(1, len(f.coeffs))]
-    crit = []
-    if len(dcoeffs) > 1:
-        roots = np.roots(dcoeffs[::-1])
-        crit = [r.real for r in roots if abs(r.imag) < 1e-12 and a < r.real < b]
-    grid = np.array(sorted([a, b, *crit]))
+    crit = [x for x, _ in f.critical_points if a < x < b]
+    grid = np.array([a, *crit, b])
     vals = f(grid)
     return float(np.sum(np.abs(np.diff(vals))))
 
@@ -297,7 +307,8 @@ def oscillatory_integral(f: PhasePolynomial, w: Window, xi: float, tol: float = 
     """int e(xi f(x)) w(x) dx by composite Gauss-Legendre panels.
 
     Panel count starts at NODES_PER_OSCILLATION nodes per oscillation of
-    xi*f and doubles until two successive refinements agree within tol.
+    xi*f and doubles until two successive refinements agree within tol;
+    a count beyond MAX_PANELS raises QuadratureBudgetError.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -309,14 +320,17 @@ def oscillatory_integral(f: PhasePolynomial, w: Window, xi: float, tol: float = 
         raise ValueError(f"phase variation over the window support [{a}, {b}] is not finite")
     n_osc = abs(xi) * variation + 1.0
     panels = max(6, math.ceil(NODES_PER_OSCILLATION * n_osc / GL_NODES.size))
-    val = _composite_gl(f, w, xi, panels)
-    for _ in range(12):
-        panels *= 2
+    val = None
+    for _ in range(13):  # the start count, then 12 doublings
+        if panels > MAX_PANELS:
+            raise QuadratureBudgetError(
+                f"xi = {xi} on window support [{a}, {b}] needs {panels} panels, "
+                f"over the budget of {MAX_PANELS}"
+            )
         nxt = _composite_gl(f, w, xi, panels)
-        delta = abs(nxt - val)
-        val = nxt
-        if delta <= tol:
-            return val
+        if val is not None and abs(nxt - val) <= tol:
+            return nxt
+        val, panels = nxt, panels * 2
     raise QuadratureBudgetError(f"panel refinement did not reach tol {tol} at xi = {xi}")
 
 
@@ -380,7 +394,6 @@ def envelope_fit(xi_grid, values) -> DecayReport:
     envelope = np.array(
         [values[max(0, i - m) : i + m + 1].max() for i in range(values.size)]
     )
-    plain = least_squares_loglog(xi_grid, np.maximum(values, 1e-300))
     robust = robust_loglog(xi_grid, np.maximum(envelope, 1e-300))
     beta = -robust.slope
     status = "ok"
@@ -391,7 +404,6 @@ def envelope_fit(xi_grid, values) -> DecayReport:
     return DecayReport(
         xi_grid, values, np.zeros_like(values),
         exponent=beta, exponent_stderr=robust.stderr, r2=robust.r2,
-        exponent_plain=-plain.slope, r2_plain=plain.r2,
         kept=robust.kept, status=status, param_name="xi",
         extra_columns={"envelope": envelope},
     )

@@ -160,18 +160,21 @@ def test_k_imag_positive_at_zero_order():
     assert (bessel_K_imag(0.0, xs) > 0).all()
 
 
-def test_k_imag_step_halving_stable():
-    a = bessel_K_imag(1.0, 2.0, base_step=1.0 / 64)
-    b = bessel_K_imag(1.0, 2.0, base_step=1.0 / 128)
+def test_k_imag_step_halving_stable(monkeypatch):
+    from horolab import automorphic
+
+    assert automorphic.K_BASE_STEP == 1.0 / 64
+    a = bessel_K_imag(1.0, 2.0)
+    monkeypatch.setattr(automorphic, "K_BASE_STEP", 1.0 / 128)
+    b = bessel_K_imag(1.0, 2.0)
     assert abs(a - b) < 1e-12
 
 
 def test_k_imag_underflow_flagged():
-    val, flag = bessel_K_imag(1.0, 701.0, return_underflow=True)
-    assert val == 0.0 and flag
-    val, flag = bessel_K_imag(1.0, 5.0, return_underflow=True)
+    # beyond x = 700 exp(-x) underflows and K is exactly 0
+    assert bessel_K_imag(1.0, 701.0) == 0.0
+    val = bessel_K_imag(1.0, 5.0)
     assert val > 0 or val < 0  # finite nonzero
-    assert not flag
 
 
 def test_k_imag_domain_checks():
@@ -281,6 +284,21 @@ def test_k_fast_matches_scipy_not_a_knot_spline(params_t1):
     oracle = CubicSpline(grid, bessel_K_imag(params_t1.t, grid))  # not-a-knot by default
     w = np.random.default_rng(12).uniform(K_SPLINE_X0, K_NEGLIGIBLE_X, 10_000)
     assert np.abs(params_t1.k_fast(w) - oracle(w)).max() <= 1e-18
+
+
+def test_k_spline_built_once_per_order(monkeypatch):
+    from horolab import automorphic
+
+    automorphic._k_spline.cache_clear()
+    builds = []
+    real = automorphic._not_a_knot_spline
+    monkeypatch.setattr(
+        automorphic, "_not_a_knot_spline", lambda x, y: builds.append(x.size) or real(x, y)
+    )
+    w = np.array([6.0, 20.0, 45.9])
+    first, second = EisensteinParams(1.0), EisensteinParams(1.0)
+    assert first.k_fast(w).tobytes() == second.k_fast(w).tobytes()
+    assert builds == [K_SPLINE_KNOTS]
 
 
 def eisenstein_dense(x, y, p):
@@ -476,7 +494,8 @@ def test_twisted_sum_series_sieves_once(monkeypatch):
     monkeypatch.setattr(automorphic, "sigma_range", lambda z, m: calls.append(m) or real(z, m))
     spec = TwistedSumSpec(t=1.0, delta=0.3, alpha=0.37)
     twisted_sum_series(spec, 2.0 ** -np.arange(2, 9))
-    assert calls == [math.floor(700.0 / (2 * math.pi * 2.0**-8))]
+    # lambda is needed only where K is live, 2 pi m y < 46 at the smallest y
+    assert calls == [math.floor(46.0 / (2 * math.pi * 2.0**-8))]
 
 
 def _sigma_range_loop(z, m_max):

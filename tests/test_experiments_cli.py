@@ -247,14 +247,13 @@ def test_cli_dim_cantor450_reports_cvy_bound(tmp_path, capsys):
     assert out_file.read_text().startswith("X,partial_sum")
 
 
-def test_cli_dim_refuses_non_progression_digits(capsys):
+def test_cli_dim_omits_bound_for_non_progression_digits(capsys):
+    # cvy_lower_bound is certified for digits in progression only: absent here
     code, _, err = run_cli(capsys, "dim", "--measure", "cantor:10:0,1,5", "--xmax", "10000")
-    assert code == 1
-    assert "progression" in err
-    code, out, _ = run_cli(
-        capsys, "dim", "--measure", "cantor:10:0,1,5", "--xmax", "10000", "--allow-non-ap"
-    )
     assert code == 0
+    config = json.loads(err.strip().splitlines()[-1])["config"]
+    assert "cvy_lower_bound" not in config
+    assert config["hausdorff_dimension"] == pytest.approx(math.log(3) / math.log(10))
 
 
 def test_cli_equidist_lebesgue_classical_rate(capsys):
@@ -440,6 +439,57 @@ def test_cli_non_finite_inputs_exit_1(capsys, argv, needle):
     assert "nan" not in out.lower() and "inf" not in out.lower()
 
 
+@pytest.mark.parametrize(
+    "window, needle",
+    [
+        ("coswin:1e150,1", "window support [1e+150, 1e+150] does not resolve the radius"),
+        ("coswin:1e12,1", "does not resolve the radius"),
+        ("coswin:0,1e6", "--tol: xi = 10.0 on window support [-1000000.0, 1000000.0] needs"),
+    ],
+)
+def test_cli_stationary_refuses_unresolved_or_unaffordable_windows(capsys, window, needle):
+    code, out, err = run_cli(
+        capsys, "stationary", "--phase", "poly:0,0,1", "--window", window,
+        "--xigrid", "10:1000:6",
+    )
+    assert code == 1
+    assert err.startswith("horolab: error:") and needle in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "ygrid, needle",
+    [
+        ("0.125:0:10", "y_ratio must lie in (0, 1)"),
+        ("0.125:-0.5:10", "y_ratio must lie in (0, 1)"),
+        ("0.125:2:10", "y_ratio must lie in (0, 1)"),
+        ("2:0.5:10", "y_max must lie in (0, 1]"),
+        ("0.125:0.5:0", "y_count must be positive"),
+    ],
+)
+@pytest.mark.parametrize("command", ["spectral-gap", "equidist", "basis-check"])
+def test_cli_ygrid_rule_is_shared(capsys, command, ygrid, needle):
+    extra = () if command == "spectral-gap" else ("--measure", "leb")
+    code, out, err = run_cli(capsys, command, *extra, "--ygrid", ygrid)
+    assert code == 1
+    assert f"horolab: error: {needle}" in err
+    assert out == ""
+
+
+def test_cli_stationary_sweep_certifies_its_phase_once(monkeypatch, tmp_path, capsys):
+    from horolab import oscillatory
+
+    calls = []
+    real = oscillatory._squarefree
+    monkeypatch.setattr(oscillatory, "_squarefree", lambda p: calls.append(len(p)) or real(p))
+    code, _, _ = run_cli(
+        capsys, "stationary", "--phase", "poly:0.1,0.3,-0.7,0.2,0.11,-0.05",
+        "--xigrid", "10:1000:8", "--out", str(tmp_path / "st.csv"),
+    )
+    assert code == 0
+    assert calls == [5]  # f' of the quintic, over 8 integrals and 8 leading terms
+
+
 def test_cli_json_is_strict():
     from horolab import cli
 
@@ -477,9 +527,10 @@ def test_cli_flags_override_config_file(tmp_path, capsys):
 
 def test_cli_config_file_boolean_flags(tmp_path, capsys):
     cfg = tmp_path / "dim.cfg"
-    cfg.write_text("measure=cantor:10:0,1,5\nxmax=10000\nallow-non-ap=true\nstar=false\n")
-    code, out, err = run_cli(capsys, "dim", "--config", str(cfg))
-    assert code == 0
-    summary = json.loads(err.strip().splitlines()[-1])  # CSV on stdout, JSON on stderr
-    assert summary["config"]["allow_non_ap"] is True
-    assert summary["config"]["star"] is False
+    for value, expect in (("true", True), ("false", False)):
+        cfg.write_text(f"measure=cantor:3:0,2\nxmax=10000\ntheta-grid=4\nstar={value}\n")
+        code, out, err = run_cli(capsys, "dim", "--config", str(cfg))
+        assert code == 0
+        summary = json.loads(err.strip().splitlines()[-1])  # CSV on stdout, JSON on stderr
+        assert summary["config"]["star"] is expect
+        assert summary["config"]["theta_grid"] == 4

@@ -10,7 +10,6 @@ from horolab.measures import (
     DiracMass,
     FractalMeasure,
     LebesgueUnit,
-    NonArithmeticDigitsError,
     PrecisionLossError,
     b_of_s,
     cvy_bound_for_measure,
@@ -155,6 +154,21 @@ def test_abs_path_agrees_with_transform_path():
         )
 
 
+def test_abs_fallback_is_modulus_of_transform_bytes():
+    # Lebesgue has no fourier_abs registration; the fallback must give the
+    # bytes of |fourier_transform|, at 0, at integers (exact zeros) and
+    # around the 1e-100 sinc cut
+    xis = np.array([0.0, 1.0, -1.0, 2.0, -7.0, 1e-101, -1e-101, 0.3, -2.5, 1e4])
+    leb = LebesgueUnit()
+    modulus = np.abs(fourier_transform(leb, xis))
+    assert fourier_abs(leb, xis).tobytes() == modulus.tobytes()
+    conv = parse_measure("cantor:3:0,2*leb")
+    assert fourier_abs(conv, xis).tobytes() == (fourier_abs(CANTOR3, xis) * modulus).tobytes()
+    assert fourier_abs(leb, 0.3).tobytes() == modulus[7:8].tobytes()
+    with pytest.raises(TypeError):
+        fourier_abs("leb", xis)
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 
@@ -268,11 +282,10 @@ def test_cvy_bound_values():
     assert cvy_lower_bound(b, b) == pytest.approx(expect)
 
 
-def test_cvy_refuses_non_progression_digits():
-    crooked = FractalMeasure(10, (0, 1, 5))
-    with pytest.raises(NonArithmeticDigitsError):
-        cvy_bound_for_measure(crooked)
-    assert cvy_bound_for_measure(crooked, allow_non_ap=True) == cvy_lower_bound(10, 3)
+def test_cvy_bound_absent_for_non_progression_digits():
+    # the bound is certified for digits in arithmetic progression only
+    assert cvy_bound_for_measure(FractalMeasure(10, (0, 1, 5))) is None
+    assert cvy_bound_for_measure(FractalMeasure(10, (1, 4, 7))) == cvy_lower_bound(10, 3)
 
 
 def scan_b_of_s(s: float, limit: int = 10**5) -> int:
@@ -379,3 +392,17 @@ def test_star_estimate_reports_grid_error():
     assert est.mode == "star"
     assert est.theta_grid_error == pytest.approx(2 * np.pi * 10**4 / 16)
     assert (est.sums >= 1.0).all()
+
+
+@pytest.mark.parametrize(
+    "text, radius",
+    [
+        ("cantor:3:0,2*cantor:3:0,2", 2.0),  # lives in [0, 2]
+        ("leb*cantor:3:0,2", 2.0),
+        ("cantor:3:0,2+0.5*dirac:-3", 4.5),  # in [-2.5, -1.5], radius bound 1.5 + 3
+    ],
+)
+def test_star_grid_error_adds_factor_radii(text, radius):
+    grid = np.unique(np.geomspace(100, 10**4, 6).astype(int))
+    est = estimate_dim_l1(parse_measure(text), grid, star=True, theta_grid=16)
+    assert est.theta_grid_error == pytest.approx(2 * np.pi * radius * 10**4 / 16)

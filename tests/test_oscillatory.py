@@ -164,6 +164,37 @@ def test_integral_at_zero_is_window_mass():
         assert oscillatory_integral(X2, w, 0.0) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_total_variation_reads_certified_critical_points():
+    # f = (x - 1/4)^4 in exact binary coefficients: f' has a triple root at
+    # 1/4, and the variation on [-1, 1] is f(-1) + f(1) - 2 f(1/4)
+    from horolab.oscillatory import _total_variation
+
+    f = PhasePolynomial((0.00390625, -0.0625, 0.375, -1.0, 1.0))
+    assert f.critical_points == ((0.25, 3),)
+    assert _total_variation(f, -1.0, 1.0) == 1.25**4 + 0.75**4
+
+
+def test_window_must_resolve_its_radius():
+    RaisedCosineWindow(1e6, 1.0)  # float spacing 1.2e-10 at the ends
+    for center in (1e12, 1e150):
+        with pytest.raises(ValueError, match="does not resolve the radius"):
+            RaisedCosineWindow(center, 1.0)
+    with pytest.raises(ValueError, match="does not resolve the radius"):
+        SmoothBumpWindow(1.0, 1e-9)
+
+
+def test_panel_budget_refuses_before_allocating(monkeypatch):
+    from horolab import oscillatory
+
+    # x^2 over [-1e6, 1e6] at xi = 10 needs 1.5e13 panels from the start
+    with pytest.raises(QuadratureBudgetError, match="over the budget"):
+        oscillatory_integral(X2, RaisedCosineWindow(0.0, 1e6), 10.0)
+    # the budget also stops a refinement: 57 panels at xi = 37, doubled to 114
+    monkeypatch.setattr(oscillatory, "MAX_PANELS", 100)
+    with pytest.raises(QuadratureBudgetError, match="needs 114 panels"):
+        oscillatory_integral(X2, W1, 37.0)
+
+
 def test_integral_conjugate_symmetry():
     v_pos = oscillatory_integral(X2, W1, 37.0, tol=1e-10)
     v_neg = oscillatory_integral(X2, W1, -37.0, tol=1e-10)
