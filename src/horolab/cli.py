@@ -23,6 +23,7 @@ from .experiments import ExperimentConfig, run_basis_identity_check, run_equidis
 from .fitting import DecayReport, csv_table, geometric_grid
 from .oscillatory import (
     QuadratureBudgetError,
+    ToleranceNotReachedError,
     check_xi_grid,
     envelope_fit,
     oscillatory_integral,
@@ -218,8 +219,10 @@ def _cmd_stationary(args) -> int:
         raise CliError(f"<xi-grid>: {exc}") from None
     try:
         vals = [oscillatory_integral(phase, window, float(xi), tol=args.tol) for xi in grid]
-    except QuadratureBudgetError as exc:
+    except ToleranceNotReachedError as exc:
         raise CliError(f"--tol: {exc}") from None
+    except QuadratureBudgetError as exc:  # no --tol cures a panel or |xi| budget
+        raise CliError(str(exc)) from None
     # Python's abs(complex), not np.abs: the two can differ in the last bit
     report = envelope_fit(grid, [abs(v) for v in vals])
     leads = []

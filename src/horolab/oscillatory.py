@@ -44,6 +44,10 @@ class QuadratureBudgetError(RuntimeError):
     """|xi| beyond the configured maximum or refinement failed to settle."""
 
 
+class ToleranceNotReachedError(QuadratureBudgetError):
+    """Refinement did not settle within tol; a looser tol may succeed."""
+
+
 class BoundaryStationaryPointError(ValueError):
     """A stationary point sits at the window boundary; asymptotics invalid."""
 
@@ -308,7 +312,8 @@ def oscillatory_integral(f: PhasePolynomial, w: Window, xi: float, tol: float = 
 
     Panel count starts at NODES_PER_OSCILLATION nodes per oscillation of
     xi*f and doubles until two successive refinements agree within tol;
-    a count beyond MAX_PANELS raises QuadratureBudgetError.
+    a count beyond MAX_PANELS raises QuadratureBudgetError, and twelve
+    doublings that do not settle raise ToleranceNotReachedError.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -331,7 +336,7 @@ def oscillatory_integral(f: PhasePolynomial, w: Window, xi: float, tol: float = 
         if val is not None and abs(nxt - val) <= tol:
             return nxt
         val, panels = nxt, panels * 2
-    raise QuadratureBudgetError(f"panel refinement did not reach tol {tol} at xi = {xi}")
+    raise ToleranceNotReachedError(f"panel refinement did not reach tol {tol} at xi = {xi}")
 
 
 def stationary_phase_leading(f: PhasePolynomial, w: Window, xi: float) -> complex:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from horolab import diophantine
 from horolab.diophantine import (
     ConstPsi,
     PowerPsi,
@@ -17,7 +18,7 @@ from horolab.diophantine import (
     parse_psi,
 )
 from horolab.fitting import LiteralParseError
-from horolab.measures import parse_measure
+from horolab.measures import default_sample_depth, parse_measure, sample
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -236,3 +237,139 @@ def test_profile_validation():
             parse_measure("leb"), PowerPsi(1.0), 20, 1000, seed=0, rate_q_max=rate_q_max
         )
         assert profile.qs[-1] == rate_q_max == profile.hit_rates.size + 1
+
+
+def test_profile_refuses_supports_floats_cannot_resolve():
+    # every sample of leb+1e300 rounds to 1e300, so every q would "hit"
+    far = parse_measure("leb+1e300")
+    with pytest.raises(ValueError, match=r"R = 1e\+300 .* Q = 20: .* psi\(Q\) / 2 = 0.025"):
+        khintchine_profile(far, PowerPsi(1.0), 20, 100, seed=0)
+    with pytest.raises(ValueError, match=r"R = 1e\+300 .* q = 7: .* psi\(q\) / 2"):
+        measure_of_Aq(far, 7, PowerPsi(1.0), 1000, seed=0)
+    # the bound is Q spacing(R) < psi(Q) / 2: spacing(1e10 + 1) is 2**-19
+    near = parse_measure("leb+1e10")
+    assert khintchine_profile(near, PowerPsi(1.0), 20, 100, seed=0).mean_count > 0
+    with pytest.raises(ValueError, match="too coarse for Q = 1000"):
+        khintchine_profile(near, PowerPsi(2.0), 1000, 100, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Window counting against the full outer-product test
+
+
+def outer_product_counts(xs, psi_all, Q, rate_q_max):
+    """The chunked loop that tests every (x, q) pair: the oracle for windows."""
+    n_samples = xs.size
+    qs_all = np.arange(2, Q + 1)
+    counts = np.zeros(n_samples)
+    counts_half = np.zeros(n_samples)
+    rate_hits = np.zeros(rate_q_max - 1)
+    chunk = max(1, 4_000_000 // max(1, n_samples))
+    for lo in range(0, qs_all.size, chunk):
+        hi = min(lo + chunk, qs_all.size)
+        block = qs_all[lo:hi]
+        hits = np.abs(np.outer(xs, block) - np.round(np.outer(xs, block))) < psi_all[lo:hi]
+        counts += hits.sum(axis=1)
+        half_mask = block <= Q // 2
+        if half_mask.any():
+            counts_half += hits[:, half_mask].sum(axis=1)
+        rate_mask = block <= rate_q_max
+        if rate_mask.any():
+            rate_hits[block[rate_mask] - 2] = hits[:, rate_mask].mean(axis=0)
+    return counts, counts_half, rate_hits
+
+
+def outer_product_profile(measure, psi, Q, n_samples, seed, rate_q_max):
+    """(hit_rates, mean_count, mean_count_stderr, regime) from the oracle loop."""
+    depth = max(40, default_sample_depth(measure))
+    xs = sample(measure, depth, n_samples, seed)
+    psi_all = np.asarray(psi(np.arange(2, Q + 1)), dtype=float)
+    counts, counts_half, rate_hits = outer_product_counts(xs, psi_all, Q, rate_q_max)
+    stderr = float(counts.std(ddof=1) / math.sqrt(n_samples))
+    increment = counts - counts_half
+    inc_stderr = float(increment.std(ddof=1) / math.sqrt(n_samples)) or 1e-300
+    regime = "divergent-like" if increment.mean() > 3.0 * inc_stderr else "convergent-like"
+    return rate_hits, float(counts.mean()), stderr, regime
+
+
+def _bytes(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "measure, psi, Q, n_samples, seed, rate_q_max",
+    [
+        ("cantor:450:0..446", "pow:1", 1000, 100_000, 202, 1000),  # criterion 9
+        ("leb", "pow:1", 10_000, 1000, 101, 1000),  # criterion 9
+        ("cantor:450:0..446", "pow:1", 200, 2000, 2024, 200),  # golden command
+        ("leb", "pow:1", 3000, 500, 2024, 1000),  # golden command
+        ("dirac:0.5", "pow:1", 500, 1000, 6, 500),
+        ("leb", "const:0.5", 300, 1000, 1, 300),
+        ("leb", "const:0.49", 300, 1000, 1, 300),
+        ("leb", "qlogq", 2000, 3000, 3, 1000),
+        ("cantor:3:0,2+-7.3", "pow:1", 500, 2000, 4, 500),
+        ("cantor:3:0,2*leb", "pow:1.5", 800, 2000, 5, 800),
+    ],
+)
+def test_profile_byte_equal_to_outer_product(measure, psi, Q, n_samples, seed, rate_q_max):
+    m, p = parse_measure(measure), parse_psi(psi)
+    profile = khintchine_profile(m, p, Q, n_samples, seed, rate_q_max=rate_q_max)
+    rates, mean, stderr, regime = outer_product_profile(m, p, Q, n_samples, seed, rate_q_max)
+    assert profile.hit_rates.tobytes() == rates.tobytes()
+    assert _bytes(profile.mean_count) == _bytes(mean)
+    assert _bytes(profile.mean_count_stderr) == _bytes(stderr)
+    assert profile.regime == regime
+
+
+def _adversarial_samples(psi, q_max, shift):
+    """Floats at and one ulp either side of every window edge (p -/+ psi(q))/q,
+    at p/q and at the round-half-even ties (2p + 1)/(2q), each twice."""
+    points = []
+    for q in range(2, q_max + 1):
+        psi_q = float(psi(q))
+        for p in range(0, q + 1):
+            for edge in ((p - psi_q) / q, (p + psi_q) / q, p / q, (2 * p + 1) / (2 * q)):
+                edge += shift
+                points += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    xs = np.array(points * 2)
+    return np.random.default_rng(q_max).permutation(xs)  # the counts go back to this order
+
+
+@pytest.mark.parametrize("psi", [PowerPsi(1.0), ConstPsi(0.3), QLogQPsi()], ids=lambda p: p.label)
+@pytest.mark.parametrize("shift", [0.0, -7.3, 1e6])
+def test_count_hits_byte_equal_on_window_edges(psi, shift):
+    Q = 60
+    xs = _adversarial_samples(psi, Q, shift)
+    psi_all = np.asarray(psi(np.arange(2, Q + 1)), dtype=float)
+    per_sample, per_sample_half, per_q = diophantine._count_hits(xs, psi_all, Q // 2)
+    counts, counts_half, rate_hits = outer_product_counts(xs, psi_all, Q, Q)
+    assert per_sample.astype(float).tobytes() == counts.tobytes()
+    assert per_sample_half.astype(float).tobytes() == counts_half.tobytes()
+    assert (per_q / xs.size).tobytes() == rate_hits.tobytes()
+    assert per_q.sum() > 0
+
+
+def test_window_route_tests_only_candidates(monkeypatch):
+    # testing every pair runs the predicate n (Q - 1) = 398000 times
+    real = diophantine._dist_to_integers
+    evaluated = {1: 0, 2: 0}  # window candidates, row pairs
+    row_qs = []
+
+    def counting(vals):
+        evaluated[vals.ndim] += vals.size
+        if vals.ndim == 2:
+            row_qs.append(vals.shape[1])
+        return real(vals)
+
+    monkeypatch.setattr(diophantine, "_dist_to_integers", counting)
+    Q, n = 200, 2000
+    m = parse_measure("cantor:450:0..446")
+    profile = khintchine_profile(m, PowerPsi(1.0), Q, n, seed=2024, rate_q_max=Q)
+    hits = int(np.rint(profile.hit_rates * n).sum())
+    xs = sample(m, max(40, default_sample_depth(m)), n, 2024)
+    span = xs.max() - xs.min()
+    windows = sum(math.ceil(q * span) + 5 for q in range(2, Q + 1))
+    # q = 2 (psi = 1/2: windows could overlap) and the last q, where windows cost more
+    assert sum(row_qs) <= 3 and evaluated[2] == n * sum(row_qs)
+    assert evaluated[1] <= hits + 2 * windows
+    assert evaluated[1] + evaluated[2] < n * (Q - 1) / 5

@@ -359,6 +359,16 @@ def test_cli_khintchine_summary(capsys):
     assert summary["config"]["regime"] == "divergent-like"
 
 
+def test_cli_khintchine_refuses_unresolvable_shift(capsys):
+    # every sample rounds to 1e300, so unchecked every q "hits": mean count 19, divergent-like
+    code, out, err = run_cli(
+        capsys, "khintchine", "--measure", "leb+1e300", "--psi", "pow:1",
+        "--Q", "20", "--samples", "100",
+    )
+    assert code == 1 and out == ""
+    assert "R = 1e+300" in err and "Q = 20" in err and "psi(Q) / 2 = 0.025" in err
+
+
 def test_cli_stationary_quadratic(tmp_path, capsys):
     out_file = tmp_path / "st.csv"
     code, out, _ = run_cli(
@@ -444,7 +454,7 @@ def test_cli_non_finite_inputs_exit_1(capsys, argv, needle):
     [
         ("coswin:1e150,1", "window support [1e+150, 1e+150] does not resolve the radius"),
         ("coswin:1e12,1", "does not resolve the radius"),
-        ("coswin:0,1e6", "--tol: xi = 10.0 on window support [-1000000.0, 1000000.0] needs"),
+        ("coswin:0,1e6", "horolab: error: xi = 10.0 on window support [-1000000.0, 1000000.0] needs"),
     ],
 )
 def test_cli_stationary_refuses_unresolved_or_unaffordable_windows(capsys, window, needle):
@@ -455,6 +465,27 @@ def test_cli_stationary_refuses_unresolved_or_unaffordable_windows(capsys, windo
     assert code == 1
     assert err.startswith("horolab: error:") and needle in err
     assert out == ""
+
+
+def test_cli_stationary_names_tol_only_when_tol_can_cure(capsys, monkeypatch):
+    # the panel budget refuses whatever --tol says: no --tol: prefix
+    code, _, err = run_cli(
+        capsys, "stationary", "--phase", "poly:0,0,1", "--window", "coswin:0,1e6",
+        "--xigrid", "10:1000:6",
+    )
+    assert code == 1 and "over the budget" in err and "--tol:" not in err
+    # so does |xi| beyond MAX_XI, here past a grid check that is patched out
+    from horolab import cli
+
+    monkeypatch.setattr(cli, "check_xi_grid", lambda grid: grid[::-1] * 1e4)  # largest xi first
+    code, _, err = run_cli(capsys, "stationary", "--phase", "poly:0,0,1", "--xigrid", "10:1000:6")
+    assert code == 1 and "beyond the maximum" in err and "--tol:" not in err
+    # a refinement that does not settle is a --tol problem
+    monkeypatch.undo()
+    code, _, err = run_cli(
+        capsys, "stationary", "--phase", "poly:0,0,1", "--xigrid", "1:100:6", "--tol", "1e-300",
+    )
+    assert code == 1 and "horolab: error: --tol: panel refinement did not reach tol" in err
 
 
 @pytest.mark.parametrize(

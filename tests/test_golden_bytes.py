@@ -1,4 +1,4 @@
-"""Golden bytes: the SHA-256 of CSV and JSON for nine CLI commands at seed 2024.
+"""Golden bytes: the SHA-256 of CSV and JSON for ten CLI commands at seed 2024.
 
 Each command runs through cli_main with --seed 2024, --out and --json-out,
 and both files must hash to the values recorded in CHANGES.md.  The hashes
@@ -45,6 +45,11 @@ GOLDEN = {
     "khintchine --measure cantor:450:0..446 --psi pow:1 --Q 200 --samples 2000": (
         "5de431bdf0942af0802150763f62ddb28ac2456355450eaedb7134e982d88b42",
         "b57a964753246fcd2a29dd8ec21c669593e6d11b59ffa7fb725dc34724327f66",
+    ),
+    # 500 samples: q = 3..47 count by windows; q = 2 and q >= 48 by rows
+    "khintchine --measure leb --psi pow:1 --Q 3000 --samples 500": (
+        "bfd3b6ed3388d776651cfb9285972f939a90b4e4de362605ff23c8aa0c3d443a",
+        "a347a19143f6dff23551f735908d59fa57301708b378af64582eb9835ddc8fdb",
     ),
     "stationary --phase poly:0,0,1 --window coswin:0,1 --xigrid 10:1000:8": (
         "af452eee78d4dcc04cdca09ea498b530a912c2f6754263a3a5266474b3f16103",
