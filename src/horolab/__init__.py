@@ -37,7 +37,6 @@ from .automorphic import (
     bessel_K_imag,
     constant_term,
     divisor_tau,
-    eisenstein_value,
     hecke_eis,
     horocycle_fourier_coeff,
     spectral_gap_fit,

@@ -11,13 +11,16 @@ expansion with completed-zeta factors,
     xi(u) = pi^(-u/2) Gamma(u/2) zeta(u),   c(t) = xi(1-2it)/xi(1+2it),
 
 so |c(t)| = 1 on the unitary axis and only zeta values on the 1-line are
-ever needed (xi(1-2it) is the conjugate of xi(1+2it) for real t).  On
-reduced points y >= sqrt(3)/2 the series truncated at M = 16 carries a
-tail below 1e-14.
+ever needed (xi(1-2it) is the conjugate of xi(1+2it) for real t).
 
 K_it(x) = int_0^inf exp(-x cosh u) cos(t u) du is computed by trapezoid
 quadrature after the doubly exponential substitution u = sinh v; the
-integrand is even in v, so the rule converges superalgebraically.
+integrand is even in v, so the rule converges superalgebraically.  A series
+takes K by one rule, bessel_K_series: quadrature below sqrt(3) pi, a cubic
+spline through quadrature values on [sqrt(3) pi, 46), and exactly 0 from 46
+on, where K_it < 4e-21.  So a reduced point (y >= sqrt(3)/2) has 8 live
+terms, and every coefficient meets sqrt(y) K_it(2 pi |m| y) in one place,
+_whittaker_terms.
 
 Only the continuous (Eisenstein) spectrum is implemented.  Its Hecke
 eigenvalues are divisor sums, which obey the Ramanujan-type bound m^eps;
@@ -38,16 +41,16 @@ from functools import cache
 import numpy as np
 
 from .fitting import DecayReport, csv_table, fit_decay_report
-from .modular import ModularPoint, reduce_many
+from .modular import reduce_many
 
 TWO_PI = 2.0 * math.pi
 SQRT3_HALF = math.sqrt(3.0) / 2.0
 K_UNDERFLOW_X = 700.0           # exp(-x) underflows well before this
 K_NEGLIGIBLE_X = 46.0           # K_it(x) < 4e-21 beyond; dropped in series
 K_SPLINE_X0 = 5.0               # K-spline grid: uniform on [5, 46], below sqrt(3) pi
+K_SPLINE_FROM = TWO_PI * SQRT3_HALF  # sqrt(3) pi, the smallest node of a reduced point
 K_SPLINE_KNOTS = 8500
 K_BASE_STEP = 1.0 / 64          # v-step of the K quadrature at orders t <= 8
-EISENSTEIN_TRUNCATION = 16      # series length on reduced points
 MAX_BESSEL_ORDER = 30.0
 
 
@@ -236,17 +239,32 @@ def bessel_K_imag(t: float, x):
     return float(out[0]) if scalar else out
 
 
-def bessel_K_series(t: float, x: np.ndarray) -> np.ndarray:
-    """K_it(x) on the nodes of a series, exactly 0 at x >= 46 (k_fast's rule).
+def bessel_K_series(t: float, x) -> np.ndarray:
+    """K_it(x) on the nodes of a series: the one K rule of every expansion.
 
-    Only the live nodes x < 46 reach bessel_K_imag.  Its quadrature grid
-    depends on the smallest x alone, which is live on an increasing series
-    of nodes, so every live value is bit-equal to a call on all of x.
+    Below sqrt(3) pi the value is bessel_K_imag's; on [sqrt(3) pi, 46) it is
+    the K-spline _k_spline(t), within 5e-15 of the quadrature; from 46 on it
+    is exactly 0, which drops less than 4e-21 per term.  The knots are
+    uniform, so the interval of x is floor((x - 5) / dx), clipped to the
+    last interval, with no search; the value is the interval's cubic in
+    Horner form.  The spline runs on every node and quadrature overwrites
+    the nodes below sqrt(3) pi only when there are any: reduced points never
+    have one.  bessel_K_imag's grid depends on the smallest x alone, so
+    those nodes are bit-equal to a call on all of x.
     """
+    grid, coef = _k_spline(t)
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape)
-    live = x < K_NEGLIGIBLE_X
-    out[live] = bessel_K_imag(t, x[live])
+    dx = (K_NEGLIGIBLE_X - K_SPLINE_X0) / (K_SPLINE_KNOTS - 1)
+    i = np.clip((x - K_SPLINE_X0) / dx, 0, K_SPLINE_KNOTS - 2).astype(np.intp)
+    s = x - grid[i]
+    out = np.asarray(coef[0].take(i))
+    for row in coef[1:]:  # Horner in place: one coefficient row alive at a time
+        out *= s
+        out += row.take(i)
+    out[~(x < K_NEGLIGIBLE_X)] = 0.0
+    if x.size and x.min() < K_SPLINE_FROM:
+        low = x < K_SPLINE_FROM
+        out[low] = bessel_K_imag(t, x[low])
     return out
 
 
@@ -308,15 +326,14 @@ class EisensteinParams:
     """Precomputed data for E(z, 1/2 + it): zeta/xi factors and coefficients.
 
     The scattering coefficient c(t) has |c| = 1 on the unitary axis; this
-    is asserted at construction within 1e-9.  k_fast looks K up in
-    _k_spline(t), built once per order t on first use.
+    is asserted at construction within 1e-9.  _coef holds the coefficients
+    of the terms that are live on reduced points, n <= _live_end(sqrt3/2).
     """
 
     t: float
     nu: float = field(init=False)
     zeta_1p2it: complex = field(init=False)
     c: complex = field(init=False)
-    truncation = EISENSTEIN_TRUNCATION  # a class constant, not a field
 
     def __post_init__(self):
         if self.t == 0.0 or not math.isfinite(self.t):
@@ -328,47 +345,14 @@ class EisensteinParams:
         self.c = self._xi1.conjugate() / self._xi1
         if abs(abs(self.c) - 1.0) > 1e-9:
             raise AssertionError("scattering coefficient lost unimodularity")
-        n = np.arange(1, self.truncation + 1)
-        lam = np.array([hecke_eis(int(m), self) for m in n])
         # coefficient of e(m x): a_m(y) = coef[|m|-1] * sqrt(y) * K_it(2 pi |m| y)
-        self._coef = self.whittaker_norm * lam
+        self._coef = self.whittaker_norm * hecke_range(self, _live_end(SQRT3_HALF))
 
     @property
     def whittaker_norm(self) -> complex:
         """2 zeta(1+2it)/xi(1+2it): scales sqrt(u) K_it(2 pi u) to the
         expansion coefficients."""
         return 2.0 * self.zeta_1p2it / self._xi1
-
-    def k_fast(self, w: np.ndarray) -> np.ndarray:
-        """K_it(w) from the K-spline; exactly 0 for w >= 46, where the
-        dropped mass is below 4e-21.
-
-        The knots are uniform, so the interval of w is floor((w - 5) / dx),
-        clipped to the last interval, with no search; the value is the
-        interval's cubic in Horner form.  Absolute error is below 1e-14 on
-        [sqrt(3) pi, 46).
-        """
-        grid, coef = _k_spline(self.t)
-        w = np.asarray(w, dtype=float)
-        dx = (K_NEGLIGIBLE_X - K_SPLINE_X0) / (K_SPLINE_KNOTS - 1)
-        i = np.clip((w - K_SPLINE_X0) / dx, 0, K_SPLINE_KNOTS - 2).astype(np.intp)
-        s = w - grid[i]
-        c0, c1, c2, c3 = coef.take(i, axis=1)
-        return np.where(w < K_NEGLIGIBLE_X, ((c0 * s + c1) * s + c2) * s + c3, 0.0)
-
-    def fourier_coefficient(self, m: int, y) -> complex | np.ndarray:
-        """a_m(y), the coefficient of e(m x) at height y (m != 0)."""
-        if m == 0:
-            raise ValueError("use constant_term for m = 0")
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        lam = hecke_eis(abs(m), self)
-        vals = (
-            self.whittaker_norm
-            * lam
-            * np.sqrt(y_arr)
-            * bessel_K_imag(self.t, TWO_PI * abs(m) * y_arr)
-        )
-        return complex(vals[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else vals
 
 
 def constant_term(y, p: EisensteinParams):
@@ -398,6 +382,17 @@ def hecke_range(p: EisensteinParams, m_max: int) -> np.ndarray:
     return m ** (-1j * p.t) * sigma_range(2j * p.t, m_max) / p.zeta_1p2it
 
 
+def _whittaker_terms(coef, t: float, m, y, phase):
+    """coef * (sqrt(y) K_it(2 pi m y) phase), term by term.
+
+    The one place where a Fourier coefficient meets its Whittaker function
+    sqrt(y) K_it(2 pi |m| y); K follows bessel_K_series, so a term with
+    2 pi m y >= 46 is exactly 0.  m and y broadcast against each other.
+    """
+    k = bessel_K_series(t, TWO_PI * m * y)  # before sqrt(y): K's temporaries peak alone
+    return coef * (np.sqrt(y) * k * phase)
+
+
 def eisenstein_values(x, y, p: EisensteinParams) -> np.ndarray:
     """E(x + iy, 1/2 + it) on arrays of reduced coordinates (y >= sqrt3/2).
 
@@ -412,9 +407,9 @@ def eisenstein_values(x, y, p: EisensteinParams) -> np.ndarray:
     )
     xf, yf = x.reshape(-1), y.reshape(-1)
     val = constant_term(yf, p)
-    depth = np.zeros(yf.size, dtype=np.min_scalar_type(p.truncation))
+    depth = np.zeros(yf.size, dtype=np.min_scalar_type(p._coef.size))
     live_counts = []
-    for n in range(1, p.truncation + 1):
+    for n in range(1, p._coef.size + 1):
         live = TWO_PI * n * yf < K_NEGLIGIBLE_X
         count = np.count_nonzero(live)
         if count == 0:
@@ -423,27 +418,12 @@ def eisenstein_values(x, y, p: EisensteinParams) -> np.ndarray:
         live_counts.append(count)
     order = np.argsort(depth, kind="stable")[::-1][: np.count_nonzero(depth)]
     xs, ys, acc = xf[order], yf[order], val[order]
-    sq = np.sqrt(ys)
     for n, k in enumerate(live_counts, start=1):
         # the +-m pair of e(m x) coefficients combines to 2 a_n cos(2 pi n x)
-        acc[:k] += (2.0 * p._coef[n - 1]) * (
-            sq[:k] * p.k_fast(TWO_PI * n * ys[:k]) * np.cos(TWO_PI * n * xs[:k])
-        )
+        phase = np.cos(TWO_PI * n * xs[:k])
+        acc[:k] += _whittaker_terms(2.0 * p._coef[n - 1], p.t, n, ys[:k], phase)
     val[order] = acc
     return val.reshape(x.shape)
-
-
-def eisenstein_value(z: ModularPoint, p: EisensteinParams) -> complex:
-    """E(z, 1/2 + it) at a reduced point; truncation tail below 1e-14."""
-    if isinstance(z, ModularPoint):
-        if not z.reduced and z.y < SQRT3_HALF - 1e-9:
-            raise ValueError("eisenstein_value requires a reduced point")
-        x, y = z.x, z.y
-    else:
-        x, y = z
-        if y < SQRT3_HALF - 1e-9:
-            raise ValueError("eisenstein_value requires a reduced point")
-    return complex(eisenstein_values(np.array([x]), np.array([y]), p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -498,22 +478,19 @@ def spectral_gap_fit(phi, y_grid) -> DecayReport:
     return fit_decay_report(y_grid, sups)
 
 
-def _underflow_horizon(y: float) -> int:
-    """Last m with 2 pi m y below the K underflow horizon, for y in (0, 1/2)."""
-    if not 0.0 < y < 0.5:
-        raise ValueError("require 0 < y < 1/2")
-    return math.floor(K_UNDERFLOW_X / (TWO_PI * y))
-
-
 def truncation_tail_mass(p: EisensteinParams, y: float, sigma: float) -> float:
     """Absolute coefficient mass beyond |m| > y^-sigma at height y.
 
     2 * sum_{m > y^-sigma} |whittaker_norm * lambda(m)| sqrt(y) |K_it(2 pi m y)|,
-    cut at the K-Bessel underflow horizon (terms are exactly 0 beyond).
+    cut at the K-Bessel underflow horizon (terms are exactly 0 beyond).  K
+    is bessel_K_imag's on every term, not the series rule: the tail measures
+    the mass that the series rule drops from 46 on.
     """
     if sigma <= 1.0:
         raise ValueError("require sigma > 1")
-    m_end = _underflow_horizon(y)
+    if not 0.0 < y < 0.5:
+        raise ValueError("require 0 < y < 1/2")
+    m_end = math.floor(K_UNDERFLOW_X / (TWO_PI * y))
     m_start = math.floor(y ** (-sigma)) + 1
     if m_end < m_start:
         return 0.0
@@ -557,37 +534,40 @@ def twisted_hecke_sum(spec: TwistedSumSpec, y: float) -> complex:
     """sum over m != 0 of lambda(|m|) |m|^-e W(|m| y) e(m alpha).
 
     W(u) = sqrt(u) K_it(2 pi u); the +-m pair combines into
-    2 cos(2 pi m alpha).  K is taken as exactly 0 at 2 pi m y >= 46, where
-    it is below 4e-21 (bessel_K_series), and the sum still runs to the K
-    underflow horizon 2 pi m y <= 700 with those zeros in place: that
-    length fixes numpy's pairwise grouping, so the bytes equal those of
-    the sum with K evaluated on every term.  Each call sieves its own
-    lambda table; twisted_sum_series sieves once for a whole sweep.
+    2 cos(2 pi m alpha).  K follows bessel_K_series, so the sum runs over
+    the live terms 2 pi m y < 46 only; the rest are below 4e-21.  Each call
+    sieves its own lambda table; twisted_sum_series sieves once for a whole
+    sweep.
     """
     return _twisted_sum(spec, y, hecke_range(EisensteinParams(spec.t), _live_end(y)))
 
 
 def _live_end(y: float) -> int:
-    """Last m with 2 pi m y < 46 in floats, for y in (0, 1/2): the live
-    terms of a series (bessel_K_series), since 2 pi m y rises with m."""
-    m = np.arange(1, _underflow_horizon(y) + 1)
-    return int(np.count_nonzero(TWO_PI * (m * y) < K_NEGLIGIBLE_X))
+    """The number of m >= 1 with 2 pi (m y) < 46 in floats, for y > 0: the
+    live terms of a series (bessel_K_series), since 2 pi (m y) rises with m.
+
+    It starts from the real quotient 46 / (2 pi y) and steps over the few
+    m that rounding moves across 46, so nothing is built per m.
+    """
+    if not y > 0.0:
+        raise ValueError("require y > 0")
+    k = math.floor(K_NEGLIGIBLE_X / (TWO_PI * y))
+    while TWO_PI * ((k + 1) * y) < K_NEGLIGIBLE_X:
+        k += 1
+    while k > 0 and not TWO_PI * (k * y) < K_NEGLIGIBLE_X:
+        k -= 1
+    return k
 
 
 def _twisted_sum(spec: TwistedSumSpec, y: float, lam: np.ndarray) -> complex:
     """twisted_hecke_sum at y from lam = lambda(1..n), n >= _live_end(y).
 
-    Terms are evaluated only up to _live_end(y); exact zeros stand for the
-    rest out to the underflow horizon, so the terms are grouped, and the
-    result rounded, exactly as with K on every term.
+    sqrt(m y) = sqrt(m) sqrt(y), so the coefficient of sqrt(y) K_it(2 pi m y)
+    is 2 lambda(m) m^(1/2 - e).
     """
-    k = _live_end(y)
-    m = np.arange(1, k + 1)
-    u = m * y
-    w_vals = np.sqrt(u) * bessel_K_imag(spec.t, TWO_PI * u)
-    terms = np.zeros(_underflow_horizon(y), dtype=complex)
-    terms[:k] = lam[:k] * m ** (-spec.exponent) * w_vals * 2.0 * np.cos(TWO_PI * m * spec.alpha)
-    return complex(np.sum(terms))
+    m = np.arange(1, _live_end(y) + 1)
+    coef = lam[: m.size] * m ** (0.5 - spec.exponent) * 2.0
+    return complex(np.sum(_whittaker_terms(coef, spec.t, m, y, np.cos(TWO_PI * m * spec.alpha))))
 
 
 def twisted_sum_series(spec: TwistedSumSpec, y_grid) -> DecayReport:

@@ -160,7 +160,7 @@ def _experiment_config(args, method_default: str) -> ExperimentConfig:
         y_max=y_max, y_ratio=ratio, y_count=count,
         x0=args.x0, q=args.q,
         method=args.method,
-        budget=args.budget, seed=args.seed, sigma=args.sigma, tol=args.tol,
+        budget=args.budget, seed=args.seed, tol=args.tol,
     )
 
 
@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, default=1)
         p.add_argument("--method", choices=("cylinder", "montecarlo"), default=None)
         p.add_argument("--budget", type=int, default=10**6)
-        p.add_argument("--sigma", type=float, default=1.2)
         p.add_argument("--tol", type=float, default=1e-6)
         _add_common(p)
         p.set_defaults(func=_cmd_equidist if name == "equidist" else _cmd_basis_check)

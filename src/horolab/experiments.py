@@ -11,9 +11,9 @@ Eisenstein observable matches its Fourier-expansion prediction
 
     constant_term(y) + sum_{0 < |m| <= M(y)} a_m(y) e(m x0) mu_hat(m/q),
 
-where the coefficient sum extends to the larger of y^-sigma and the
-K-Bessel horizon 2 pi m y < 46 (beyond which terms vanish to working
-precision), and never past the underflow horizon 2 pi m y <= 700.
+where M(y) is the last m with 2 pi m y < 46: from there on the series K
+rule (automorphic.bessel_K_series) makes every term exactly 0, dropping
+less than 4e-21 each.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ import numpy as np
 from . import measures as _measures
 from .automorphic import (
     EisensteinParams,
-    K_NEGLIGIBLE_X,
-    K_UNDERFLOW_X,
-    TWO_PI,
-    bessel_K_series,
+    _live_end,
+    _whittaker_terms,
     constant_term,
     hecke_range,
 )
@@ -52,7 +50,6 @@ class ExperimentConfig:
     method: str = "montecarlo"
     budget: int = 10**6
     seed: int = 0
-    sigma: float = 1.2
     tol: float = 1e-6
 
     def __post_init__(self):
@@ -61,9 +58,8 @@ class ExperimentConfig:
             raise ValueError("budget must be positive")
         if self.q < 1:
             raise ValueError("q must be >= 1")
-        if not all(map(math.isfinite, (self.x0, self.sigma, self.tol))) or self.tol <= 0:
-            raise ValueError(f"x0, sigma, tol must be finite and tol > 0, got "
-                             f"{self.x0}, {self.sigma}, {self.tol}")
+        if not all(map(math.isfinite, (self.x0, self.tol))) or self.tol <= 0:
+            raise ValueError(f"x0, tol must be finite and tol > 0, got {self.x0}, {self.tol}")
 
     @property
     def y_grid(self) -> np.ndarray:
@@ -133,43 +129,27 @@ class BasisCheckReport:
         )
 
 
-def eisenstein_series_prediction(
-    measure,
-    params: EisensteinParams,
-    height,
-    x0: float,
-    q: int,
-    sigma: float,
-):
+def eisenstein_series_prediction(measure, params: EisensteinParams, height, x0: float, q: int):
     """constant_term(height) + coefficient sum against mu_hat(m/q) phases.
 
     `height` is the height at which the horocycle points actually sit
     (y/q when the base point carries a(1/q)), a scalar or an array.  The
-    coefficient sum runs to the larger of height^-sigma and the K-Bessel
-    horizon, so omitted terms are zero to working precision.  height^-sigma
-    is capped at the underflow horizon 2 pi m height <= 700, past which
-    every term is 0 (bessel_K_series makes K 0 from 46 on), and is compared
-    with that cap in logs, so a large sigma neither overflows nor asks for
-    more terms.  The lambda table is sieved once, for the smallest height,
-    and sliced at the others.
+    coefficient sum runs over the live terms 2 pi m height < 46
+    (automorphic._live_end); every later term is exactly 0 under the series
+    K rule.  The lambda table is sieved once, for the smallest height, and
+    sliced at the others.
     """
     heights = np.atleast_1d(np.asarray(height, dtype=float)).tolist()
-    m_maxes = []
-    for h in heights:
-        cap = math.floor(K_UNDERFLOW_X / (TWO_PI * h))
-        m_sigma = math.ceil(h ** (-sigma)) if -sigma * math.log(h) < math.log(cap) else cap
-        m_maxes.append(max(m_sigma, math.floor(K_NEGLIGIBLE_X / (TWO_PI * h))))
-    lam = hecke_range(params, max(m_maxes))
+    ends = [_live_end(h) for h in heights]
+    lam = hecke_range(params, max(ends))
     out = []
-    for h, m_max in zip(heights, m_maxes):
-        m = np.arange(1, m_max + 1)
-        a_m = params.whittaker_norm * lam[:m_max] * math.sqrt(h) * bessel_K_series(
-            params.t, TWO_PI * m * h
-        )
+    for h, k in zip(heights, ends):
+        m = np.arange(1, k + 1)
         mu_hat = _measures.fourier_transform(measure, m / q)
         phases = np.exp(2j * np.pi * m * x0)
         # +-m pairs: a_m is even in m and mu_hat(-u) conjugates for real measures
-        total = np.sum(a_m * 2.0 * np.real(phases * mu_hat))
+        pair = 2.0 * np.real(phases * mu_hat)
+        total = np.sum(_whittaker_terms(params.whittaker_norm * lam[:k], params.t, m, h, pair))
         out.append(complex(constant_term(h, params) + total))
     return out[0] if np.ndim(height) == 0 else np.array(out)
 
@@ -185,7 +165,7 @@ def run_basis_identity_check(cfg: ExperimentConfig) -> BasisCheckReport:
 
     ys = cfg.y_grid
     measured, _ = _mu_y_series(measure, complex_phi, cfg)
-    predicted = eisenstein_series_prediction(measure, params, ys / cfg.q, cfg.x0, cfg.q, cfg.sigma)
+    predicted = eisenstein_series_prediction(measure, params, ys / cfg.q, cfg.x0, cfg.q)
     disc = np.abs(measured - predicted)
     return BasisCheckReport(
         ys=ys,

@@ -5,23 +5,26 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import kv as scipy_kv
 
 from horolab.automorphic import (
     K_NEGLIGIBLE_X,
+    K_SPLINE_FROM,
     K_SPLINE_KNOTS,
     K_SPLINE_X0,
     SQRT3_HALF,
     EisensteinParams,
     PoleProximityError,
     TwistedSumSpec,
+    _live_end,
     bessel_K_imag,
+    bessel_K_series,
     completed_xi_1line,
     constant_term,
     divisor_tau,
-    eisenstein_value,
     eisenstein_values,
     gamma_complex,
     hecke_eis,
@@ -36,6 +39,8 @@ from horolab.automorphic import (
 )
 from horolab.modular import reduce_point
 from horolab.testfunctions import ConstantTest, EisensteinTest
+
+from conftest import whittaker_coefficient
 
 mp.mp.dps = 30
 
@@ -209,9 +214,14 @@ def test_constant_term_bound_and_value(params_t1):
     assert constant_term(1.0, params_t1) == pytest.approx(1.0 + params_t1.c)
 
 
+def eisenstein_at(z, p):
+    """E at one reduced ModularPoint, through the array evaluator."""
+    return eisenstein_values(np.array([z.x]), np.array([z.y]), p)[0]
+
+
 def test_eisenstein_periodicity(params_t1):
     z = reduce_point((0.31, 1.4))
-    v1 = eisenstein_value(z, params_t1)
+    v1 = eisenstein_at(z, params_t1)
     v2 = eisenstein_values(np.array([z.x + 1.0]), np.array([z.y]), params_t1)[0]
     assert v1 == pytest.approx(v2, abs=1e-14)
 
@@ -221,8 +231,8 @@ def test_eisenstein_modular_invariance(params_t1):
     for _ in range(20):
         z = reduce_point((rng.uniform(-0.5, 0.5), rng.uniform(0.9, 3.0)))
         w = reduce_point((-z.x / (z.x**2 + z.y**2), z.y / (z.x**2 + z.y**2)))
-        v1 = eisenstein_value(z, params_t1)
-        v2 = eisenstein_value(w, params_t1)
+        v1 = eisenstein_at(z, params_t1)
+        v2 = eisenstein_at(w, params_t1)
         assert v1 == pytest.approx(v2, abs=1e-9)
 
 
@@ -242,13 +252,8 @@ def test_eisenstein_realness_after_symmetrization(params_t1):
     rng = np.random.default_rng(6)
     for _ in range(50):
         z = reduce_point((rng.uniform(-0.5, 0.5), rng.uniform(0.87, 4.0)))
-        val = rot * eisenstein_value(z, params_t1)
+        val = rot * eisenstein_at(z, params_t1)
         assert abs(val.imag) < 1e-9
-
-
-def test_eisenstein_refuses_unreduced(params_t1):
-    with pytest.raises(ValueError):
-        eisenstein_value((0.2, 0.3), params_t1)
 
 
 def test_eisenstein_laplace_eigenvalue(params_t1):
@@ -264,26 +269,37 @@ def test_eisenstein_laplace_eigenvalue(params_t1):
     assert abs(lhs - rhs) < 1e-5 * abs(rhs)
 
 
-def test_k_fast_matches_bessel_on_reduced_range(params_t1):
+def test_k_fast_matches_bessel_on_reduced_range():
+    # the series K rule at five orders: quadrature bit for bit below
+    # sqrt(3) pi, the spline within 1e-14 on [sqrt(3) pi, 46), 0 from 46
     rng = np.random.default_rng(11)
-    w = np.concatenate(
+    spline_w = np.concatenate(
         ([math.sqrt(3) * math.pi, np.nextafter(K_NEGLIGIBLE_X, 0.0)],
          rng.uniform(math.sqrt(3) * math.pi, K_NEGLIGIBLE_X, 10_000))
     )
-    err = np.abs(params_t1.k_fast(w) - bessel_K_imag(params_t1.t, w))
-    assert err.max() <= 1e-14
+    low_w = np.concatenate(
+        ([1e-3, np.nextafter(K_SPLINE_FROM, 0.0)], rng.uniform(1e-3, K_SPLINE_FROM, 500))
+    )
+    far_w = np.array([K_NEGLIGIBLE_X, 46.5, 100.0, 700.0, 1e6])
+    assert K_SPLINE_FROM == math.sqrt(3) * math.pi
+    for t in (0.05, 1.0, 5.0, 13.78, 30.0):
+        assert np.abs(bessel_K_series(t, spline_w) - bessel_K_imag(t, spline_w)).max() <= 1e-14
+        assert np.array_equal(bessel_K_series(t, far_w), np.zeros(far_w.size))
+        w = np.concatenate((low_w, spline_w, far_w))
+        low = w < K_SPLINE_FROM
+        assert bessel_K_series(t, w)[low].tobytes() == bessel_K_imag(t, w)[low].tobytes()
 
 
 def test_k_fast_exactly_zero_beyond_negligible(params_t1):
     w = np.array([K_NEGLIGIBLE_X, 46.5, 100.0, 700.0, 1e6])
-    assert np.array_equal(params_t1.k_fast(w), np.zeros(w.size))
+    assert np.array_equal(bessel_K_series(params_t1.t, w), np.zeros(w.size))
 
 
 def test_k_fast_matches_scipy_not_a_knot_spline(params_t1):
     grid = np.linspace(K_SPLINE_X0, K_NEGLIGIBLE_X, K_SPLINE_KNOTS)
     oracle = CubicSpline(grid, bessel_K_imag(params_t1.t, grid))  # not-a-knot by default
-    w = np.random.default_rng(12).uniform(K_SPLINE_X0, K_NEGLIGIBLE_X, 10_000)
-    assert np.abs(params_t1.k_fast(w) - oracle(w)).max() <= 1e-18
+    w = np.random.default_rng(12).uniform(K_SPLINE_FROM, K_NEGLIGIBLE_X, 10_000)
+    assert np.abs(bessel_K_series(params_t1.t, w) - oracle(w)).max() <= 1e-18
 
 
 def test_k_spline_built_once_per_order(monkeypatch):
@@ -296,16 +312,20 @@ def test_k_spline_built_once_per_order(monkeypatch):
         automorphic, "_not_a_knot_spline", lambda x, y: builds.append(x.size) or real(x, y)
     )
     w = np.array([6.0, 20.0, 45.9])
-    first, second = EisensteinParams(1.0), EisensteinParams(1.0)
-    assert first.k_fast(w).tobytes() == second.k_fast(w).tobytes()
+    first = bessel_K_series(1.0, w)
+    EisensteinParams(1.0)
+    assert first.tobytes() == bessel_K_series(1.0, w).tobytes()
     assert builds == [K_SPLINE_KNOTS]
 
 
+DENSE_TERMS = 16  # twice the 8 terms that are live on reduced points
+
+
 def eisenstein_dense(x, y, p):
-    """constant term plus the full truncation sum with bessel_K_imag, unpruned."""
+    """constant term plus DENSE_TERMS coefficient terms with bessel_K_imag, unpruned."""
     val = constant_term(y, p)
-    for m in range(1, p.truncation + 1):
-        val += 2.0 * p.fourier_coefficient(m, y) * np.cos(2 * np.pi * m * x)
+    for m in range(1, DENSE_TERMS + 1):
+        val += 2.0 * whittaker_coefficient(p, m, y) * np.cos(2 * np.pi * m * x)
     return val
 
 
@@ -314,12 +334,25 @@ def test_eisenstein_values_match_dense_reference(params_t1):
     y = np.geomspace(SQRT3_HALF, 40.0, 400)
     x = rng.uniform(-0.5, 0.5, y.size)
     err = np.abs(eisenstein_values(x, y, params_t1) - eisenstein_dense(x, y, params_t1))
-    # k_fast is within 1e-14 of K_it; term n scales it by 2 |a_n| sqrt(y), y < 46/(2 pi)
+    # the spline is within 1e-14 of K_it; term n scales it by 2 |a_n| sqrt(y), y < 46/(2 pi)
     scale = sum(
         2 * abs(params_t1.whittaker_norm * hecke_eis(m, params_t1))
-        for m in range(1, params_t1.truncation + 1)
+        for m in range(1, DENSE_TERMS + 1)
     )
     assert err.max() < 1e-14 * scale * math.sqrt(K_NEGLIGIBLE_X / (2 * np.pi))
+
+
+def test_reduced_points_have_eight_live_terms(params_t1):
+    # 2 pi n y < 46 on y >= sqrt(3)/2 holds for n <= 8 only
+    assert _live_end(SQRT3_HALF) == 8 == params_t1._coef.size
+    assert 2 * math.pi * 8 * SQRT3_HALF < K_NEGLIGIBLE_X <= 2 * math.pi * 9 * SQRT3_HALF
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=1e-6, max_value=0.5, exclude_min=True, exclude_max=True))
+def test_live_end_counts_the_live_terms(y):
+    m = np.arange(1, math.ceil(K_NEGLIGIBLE_X / (2 * math.pi * y)) + 2)
+    assert _live_end(y) == np.count_nonzero(2 * math.pi * (m * y) < K_NEGLIGIBLE_X)
 
 
 def test_eisenstein_values_in_cusp_equal_constant_term(params_t1):
@@ -392,7 +425,7 @@ def test_coeff_matches_analytic_series_coefficient(params_t1):
     for y in (0.2, 0.05):
         for m in (1, 2, 5, 20):
             got = horocycle_fourier_coeff(phi, m, y, 4096)
-            want = params_t1.fourier_coefficient(m, y)
+            want = whittaker_coefficient(params_t1, m, y)
             assert abs(got - want) < 1e-7
 
 
@@ -494,8 +527,9 @@ def test_twisted_sum_series_sieves_once(monkeypatch):
     monkeypatch.setattr(automorphic, "sigma_range", lambda z, m: calls.append(m) or real(z, m))
     spec = TwistedSumSpec(t=1.0, delta=0.3, alpha=0.37)
     twisted_sum_series(spec, 2.0 ** -np.arange(2, 9))
-    # lambda is needed only where K is live, 2 pi m y < 46 at the smallest y
-    assert calls == [math.floor(46.0 / (2 * math.pi * 2.0**-8))]
+    # lambda is needed only where K is live, 2 pi m y < 46 at the smallest
+    # y; EisensteinParams sieves its 8 reduced-point coefficients on its own
+    assert [m for m in calls if m != 8] == [math.floor(46.0 / (2 * math.pi * 2.0**-8))]
 
 
 def _sigma_range_loop(z, m_max):
@@ -522,7 +556,7 @@ TWISTED_YS = 0.25 * 2.0 ** -np.array([0, 3, 6, 9])
 @pytest.fixture(scope="module")
 def full_horizon_terms():
     """lambda(m) sqrt(m y) K_it(2 pi m y) on every m up to the underflow
-    horizon, with K evaluated on all of them (no 46 cut)."""
+    horizon, with K by quadrature on all of them (no spline, no 46 cut)."""
     p = EisensteinParams(1.0)
     ends = [math.floor(700.0 / (2 * math.pi * y)) for y in TWISTED_YS]
     lam = hecke_range(p, max(ends))
@@ -540,25 +574,24 @@ def full_horizon_terms():
     [0.0, 0.5, float(np.random.default_rng(2024).random()), (math.sqrt(5) - 1) / 2, 1.0 / 3],
 )
 def test_twisted_sum_equals_full_horizon_oracle(alpha, regime, full_horizon_terms):
-    # K is 0 from 2 pi m y = 46 on, but the sum keeps the full length, so
-    # numpy's pairwise grouping and every output bit are unchanged
+    # the spline, the 46 cut and rounding move each sum by at most 1e-14 of
+    # its absolute mass sum 2 |lambda(m)| m^-e sqrt(m y)
     spec = TwistedSumSpec(t=1.0, delta=0.5, alpha=alpha, regime=regime)
     report = twisted_sum_series(spec, TWISTED_YS)
-    oracle = np.array([
-        np.sum(lam * m ** (-spec.exponent) * w * 2.0 * np.cos(2 * math.pi * m * alpha))
-        for m, lam, w in full_horizon_terms
-    ])
-    assert report.extra_columns["re"].tobytes() == oracle.real.tobytes()
-    assert report.extra_columns["im"].tobytes() == oracle.imag.tobytes()
+    got = report.extra_columns["re"] + 1j * report.extra_columns["im"]
+    for y, value, (m, lam, w) in zip(TWISTED_YS, got, full_horizon_terms):
+        oracle = np.sum(lam * m ** (-spec.exponent) * w * 2.0 * np.cos(2 * math.pi * m * alpha))
+        mass = np.sum(2.0 * np.abs(lam) * m ** (-spec.exponent) * np.sqrt(m * y))
+        assert abs(value - oracle) <= 1e-14 * mass
 
 
 def test_twisted_sweep_evaluates_k_only_below_46(monkeypatch):
     from horolab import automorphic
 
     nodes = []
-    real = automorphic.bessel_K_imag
+    real = automorphic.bessel_K_series
     monkeypatch.setattr(
-        automorphic, "bessel_K_imag", lambda t, x: nodes.append(np.asarray(x)) or real(t, x)
+        automorphic, "bessel_K_series", lambda t, x: nodes.append(np.asarray(x)) or real(t, x)
     )
     ys = 2.0 ** -np.arange(2, 9)
     spec = TwistedSumSpec(t=1.0, delta=0.3, alpha=0.37)

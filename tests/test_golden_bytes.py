@@ -28,15 +28,15 @@ GOLDEN = {
     ),
     "equidist --measure cantor:450:0..446 --test eisenstein:t=1 --ygrid 0.25:0.5:6 --budget 20000": (
         "d57c1ec1304102d9e726bb5c5fb63a36707791a226a6758f02b8d7b7180ebc8d",
-        "7da6a70312a9be3cbdaec7c31e5759fd406c72eb6636802f0450b5f830b5e529",
+        "ee8e3ba897e0e7b8bb0cfef7ac014759f81442604b214f548abc104a57b4b761",
     ),
     "equidist --measure leb --test eisenstein:t=1 --ygrid 0.25:0.5:8 --method cylinder --tol 1e-8": (
         "1ed6b7c9756775069fac1436504f90fe8bdb7ccba8cf8e3b6c3ddfbc60509097",
-        "1f12baceb8166af25874961bdcc9089785035f54c2f42b2448316189b3fe6d43",
+        "d5c9806773302d356871ceba42dbed14d93bb0b33f70bf3c43d9ed1ae89a66ac",
     ),
     "basis-check --measure cantor:3:0,2 --q 2 --x0 0.25 --ygrid 0.2:0.5:4 --budget 1000000 --tol 1e-5": (
-        "45b1dfb36189b554f6a39d2be7043d3c328c2a4d201215b6242cadf292a9a99d",
-        "48a1205ead873ef1de9ea49b19d49f7e43e7f6d8891543c7273f6d0848340a9c",
+        "8fbf38f6cc24919c98c558376e585d086cefa631bec8ba072e54dabeca6e87d6",
+        "57a04c33a61f61758671b470da18fbacf03577e6de81ac680c8fd07ef7333ef6",
     ),
     "spectral-gap --t 1 --ygrid 0.125:0.5:6": (
         "f3a7a97f90548d953fd4efc9df58ff4d6261b8647e10bb3d266f78baafc6bf2a",
