@@ -24,12 +24,9 @@ from .measures import (
 )
 from .modular import (
     HorocycleConfig,
-    ModularPoint,
-    horocycle_point,
     mX_integral,
     mu_y_value,
     reduce_many,
-    reduce_point,
 )
 from .automorphic import (
     EisensteinParams,

@@ -230,7 +230,7 @@ def bessel_K_imag(t: float, x):
         ch, w = _de_weights(t, float(x_arr[live].min()), step)
         xs = x_arr[live]
         vals = np.empty(xs.size)
-        chunk = max(1, 4_000_000 // ch.size)
+        chunk = max(1, 250_000 // ch.size)  # about 2 MB per temporary
         for lo in range(0, xs.size, chunk):
             hi = min(lo + chunk, xs.size)
             # explicit sum keeps the reduction order fixed

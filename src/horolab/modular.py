@@ -2,8 +2,7 @@
 
 Points x + iy of the upper half-plane reduce to the standard fundamental
 domain {|x| <= 1/2, x^2 + y^2 >= 1} by alternating integer translations
-and inversions z -> -1/z; the applied generator word is recorded so a
-reduction can be replayed as an exact Mobius map.
+and inversions z -> -1/z.
 
 The normalized hyperbolic probability measure on the fundamental domain is
 (3/pi) y^-2 dx dy.  Its x-marginal is (3/pi)(1-x^2)^(-1/2), so the exact
@@ -31,23 +30,6 @@ class ReductionDivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ModularPoint:
-    x: float
-    y: float
-    word: tuple | None = None  # generators applied: ('T', n) and ('S',)
-    reduced: bool = False
-
-    def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError("require y > 0")
-        if self.reduced and (
-            abs(self.x) > 0.5 + BOUNDARY_BAND
-            or self.x * self.x + self.y * self.y < 1.0 - BOUNDARY_BAND
-        ):
-            raise ValueError("point flagged reduced lies outside the fundamental domain")
-
-
-@dataclass(frozen=True)
 class HorocycleConfig:
     """Base point n(x0) a(1/q) and horocycle height y."""
 
@@ -62,73 +44,20 @@ class HorocycleConfig:
             raise ValueError("require 0 < y <= 1")
 
 
-def word_to_matrix(word: tuple) -> tuple[int, int, int, int]:
-    """Compose a generator word into an integer matrix (a, b, c, d)."""
-    a, b, c, d = 1, 0, 0, 1
-    for step in word:
-        if step[0] == "T":
-            n = step[1]
-            # T^n * M
-            a, b, c, d = a + n * c, b + n * d, c, d
-        else:
-            # S * M with S = [[0, -1], [1, 0]]
-            a, b, c, d = -c, -d, a, b
-    return a, b, c, d
-
-
-def mobius_apply(matrix, x: float, y: float) -> tuple[float, float]:
-    """Apply an integer matrix to x + iy by fractional linear action."""
-    a, b, c, d = matrix
-    z = complex(x, y)
-    w = (a * z + b) / (c * z + d)
-    return w.real, w.imag
-
-
-def reduce_point(z: ModularPoint | complex | tuple) -> ModularPoint:
-    """Translate/invert into the closed fundamental domain; records the word.
-
-    Ties within the boundary band resolve to the canonical representative:
-    x >= 0 on the vertical lines |x| = 1/2, x <= 0 on the interior of the
-    unit-circle arc.  Idempotent on already-reduced points.
-    """
-    if isinstance(z, ModularPoint):
-        x, y = z.x, z.y
-    elif isinstance(z, complex):
-        x, y = z.real, z.imag
-    else:
-        x, y = z
-    if not y > 0:
-        raise ValueError("require y > 0")
-
-    word = []
-    for _ in range(MAX_REDUCE_STEPS):
-        n = round(x)
-        if n != 0:
-            x -= n
-            word.append(("T", -n))
-        r2 = x * x + y * y
-        if r2 >= 1.0 - BOUNDARY_BAND:
-            break
-        x, y = -x / r2, y / r2
-        word.append(("S",))
-    else:
-        raise ReductionDivergedError(f"no convergence after {MAX_REDUCE_STEPS} steps")
-
-    # canonical ties: arc rule first (strictly interior), then the line rule
-    r2 = x * x + y * y
-    if abs(r2 - 1.0) <= BOUNDARY_BAND and BOUNDARY_BAND < x < 0.5 - BOUNDARY_BAND:
-        x, y = -x / r2, y / r2
-        word.append(("S",))
-    if x <= -0.5 + BOUNDARY_BAND:
-        x += 1.0
-        word.append(("T", 1))
-    return ModularPoint(x, y, word=tuple(word), reduced=True)
-
-
 def reduce_many(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized reduction of many points (no word recording)."""
+    """Translate/invert every x + iy into the closed fundamental domain.
+
+    Boundary points keep whichever representative the last step produced:
+    x = 1/2 and x = -1/2 both occur, and within BOUNDARY_BAND of the unit
+    arc z and -1/conj(z) are both left as they are.  Raises ValueError
+    unless every y > 0 and every x is finite.
+    """
     x = np.array(x, dtype=float, copy=True)
     y = np.broadcast_to(np.asarray(y, dtype=float), x.shape).copy()
+    if not (y > 0).all():
+        raise ValueError("require y > 0")
+    if not np.isfinite(x).all():
+        raise ValueError("require finite x")
     active = np.arange(x.size)
     xf, yf = x.ravel(), y.ravel()
     for _ in range(MAX_REDUCE_STEPS):
@@ -145,11 +74,6 @@ def reduce_many(x, y) -> tuple[np.ndarray, np.ndarray]:
     else:
         raise ReductionDivergedError(f"no convergence after {MAX_REDUCE_STEPS} steps")
     return x, y
-
-
-def horocycle_point(x: float, cfg: HorocycleConfig) -> ModularPoint:
-    """n(x0) a(1/q) n(x) a(y) sits over x0 + x/q at height y/q (unreduced)."""
-    return ModularPoint(cfg.x0 + x / cfg.q, cfg.y / cfg.q)
 
 
 def sample_fundamental_domain(n: int, rng: np.random.Generator):

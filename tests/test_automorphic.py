@@ -37,7 +37,7 @@ from horolab.automorphic import (
     twisted_sum_series,
     zeta_1line,
 )
-from horolab.modular import reduce_point
+from horolab.modular import reduce_many
 from horolab.testfunctions import ConstantTest, EisensteinTest
 
 from conftest import whittaker_coefficient
@@ -175,6 +175,19 @@ def test_k_imag_step_halving_stable(monkeypatch):
     assert abs(a - b) < 1e-12
 
 
+@pytest.mark.parametrize("t", [1.0, 30.0])
+def test_k_imag_chunks_equal_one_chunk_on_spline_grid(t):
+    # rows are summed independently, so chunking keeps every bit
+    from horolab import automorphic
+
+    grid = np.linspace(K_SPLINE_X0, K_NEGLIGIBLE_X, K_SPLINE_KNOTS)
+    step = automorphic.K_BASE_STEP / max(1.0, t / 8.0)
+    ch, w = automorphic._de_weights(t, float(grid.min()), step)
+    assert grid.size * ch.size > 250_000  # more than one chunk
+    one_chunk = (np.exp(-np.outer(grid, ch)) * w).sum(axis=1)
+    assert bessel_K_imag(t, grid).tobytes() == one_chunk.tobytes()
+
+
 def test_k_imag_underflow_flagged():
     # beyond x = 700 exp(-x) underflows and K is exactly 0
     assert bessel_K_imag(1.0, 701.0) == 0.0
@@ -214,25 +227,25 @@ def test_constant_term_bound_and_value(params_t1):
     assert constant_term(1.0, params_t1) == pytest.approx(1.0 + params_t1.c)
 
 
-def eisenstein_at(z, p):
-    """E at one reduced ModularPoint, through the array evaluator."""
-    return eisenstein_values(np.array([z.x]), np.array([z.y]), p)[0]
+def eisenstein_at(x, y, p):
+    """E at one point x + iy, through the array evaluator."""
+    return eisenstein_values(np.array([x]), np.array([y]), p)[0]
 
 
 def test_eisenstein_periodicity(params_t1):
-    z = reduce_point((0.31, 1.4))
-    v1 = eisenstein_at(z, params_t1)
-    v2 = eisenstein_values(np.array([z.x + 1.0]), np.array([z.y]), params_t1)[0]
+    x, y = reduce_many(0.31, 1.4)
+    v1 = eisenstein_at(x, y, params_t1)
+    v2 = eisenstein_values(np.array([x + 1.0]), np.array([y]), params_t1)[0]
     assert v1 == pytest.approx(v2, abs=1e-14)
 
 
 def test_eisenstein_modular_invariance(params_t1):
     rng = np.random.default_rng(4)
     for _ in range(20):
-        z = reduce_point((rng.uniform(-0.5, 0.5), rng.uniform(0.9, 3.0)))
-        w = reduce_point((-z.x / (z.x**2 + z.y**2), z.y / (z.x**2 + z.y**2)))
-        v1 = eisenstein_at(z, params_t1)
-        v2 = eisenstein_at(w, params_t1)
+        x, y = reduce_many(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 3.0))
+        r2 = x**2 + y**2
+        v1 = eisenstein_at(x, y, params_t1)
+        v2 = eisenstein_at(*reduce_many(-x / r2, y / r2), params_t1)
         assert v1 == pytest.approx(v2, abs=1e-9)
 
 
@@ -251,8 +264,8 @@ def test_eisenstein_realness_after_symmetrization(params_t1):
     rot = xi1 / abs(xi1)
     rng = np.random.default_rng(6)
     for _ in range(50):
-        z = reduce_point((rng.uniform(-0.5, 0.5), rng.uniform(0.87, 4.0)))
-        val = rot * eisenstein_at(z, params_t1)
+        x, y = reduce_many(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 4.0))
+        val = rot * eisenstein_at(x, y, params_t1)
         assert abs(val.imag) < 1e-9
 
 

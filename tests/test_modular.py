@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from horolab.automorphic import horocycle_fourier_coeff
 from horolab.measures import parse_measure
 from horolab.modular import (
+    BOUNDARY_BAND,
     CylinderBudgetError,
     HorocycleConfig,
-    ModularPoint,
-    horocycle_point,
     mX_integral,
-    mobius_apply,
     mu_y_value,
     reduce_many,
-    reduce_point,
     sample_fundamental_domain,
-    word_to_matrix,
 )
 from horolab.testfunctions import BumpTest, ConstantTest, EisensteinTest, IndicatorTest
 
@@ -31,34 +28,67 @@ def in_fundamental_domain(x, y, tol=1e-9):
     return abs(x) <= 0.5 + tol and x * x + y * y >= 1 - tol
 
 
+def mobius(g, x, y):
+    """g = (a, b, c, d) acting on x + iy by fractional linear action."""
+    a, b, c, d = g
+    w = (a * complex(x, y) + b) / (c * complex(x, y) + d)
+    return w.real, w.imag
+
+
+def reduce_scalar(x, y):
+    """Scalar oracle for reduce_many: the reduced point and the integer
+    matrix g in SL2(Z) with g.(x + iy) equal to it."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(10_000):
+        n = round(x)
+        x -= n
+        a, b = a - n * c, b - n * d  # T^-n g
+        r2 = x * x + y * y
+        if r2 >= 1.0 - BOUNDARY_BAND:
+            return x, y, (a, b, c, d)
+        x, y = -x / r2, y / r2
+        a, b, c, d = -c, -d, a, b  # S g
+    raise AssertionError("no convergence")
+
+
+def canonical(x, y):
+    """Boundary tie rule: x >= 0 on |x| = 1/2, x <= 0 inside the unit arc."""
+    r2 = x * x + y * y
+    if abs(r2 - 1.0) <= BOUNDARY_BAND and BOUNDARY_BAND < x < 0.5 - BOUNDARY_BAND:
+        x, y = -x / r2, y / r2
+    if x <= -0.5 + BOUNDARY_BAND:
+        x += 1.0
+    return x, y
+
+
 # ---------------------------------------------------------------------------
 # Reduction
 
 
 def test_reduce_fixed_points():
-    z = reduce_point((0.3, 1.0))
-    assert (z.x, z.y) == (0.3, 1.0)  # 0.09 + 1 >= 1: already reduced
-    z = reduce_point((5.2, 2.0))
-    assert z.x == pytest.approx(0.2) and z.y == pytest.approx(2.0)
+    x, y = reduce_many([0.3, 5.2], [1.0, 2.0])
+    assert (x[0], y[0]) == (0.3, 1.0)  # 0.09 + 1 >= 1: already reduced
+    assert x[1] == pytest.approx(0.2) and y[1] == pytest.approx(2.0)
 
 
 def test_reduce_deep_point_word_replay_oracle():
     x0, y0 = 2.7, 0.01
-    z = reduce_point((x0, y0))
-    assert z.reduced and in_fundamental_domain(z.x, z.y)
-    # replaying the recorded word as an exact Mobius map reproduces z
-    xr, yr = mobius_apply(word_to_matrix(z.word), x0, y0)
-    assert xr == pytest.approx(z.x, abs=1e-9)
-    assert yr == pytest.approx(z.y, abs=1e-9)
+    x, y = reduce_many(x0, y0)
+    assert in_fundamental_domain(x, y)
+    # the oracle's matrix is in SL2(Z) and maps the input onto the output
+    xo, yo, g = reduce_scalar(x0, y0)
+    assert (xo, yo) == (x, y)
+    assert g[0] * g[3] - g[1] * g[2] == 1
+    xr, yr = mobius(g, x0, y0)
+    assert xr == pytest.approx(x, abs=1e-9)
+    assert yr == pytest.approx(y, abs=1e-9)
 
 
 def test_reduce_idempotent():
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        z = reduce_point((rng.uniform(-5, 5), rng.uniform(0.01, 3)))
-        z2 = reduce_point(z)
-        assert z2.x == pytest.approx(z.x, abs=1e-12)
-        assert z2.y == pytest.approx(z.y, abs=1e-12)
+    x, y = reduce_many(rng.uniform(-5, 5, 50), rng.uniform(0.01, 3, 50))
+    x2, y2 = reduce_many(x, y)
+    assert x2.tobytes() == x.tobytes() and y2.tobytes() == y.tobytes()
 
 
 @settings(max_examples=60, derandomize=True)
@@ -68,13 +98,14 @@ def test_reduce_idempotent():
     st.lists(st.sampled_from(["T", "T-", "S"]), min_size=1, max_size=5),
 )
 def test_reduce_invariant_under_group_words(x, y, letters):
+    # equal up to the boundary identifications, which reduce_many leaves open
     zx, zy = x, y
     for letter in letters:
-        zx, zy = mobius_apply(GENERATORS[letter], zx, zy)
-    a = reduce_point((x, y))
-    b = reduce_point((zx, zy))
-    assert b.x == pytest.approx(a.x, abs=1e-9)
-    assert b.y == pytest.approx(a.y, abs=1e-9)
+        zx, zy = mobius(GENERATORS[letter], zx, zy)
+    a = canonical(*reduce_many(x, y))
+    b = canonical(*reduce_many(zx, zy))
+    assert b[0] == pytest.approx(a[0], abs=1e-9)
+    assert b[1] == pytest.approx(a[1], abs=1e-9)
 
 
 def test_reduce_many_matches_scalar():
@@ -82,30 +113,35 @@ def test_reduce_many_matches_scalar():
     xs = rng.uniform(-4, 4, 300)
     ys = rng.uniform(1e-4, 2.0, 300)
     xr, yr = reduce_many(xs, ys)
-    for i in range(0, 300, 37):
-        z = reduce_point((xs[i], ys[i]))
-        assert xr[i] == pytest.approx(z.x, abs=1e-9)
-        assert yr[i] == pytest.approx(z.y, abs=1e-9)
+    for i in range(300):
+        x, y, g = reduce_scalar(xs[i], ys[i])
+        assert xr[i] == pytest.approx(x, abs=1e-9)
+        assert yr[i] == pytest.approx(y, abs=1e-9)
+        assert g[0] * g[3] - g[1] * g[2] == 1
+        assert mobius(g, xs[i], ys[i]) == pytest.approx((x, y), abs=1e-9)
     assert (yr >= math.sqrt(3) / 2 - 1e-9).all()
 
 
 def test_reduce_rejects_nonpositive_height():
-    with pytest.raises(ValueError):
-        reduce_point((0.0, -1.0))
+    for y in (-1.0, -0.2, 0.0, math.nan):
+        with pytest.raises(ValueError, match="y > 0"):
+            reduce_many([0.3, 0.3], [1.0, y])
+        with pytest.raises(ValueError, match="y > 0"):
+            horocycle_fourier_coeff(BumpTest(0.9, 2.5), 1, y, 512)
+
+
+def test_reduce_rejects_nonfinite_x():
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite x"):
+            reduce_many([0.3, x], [1.0, 1.0])
+        # HorocycleConfig leaves x0 unchecked; the reduction refuses it
+        cfg = HorocycleConfig(x0=x, q=1, y=0.25)
+        with pytest.raises(ValueError, match="finite x"):
+            mu_y_value(parse_measure("dirac:0.3"), BumpTest(1.0, 3.0), cfg, method="cylinder")
 
 
 # ---------------------------------------------------------------------------
-# Horocycle points
-
-
-def test_horocycle_point_formulas():
-    p = horocycle_point(0.4, HorocycleConfig(x0=0.0, q=1, y=0.01))
-    assert (p.x, p.y) == (0.4, 0.01)
-    p = horocycle_point(0.5, HorocycleConfig(x0=0.25, q=2, y=0.01))
-    assert (p.x, p.y) == (0.5, 0.005)
-    p = horocycle_point(math.pi - 3, HorocycleConfig(x0=1 / 3, q=3, y=1e-4))
-    assert p.x == pytest.approx(1 / 3 + (math.pi - 3) / 3)
-    assert p.y == 1e-4 / 3  # exact division
+# Horocycle configurations
 
 
 def test_horocycle_config_validation():
@@ -156,8 +192,8 @@ def test_mu_y_dirac_equals_direct_evaluation():
     phi = BumpTest(1.0, 3.0)
     for cfg in (HorocycleConfig(0.0, 1, 0.25), HorocycleConfig(0.25, 3, 0.05)):
         val, err = mu_y_value(parse_measure("dirac:0.3"), phi, cfg, method="cylinder", budget=10)
-        z = reduce_point((cfg.x0 + 0.3 / cfg.q, cfg.y / cfg.q))
-        assert val == pytest.approx(float(phi(np.array([z.x]), np.array([z.y]))[0]))
+        x, y = reduce_many([cfg.x0 + 0.3 / cfg.q], [cfg.y / cfg.q])
+        assert val == pytest.approx(float(phi(x, y)[0]))
         assert err == 0.0
 
 
@@ -282,11 +318,3 @@ def test_mu_y_cylinder_weighted_measure_cross_check():
     v_cyl, e_cyl = mu_y_value(measure, phi, cfg, method="cylinder", budget=10**6, tol=1e-4)
     v_mc, e_mc = mu_y_value(measure, phi, cfg, method="montecarlo", budget=100_000, seed=9)
     assert abs(v_cyl - v_mc) < e_cyl + 3 * e_mc
-
-
-def test_reduced_flag_enforces_domain_membership():
-    with pytest.raises(ValueError, match="fundamental domain"):
-        ModularPoint(0.9, 1.0, reduced=True)
-    with pytest.raises(ValueError, match="fundamental domain"):
-        ModularPoint(0.0, 0.5, reduced=True)
-    ModularPoint(0.9, 1.0)  # unreduced points are unconstrained
