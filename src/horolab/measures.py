@@ -33,6 +33,7 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_TAIL_TOL = 1e-12
 B_OF_S_CEILING = 10**9
 FOURIER_L1_THRESHOLD = 39.0 / 64.0  # spectral-gap barrier for the headline regime
+ABS_BLOCK = 1 << 15  # entries per block of fourier_abs: 256 KiB per float array
 
 
 class PrecisionLossError(ValueError):
@@ -126,23 +127,31 @@ MeasureExpr = FractalMeasure | LebesgueUnit | DiracMass | Convolution
 # The digit symbol g and the product-formula transform
 
 
-def _dirichlet_ratio(v: np.ndarray, l: int) -> np.ndarray:
-    """sin(pi*l*v) / (l*sin(pi*v)), computed exactly at integers.
+def _reduced_ratio(v: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, sin(pi*l*delta) / (l*sin(pi*delta))) for v = n + delta, n = round(v).
 
-    Decomposing v = n + delta with |delta| <= 1/2 keeps both sines away
-    from catastrophic argument reduction and gives the exact limit
-    (-1)^(n*(l-1)) at integer v.
+    |delta| <= 1/2 keeps both sines away from catastrophic argument
+    reduction; the ratio is 1 at delta = 0.
     """
     n = np.round(v)
     delta = v - n
-    sign = np.where((n.astype(np.int64) * (l - 1)) % 2 == 0, 1.0, -1.0)
     num = np.sin(np.pi * l * delta)
-    den = l * np.sin(np.pi * delta)
-    ratio = np.ones_like(delta)
+    den = np.sin(np.pi * delta)
+    den *= l
     # below 1e-100 the ratio is 1 to within (pi l delta)^2/6, and subnormal
     # arithmetic would corrupt the quotient
-    nz = np.abs(delta) > 1e-100
-    ratio[nz] = num[nz] / den[nz]
+    ratio = np.divide(num, den, out=np.ones_like(delta), where=np.abs(delta) > 1e-100)
+    return n, ratio
+
+
+def _dirichlet_ratio(v: np.ndarray, l: int) -> np.ndarray:
+    """sin(pi*l*v) / (l*sin(pi*v)), computed exactly at integers.
+
+    The reduced ratio times (-1)^(n*(l-1)), which is also the exact limit
+    at integer v.
+    """
+    n, ratio = _reduced_ratio(v, l)
+    sign = np.where((n.astype(np.int64) * (l - 1)) % 2 == 0, 1.0, -1.0)
     return sign * ratio
 
 
@@ -170,10 +179,17 @@ def symbol_g(measure: FractalMeasure, xi) -> complex | np.ndarray:
 
 
 def _symbol_abs(measure: FractalMeasure, xi_arr: np.ndarray) -> np.ndarray:
+    """|g(xi)| on an array, the factor fourier_abs multiplies.
+
+    Uniform digits in arithmetic progression give the unsigned kernel
+    |sin(pi*l*delta) / (l*sin(pi*delta))|: the sign (-1)^(n*(l-1)) and the
+    phase e(center*xi) have modulus 1 exactly, so neither is computed.
+    """
     prog = measure.digit_progression
     if measure.is_uniform and prog is not None:
         _, step = prog
-        return np.abs(_dirichlet_ratio(step * xi_arr, measure.n_digits))
+        _, ratio = _reduced_ratio(step * xi_arr, measure.n_digits)
+        return np.abs(ratio, out=ratio)
     return np.abs(symbol_g(measure, xi_arr))
 
 
@@ -248,20 +264,33 @@ def _(measure: Convolution, xi, tail_tol: float = DEFAULT_TAIL_TOL):
 @singledispatch
 def fourier_abs(measure, xi, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """|mu_hat(xi)| on an array; a registration skips phase factors, and
-    any other measure takes the modulus of its fourier_transform."""
+    any other measure takes the modulus of its fourier_transform.
+
+    |mu_hat| is even for every measure here (all are real), bit for bit:
+    fourier_abs(mu, -xi) == fourier_abs(mu, xi).  _partial_sums relies on it.
+    """
     return np.abs(fourier_transform(measure, np.atleast_1d(np.asarray(xi, dtype=float)), tail_tol))
 
 
 @fourier_abs.register
 def _(measure: FractalMeasure, xi, tail_tol: float = DEFAULT_TAIL_TOL):
+    """prod_{j<=J} |g(xi/b^j)|, J from the max |xi| of the whole array.
+
+    The product is taken over blocks of ABS_BLOCK entries, all J factors
+    per block, so the temporaries stay cache-sized whatever the length of
+    xi; each entry sees the same operations as a one-shot product.
+    """
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     J = product_depth(measure, float(np.max(np.abs(xi_arr), initial=0.0)), tail_tol)
-    acc = np.ones_like(xi_arr)
-    u = xi_arr.copy()
-    for _ in range(J):
-        u = u / measure.base
-        acc = acc * _symbol_abs(measure, u)
-    return acc
+    out = np.ones(xi_arr.shape)
+    xi_flat, out_flat = xi_arr.reshape(-1), out.reshape(-1)
+    for lo in range(0, xi_flat.size, ABS_BLOCK):
+        u = xi_flat[lo : lo + ABS_BLOCK]
+        acc = out_flat[lo : lo + ABS_BLOCK]
+        for _ in range(J):
+            u = u / measure.base
+            acc *= _symbol_abs(measure, u)
+    return out
 
 
 @fourier_abs.register
@@ -474,16 +503,22 @@ def l1_partial_sum(
 
 def _partial_sums(measure, X_grid: np.ndarray, star: bool, theta_grid: int):
     """S(X) at every X of the ascending integer X_grid, from one cumulative
-    sum per shift theta; star mode takes the maximum over the theta-grid."""
+    sum per shift theta; star mode takes the maximum over the theta-grid.
+
+    At theta = 0 the terms at -m are the terms at m, since fourier_abs is
+    even bit for bit, so |mu_hat| is evaluated once on m = 1..X_max; a
+    nonzero theta evaluates m + theta and -m + theta.  The cumulative sum
+    is taken in place in the buffer fourier_abs returned.
+    """
     if star and theta_grid < 1:
         raise ValueError("theta_grid must be >= 1")
     m = np.arange(1, int(X_grid[-1]) + 1, dtype=float)
 
     def sums_for(theta: float) -> np.ndarray:
-        a_pos = fourier_abs(measure, m + theta)
-        a_neg = fourier_abs(measure, -m + theta)
+        terms = fourier_abs(measure, m + theta)
+        terms += terms if theta == 0.0 else fourier_abs(measure, -m + theta)
         center = fourier_abs(measure, np.array([theta]))[0]
-        csum = np.cumsum(a_pos + a_neg)
+        csum = np.cumsum(terms, out=terms)
         return center + csum[X_grid - 1]
 
     S = sums_for(0.0)

@@ -50,12 +50,17 @@ def reduce_many(x, y) -> tuple[np.ndarray, np.ndarray]:
     Boundary points keep whichever representative the last step produced:
     x = 1/2 and x = -1/2 both occur, and within BOUNDARY_BAND of the unit
     arc z and -1/conj(z) are both left as they are.  Raises ValueError
-    unless every y > 0 and every x is finite.
+    unless every y > 0, every y*y is a normal float (about y >= 1.5e-154;
+    below it x^2 + y^2 underflows and the inversion returns NaN or inf)
+    and every x is finite.  Steps never lower y, so checking the input
+    suffices.
     """
     x = np.array(x, dtype=float, copy=True)
     y = np.broadcast_to(np.asarray(y, dtype=float), x.shape).copy()
     if not (y > 0).all():
         raise ValueError("require y > 0")
+    if not (y * y >= np.finfo(float).tiny).all():
+        raise ValueError("require y*y >= the smallest normal float (y >= ~1.5e-154)")
     if not np.isfinite(x).all():
         raise ValueError("require finite x")
     active = np.arange(x.size)

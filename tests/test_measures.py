@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from horolab import measures
 from horolab.fitting import LiteralParseError
 from horolab.measures import (
+    ABS_BLOCK,
+    DEFAULT_TAIL_TOL,
     Convolution,
     DiracMass,
     FractalMeasure,
@@ -19,6 +22,7 @@ from horolab.measures import (
     fourier_transform,
     l1_partial_sum,
     parse_measure,
+    product_depth,
     sample,
     symbol_g,
 )
@@ -169,6 +173,62 @@ def test_abs_fallback_is_modulus_of_transform_bytes():
         fourier_abs("leb", xis)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "leb",
+        "dirac:0.37",
+        "cantor:450:0..446",  # digits in progression: unsigned Dirichlet kernel
+        "cantor:10:0,1,4,7",  # no progression: modulus of the digit sum
+        "cantor:3:0,2+0.3",  # shifted leaf
+        "cantor:5:0,3+0.25*leb",  # convolution
+    ],
+)
+def test_fourier_abs_is_even_bit_for_bit(text):
+    # the contract _partial_sums relies on when it reuses the terms at m
+    # as the terms at -m
+    mu = parse_measure(text)
+    k = np.arange(0, 3001, dtype=float)
+    for xi in (k, k / 8 + 0.125, k + 1 / 3):
+        pos, neg = fourier_abs(mu, xi), fourier_abs(mu, -xi)
+        assert np.array_equal(neg.view(np.int64), pos.view(np.int64))
+
+
+def one_shot_abs(measure, xi, J):
+    """The J-factor product over the whole array at once; each factor is the
+    modulus of the signed Dirichlet kernel or of the digit sum."""
+    prog = measure.digit_progression
+    acc = np.ones_like(xi)
+    u = xi.copy()
+    for _ in range(J):
+        u = u / measure.base
+        if measure.is_uniform and prog is not None:
+            factor = np.abs(measures._dirichlet_ratio(prog[1] * u, measure.n_digits))
+        else:
+            factor = np.abs(symbol_g(measure, u))
+        acc = acc * factor
+    return acc
+
+
+@pytest.mark.parametrize("text", ["cantor:3:0,2", "cantor:7:0,2,4,6", "cantor:10:0,1,4,7"])
+def test_blocked_fourier_abs_equals_one_shot_product(text):
+    mu = parse_measure(text)
+    small = np.linspace(-0.5, 0.5, ABS_BLOCK)  # the whole first block
+    ints = np.arange(-(ABS_BLOCK + 77), ABS_BLOCK + 77, dtype=float)  # delta = 0 throughout
+    rest = np.random.default_rng(3).uniform(-2e4, 2e4, ABS_BLOCK // 2)
+    xi = np.concatenate([small, [0.0], ints, rest])
+    assert xi.size > 3 * ABS_BLOCK and xi.size % ABS_BLOCK != 0
+    for tol in (DEFAULT_TAIL_TOL, 0.5):
+        J = product_depth(mu, float(np.abs(xi).max()), tol)
+        got = fourier_abs(mu, xi, tol)
+        assert np.array_equal(got.view(np.int64), one_shot_abs(mu, xi, J).view(np.int64))
+    # J comes from the whole array: the first block's own max would give
+    # fewer factors, visible at tail_tol 0.5
+    J_block = product_depth(mu, 0.5, 0.5)
+    assert J_block < J
+    assert not np.array_equal(got[:ABS_BLOCK], one_shot_abs(mu, small, J_block))
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 
@@ -230,6 +290,40 @@ def test_l1_partial_sum_monotone_in_X():
     vals = [l1_partial_sum(CANTOR3, X) for X in (10, 50, 100, 500)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[0] >= 1.0
+
+
+def count_symbol_abs(monkeypatch) -> list[int]:
+    sizes = []
+    real = measures._symbol_abs
+    monkeypatch.setattr(
+        measures, "_symbol_abs", lambda mu, u: sizes.append(u.size) or real(mu, u)
+    )
+    return sizes
+
+
+def test_plain_partial_sum_evaluates_each_m_once(monkeypatch):
+    # |mu_hat| is even, so the plain sum evaluates m = 1..X and the
+    # center, not -X..X: J*X + J(0) kernel entries rather than 2*J*X + J(0)
+    sizes = count_symbol_abs(monkeypatch)
+    X = 1000
+    l1_partial_sum(CANTOR3, X)
+    J, J0 = product_depth(CANTOR3, X, DEFAULT_TAIL_TOL), product_depth(CANTOR3, 0.0, DEFAULT_TAIL_TOL)
+    assert sum(sizes) == J * X + J0
+
+
+def test_star_partial_sum_evaluates_both_sides_per_nonzero_theta(monkeypatch):
+    sizes = count_symbol_abs(monkeypatch)
+    X, grid = 100, 4
+    l1_partial_sum(CANTOR3, X, star=True, theta_grid=grid)
+
+    def depth(xi_max):
+        return product_depth(CANTOR3, xi_max, DEFAULT_TAIL_TOL)
+
+    expected = depth(X) * X + depth(0.0)
+    for k in range(1, grid):
+        theta = k / grid
+        expected += depth(X + theta) * X + depth(X - theta) * X + depth(theta)
+    assert sum(sizes) == expected
 
 
 def test_star_sum_dominates_plain():

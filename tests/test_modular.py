@@ -130,6 +130,19 @@ def test_reduce_rejects_nonpositive_height():
             horocycle_fourier_coeff(BumpTest(0.9, 2.5), 1, y, 512)
 
 
+def test_reduce_rejects_height_whose_square_underflows():
+    # below ~1.5e-154, x^2 + y^2 underflows once x reduces to 0: the
+    # inversion gave NaN x with y = inf (1e-200) or an inexact y (1e-160)
+    for y in (1e-200, 1e-160):
+        with pytest.raises(ValueError, match="smallest normal"):
+            reduce_many(np.arange(8) / 8, y)
+        with pytest.raises(ValueError, match="smallest normal"):
+            horocycle_fourier_coeff(BumpTest(0.9, 2.5), 1, y, 512)
+    xr, yr = reduce_many(np.arange(8) / 8, 1e-150)
+    assert np.isfinite(xr).all() and np.isfinite(yr).all()
+    assert (np.abs(xr) <= 0.5).all() and (xr * xr + yr * yr >= 1.0 - 1e-12).all()
+
+
 def test_reduce_rejects_nonfinite_x():
     for x in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="finite x"):
