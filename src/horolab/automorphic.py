@@ -19,8 +19,9 @@ integrand is even in v, so the rule converges superalgebraically.  A series
 takes K by one rule, bessel_K_series: quadrature below sqrt(3) pi, a cubic
 spline through quadrature values on [sqrt(3) pi, 46), and exactly 0 from 46
 on, where K_it < 4e-21.  So a reduced point (y >= sqrt(3)/2) has 8 live
-terms, and every coefficient meets sqrt(y) K_it(2 pi |m| y) in one place,
-_whittaker_terms.
+terms.  The coefficients come from EisensteinParams.coef and meet
+sqrt(y) K_it(2 pi |m| y) in one place, _whittaker_terms, for
+eisenstein_values and for eisenstein_series_prediction (horocycle averages).
 
 Only the continuous (Eisenstein) spectrum is implemented.  Its Hecke
 eigenvalues are divisor sums, which obey the Ramanujan-type bound m^eps;
@@ -41,6 +42,7 @@ from functools import cache
 import numpy as np
 
 from .fitting import DecayReport, csv_table, fit_decay_report
+from .measures import fourier_transform
 from .modular import reduce_many
 
 TWO_PI = 2.0 * math.pi
@@ -52,6 +54,10 @@ K_SPLINE_FROM = TWO_PI * SQRT3_HALF  # sqrt(3) pi, the smallest node of a reduce
 K_SPLINE_KNOTS = 8500
 K_BASE_STEP = 1.0 / 64          # v-step of the K quadrature at orders t <= 8
 MAX_BESSEL_ORDER = 30.0
+# Budgets, refused before allocation: 2**23 live series terms are 128 MiB per
+# complex table (lambda, coef, mu_hat at m/q); 2**22 FFT points are 64 MiB.
+MAX_SERIES_TERMS = 2**23
+MAX_FFT_POINTS = 2**22
 
 
 class PoleProximityError(ValueError):
@@ -323,11 +329,10 @@ def _k_spline(t: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class EisensteinParams:
-    """Precomputed data for E(z, 1/2 + it): zeta/xi factors and coefficients.
+    """Precomputed data for E(z, 1/2 + it): zeta/xi factors.
 
     The scattering coefficient c(t) has |c| = 1 on the unitary axis; this
-    is asserted at construction within 1e-9.  _coef holds the coefficients
-    of the terms that are live on reduced points, n <= _live_end(sqrt3/2).
+    is asserted at construction within 1e-9.
     """
 
     t: float
@@ -345,14 +350,21 @@ class EisensteinParams:
         self.c = self._xi1.conjugate() / self._xi1
         if abs(abs(self.c) - 1.0) > 1e-9:
             raise AssertionError("scattering coefficient lost unimodularity")
-        # coefficient of e(m x): a_m(y) = coef[|m|-1] * sqrt(y) * K_it(2 pi |m| y)
-        self._coef = self.whittaker_norm * hecke_range(self, _live_end(SQRT3_HALF))
 
     @property
     def whittaker_norm(self) -> complex:
         """2 zeta(1+2it)/xi(1+2it): scales sqrt(u) K_it(2 pi u) to the
         expansion coefficients."""
         return 2.0 * self.zeta_1p2it / self._xi1
+
+    def coef(self, m_max: int) -> np.ndarray:
+        """whittaker_norm * lambda(m), m = 1..m_max: e(m x) has the coefficient
+        coef[|m|-1] sqrt(y) K_it(2 pi |m| y).  coef(N)[:k] is coef(k) bit for
+        bit; lam is named because numpy scales a temporary of 256 KiB or more
+        in place, operands swapped, which rounds complex products differently.
+        """
+        lam = hecke_range(self, m_max)
+        return self.whittaker_norm * lam
 
 
 def constant_term(y, p: EisensteinParams):
@@ -407,9 +419,10 @@ def eisenstein_values(x, y, p: EisensteinParams) -> np.ndarray:
     )
     xf, yf = x.reshape(-1), y.reshape(-1)
     val = constant_term(yf, p)
-    depth = np.zeros(yf.size, dtype=np.min_scalar_type(p._coef.size))
+    coef = p.coef(_live_end(SQRT3_HALF))
+    depth = np.zeros(yf.size, dtype=np.min_scalar_type(coef.size))
     live_counts = []
-    for n in range(1, p._coef.size + 1):
+    for n in range(1, coef.size + 1):
         live = TWO_PI * n * yf < K_NEGLIGIBLE_X
         count = np.count_nonzero(live)
         if count == 0:
@@ -421,9 +434,34 @@ def eisenstein_values(x, y, p: EisensteinParams) -> np.ndarray:
     for n, k in enumerate(live_counts, start=1):
         # the +-m pair of e(m x) coefficients combines to 2 a_n cos(2 pi n x)
         phase = np.cos(TWO_PI * n * xs[:k])
-        acc[:k] += _whittaker_terms(2.0 * p._coef[n - 1], p.t, n, ys[:k], phase)
+        acc[:k] += _whittaker_terms(2.0 * coef[n - 1], p.t, n, ys[:k], phase)
     val[order] = acc
     return val.reshape(x.shape)
+
+
+def eisenstein_series_prediction(measure, params: EisensteinParams, height, x0: float, q: int):
+    """constant_term(height) + coefficient sum against mu_hat(m/q) phases.
+
+    `height` is the height at which the horocycle points actually sit
+    (y/q when the base point carries a(1/q)), a scalar or an array.  The
+    coefficient sum runs over the live terms 2 pi m height < 46
+    (_live_end, which refuses more than MAX_SERIES_TERMS); every later term
+    is exactly 0 under the series K rule.  The coefficient table is built
+    once, for the smallest height, and sliced at the others.
+    """
+    heights = np.atleast_1d(np.asarray(height, dtype=float)).tolist()
+    ends = [_live_end(h) for h in heights]
+    coef = params.coef(max(ends))
+    out = []
+    for h, k in zip(heights, ends):
+        m = np.arange(1, k + 1)
+        mu_hat = fourier_transform(measure, m / q)
+        phases = np.exp(2j * np.pi * m * x0)
+        # +-m pairs: a_m is even in m and mu_hat(-u) conjugates for real measures
+        pair = 2.0 * np.real(phases * mu_hat)
+        total = np.sum(_whittaker_terms(coef[:k], params.t, m, h, pair))
+        out.append(complex(constant_term(h, params) + total))
+    return out[0] if np.ndim(height) == 0 else np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -453,37 +491,36 @@ def _horocycle_spectrum(phi, y: float, n_quad: int) -> np.ndarray:
     return np.fft.fft(vals) / n_quad
 
 
-def _all_fourier_coeffs(phi, y: float, m_max: int) -> np.ndarray:
-    """|phi_hat_y(m)| for m = 1..m_max via one FFT (n = next pow2 of 4 m_max)."""
-    spec = _horocycle_spectrum(phi, y, 1 << max(8, math.ceil(math.log2(4 * m_max))))
-    pos = np.abs(spec[1 : m_max + 1])
-    neg = np.abs(spec[-m_max:][::-1])
-    return np.maximum(pos, neg)
-
-
 def spectral_gap_fit(phi, y_grid) -> DecayReport:
     """sup over 1 <= |m| <= ceil(1/y) of |phi_hat_y(m)|, fitted in y.
 
-    The report's exponent estimates the decay rate of the supremum; a
-    constant test function yields an all-zero series flagged degenerate.
+    One FFT of 4 ceil(1/y) points or more per height; MAX_FFT_POINTS refuses
+    a grid before the first.  The report's exponent estimates the decay
+    rate of the supremum; a constant test function yields an all-zero
+    series flagged degenerate.
     """
     y_grid = np.asarray(sorted(y_grid, reverse=True), dtype=float)
     if y_grid.size < 4:
         raise ValueError("y_grid needs at least 4 points")
     if math.log2(y_grid[0] / y_grid[-1]) < 3.0 - 1e-9:
         raise ValueError("y_grid must span at least 3 dyadic decades")
-    sups = np.array(
-        [_all_fourier_coeffs(phi, y, math.ceil(1.0 / y)).max() for y in y_grid]
-    )
-    return fit_decay_report(y_grid, sups)
+    if not 4.0 / y_grid[-1] <= MAX_FFT_POINTS:
+        raise ValueError(f"height y = {y_grid[-1]:g} needs over MAX_FFT_POINTS = {MAX_FFT_POINTS}")
+    sups = []
+    for y in y_grid:
+        m_max = math.ceil(1.0 / y)
+        spec = _horocycle_spectrum(phi, y, 1 << max(8, math.ceil(math.log2(4 * m_max))))
+        # the reversed view keeps the bits: np.abs of a complex rounds by stride
+        sups.append(np.maximum(np.abs(spec[1 : m_max + 1]), np.abs(spec[-m_max:][::-1])).max())
+    return fit_decay_report(y_grid, np.array(sups))
 
 
 def truncation_tail_mass(p: EisensteinParams, y: float, sigma: float) -> float:
     """Absolute coefficient mass beyond |m| > y^-sigma at height y.
 
-    2 * sum_{m > y^-sigma} |whittaker_norm * lambda(m)| sqrt(y) |K_it(2 pi m y)|,
-    cut at the K-Bessel underflow horizon (terms are exactly 0 beyond).  K
-    is bessel_K_imag's on every term, not the series rule: the tail measures
+    2 * sum_{m > y^-sigma} |coef(m)| sqrt(y) |K_it(2 pi m y)|, cut at the
+    K-Bessel underflow horizon (terms are exactly 0 beyond).  K is
+    bessel_K_imag's on every term, not the series rule: the tail measures
     the mass that the series rule drops from 46 on.
     """
     if sigma <= 1.0:
@@ -495,11 +532,9 @@ def truncation_tail_mass(p: EisensteinParams, y: float, sigma: float) -> float:
     if m_end < m_start:
         return 0.0
     m = np.arange(m_start, m_end + 1)
-    lam = np.abs(sigma_range(2j * p.t, m_end)[m_start - 1 :]) / abs(p.zeta_1p2it)
+    coef = np.abs(p.coef(m_end)[m_start - 1 :])
     kv = bessel_K_imag(p.t, TWO_PI * m * y)
-    return float(
-        2.0 * abs(p.whittaker_norm) * math.sqrt(y) * np.sum(lam * np.abs(kv))
-    )
+    return float(2.0 * math.sqrt(y) * np.sum(coef * np.abs(kv)))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +586,11 @@ def _live_end(y: float) -> int:
     """
     if not y > 0.0:
         raise ValueError("require y > 0")
-    k = math.floor(K_NEGLIGIBLE_X / (TWO_PI * y))
+    count = K_NEGLIGIBLE_X / (TWO_PI * y)
+    if not count <= MAX_SERIES_TERMS:
+        raise ValueError(f"height y = {y:g} needs {count:.3g} series terms, "
+                         f"over the budget of MAX_SERIES_TERMS = {MAX_SERIES_TERMS}")
+    k = math.floor(count)
     while TWO_PI * ((k + 1) * y) < K_NEGLIGIBLE_X:
         k += 1
     while k > 0 and not TWO_PI * (k * y) < K_NEGLIGIBLE_X:

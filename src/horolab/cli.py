@@ -33,9 +33,6 @@ from .oscillatory import (
 )
 from .testfunctions import EisensteinTest
 
-_JSON_KEYS = ("command", "config", "seed", "exponent", "stderr", "r2", "status")
-
-
 class CliError(Exception):
     pass
 

@@ -25,6 +25,7 @@ RATIONAL_DETECTION_TOL = 1e-15
 # A window's two binary searches cost about ten row tests of one sample
 # (measured for 10^3 to 10^5 sorted samples).
 WINDOW_COST = 10
+HIT_BLOCK = 1 << 18  # (x, q) pairs per pass of _count_hits: 2 MiB per float array
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ def _check_resolution(measure, name: str, q: int, psi_q: float) -> None:
     q x; once q spacing(R) reaches psi(q) / 2 the predicate tests rounding,
     not approximation (on leb+1e300 every q would "hit").
     """
-    radius = _measures._support_radius(measure)
+    radius = _measures.support_radius(measure)
     if not q * np.spacing(radius) < psi_q / 2:
         raise ValueError(
             f"support radius R = {radius:g} is too coarse for {name} = {q}: "
@@ -238,7 +239,7 @@ def _count_hits(xs: np.ndarray, psi_all: np.ndarray, q_half: int):
         psi_all + 2 * qs_all * slack < 0.5
     )
 
-    chunk = max(1, 4_000_000 // n)  # q's per pass: temporaries stay near 4e6 entries
+    chunk = max(1, HIT_BLOCK // n)  # q's per pass
     window_qs = qs_all[windowed]
     for lo in range(0, window_qs.size, chunk):
         block = window_qs[lo:lo + chunk]

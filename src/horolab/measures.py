@@ -33,7 +33,8 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_TAIL_TOL = 1e-12
 B_OF_S_CEILING = 10**9
 FOURIER_L1_THRESHOLD = 39.0 / 64.0  # spectral-gap barrier for the headline regime
-ABS_BLOCK = 1 << 15  # entries per block of fourier_abs: 256 KiB per float array
+ABS_BLOCK = 1 << 15  # entries per block of the mu_hat product: 256 KiB per float array
+SAMPLE_BLOCK = 1 << 18  # digits per pass of sample: 2 MiB per index or value array
 
 
 class PrecisionLossError(ValueError):
@@ -204,119 +205,101 @@ def product_depth(measure: FractalMeasure, xi_max: float, tail_tol: float) -> in
     return max(1, math.ceil(math.log(arg) / math.log(b)) + 1)
 
 
-@singledispatch
 def fourier_transform(measure, xi, tail_tol: float = DEFAULT_TAIL_TOL):
     """mu_hat(xi) = integral of e(xi*x) d mu(x); accepts scalar or array xi."""
-    raise TypeError(f"not a measure expression: {measure!r}")
-
-
-def _as_xi(xi):
     xi_arr = np.asarray(xi, dtype=float)
-    return np.atleast_1d(xi_arr), xi_arr.ndim == 0
+    out = _transform(measure, xi_arr.reshape(-1), tail_tol).reshape(xi_arr.shape)
+    return complex(out) if xi_arr.ndim == 0 else out
 
 
-def _ret(values: np.ndarray, scalar: bool):
-    return complex(values[0]) if scalar else values
-
-
-@fourier_transform.register
-def _(measure: FractalMeasure, xi, tail_tol: float = DEFAULT_TAIL_TOL):
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be positive")
-    xi_arr, scalar = _as_xi(xi)
-    J = product_depth(measure, float(np.max(np.abs(xi_arr), initial=0.0)), tail_tol)
-    acc = np.exp(2j * np.pi * measure.shift * xi_arr)
-    u = xi_arr.copy()
-    for _ in range(J):
-        u = u / measure.base
-        acc = acc * symbol_g(measure, u)
-    return _ret(acc, scalar)
-
-
-@fourier_transform.register
-def _(measure: LebesgueUnit, xi, tail_tol: float = DEFAULT_TAIL_TOL):
-    xi_arr, scalar = _as_xi(xi)
-    out = np.exp(1j * np.pi * xi_arr).astype(complex)
-    n = np.round(xi_arr)
-    delta = xi_arr - n
-    sgn = np.where(n.astype(np.int64) % 2 == 0, 1.0, -1.0)
-    nz = np.abs(xi_arr) > 1e-100  # sinc -> 1 below; avoids subnormal quotients
-    out[nz] *= sgn[nz] * np.sin(np.pi * delta[nz]) / (np.pi * xi_arr[nz])
-    out[~nz] = 1.0
-    return _ret(out, scalar)
-
-
-@fourier_transform.register
-def _(measure: DiracMass, xi, tail_tol: float = DEFAULT_TAIL_TOL):
-    xi_arr, scalar = _as_xi(xi)
-    return _ret(np.exp(2j * np.pi * measure.point * xi_arr), scalar)
-
-
-@fourier_transform.register
-def _(measure: Convolution, xi, tail_tol: float = DEFAULT_TAIL_TOL):
-    xi_arr, scalar = _as_xi(xi)
-    out = fourier_transform(measure.left, xi_arr, tail_tol) * fourier_transform(
-        measure.right, xi_arr, tail_tol
-    )
-    return _ret(out, scalar)
-
-
-@singledispatch
 def fourier_abs(measure, xi, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """|mu_hat(xi)| on an array; a registration skips phase factors, and
-    any other measure takes the modulus of its fourier_transform.
+    any other measure takes the modulus of its transform.
 
     |mu_hat| is even for every measure here (all are real), bit for bit:
     fourier_abs(mu, -xi) == fourier_abs(mu, xi).  _partial_sums relies on it.
     """
-    return np.abs(fourier_transform(measure, np.atleast_1d(np.asarray(xi, dtype=float)), tail_tol))
-
-
-@fourier_abs.register
-def _(measure: FractalMeasure, xi, tail_tol: float = DEFAULT_TAIL_TOL):
-    """prod_{j<=J} |g(xi/b^j)|, J from the max |xi| of the whole array.
-
-    The product is taken over blocks of ABS_BLOCK entries, all J factors
-    per block, so the temporaries stay cache-sized whatever the length of
-    xi; each entry sees the same operations as a one-shot product.
-    """
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    J = product_depth(measure, float(np.max(np.abs(xi_arr), initial=0.0)), tail_tol)
-    out = np.ones(xi_arr.shape)
-    xi_flat, out_flat = xi_arr.reshape(-1), out.reshape(-1)
-    for lo in range(0, xi_flat.size, ABS_BLOCK):
-        u = xi_flat[lo : lo + ABS_BLOCK]
-        acc = out_flat[lo : lo + ABS_BLOCK]
+    return _modulus(measure, xi_arr.reshape(-1), tail_tol).reshape(xi_arr.shape)
+
+
+def _product_walk(measure: FractalMeasure, xi: np.ndarray, tail_tol: float, factor, start):
+    """start(xi) * prod_{j<=J} factor(measure, xi/b^j), J from the max |xi|:
+    the one product loop of mu_hat and |mu_hat|, in blocks of ABS_BLOCK
+    entries so the temporaries stay cache-sized.  g is named because numpy
+    multiplies a temporary of 256 KiB or more in place, operands swapped,
+    which rounds complex products differently; so no bit depends on len(xi).
+    """
+    if tail_tol <= 0:
+        raise ValueError("tail_tol must be positive")
+    J = product_depth(measure, float(np.max(np.abs(xi), initial=0.0)), tail_tol)
+    out = start(xi)  # after |xi| is freed, so the two never coexist
+    for lo in range(0, xi.size, ABS_BLOCK):
+        u, block = xi[lo : lo + ABS_BLOCK], out[lo : lo + ABS_BLOCK]
         for _ in range(J):
             u = u / measure.base
-            acc *= _symbol_abs(measure, u)
+            g = factor(measure, u)
+            block = block * g
+        out[lo : lo + ABS_BLOCK] = block
     return out
 
 
-@fourier_abs.register
-def _(measure: DiracMass, xi, tail_tol: float = DEFAULT_TAIL_TOL):
-    return np.ones_like(np.atleast_1d(np.asarray(xi, dtype=float)))
+@singledispatch
+def _transform(measure, xi: np.ndarray, tail_tol: float) -> np.ndarray:
+    """mu_hat on a flat array; fourier_transform reshapes."""
+    raise TypeError(f"not a measure expression: {measure!r}")
 
 
-@fourier_abs.register
-def _(measure: Convolution, xi, tail_tol: float = DEFAULT_TAIL_TOL):
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    return fourier_abs(measure.left, xi_arr, tail_tol) * fourier_abs(
-        measure.right, xi_arr, tail_tol
-    )
+@_transform.register
+def _(measure: FractalMeasure, xi, tail_tol):
+    phase = lambda v: np.exp(2j * np.pi * measure.shift * v)  # noqa: E731
+    return _product_walk(measure, xi, tail_tol, symbol_g, phase)
+
+
+@_transform.register
+def _(measure: LebesgueUnit, xi, tail_tol):
+    out = np.exp(1j * np.pi * xi)
+    n = np.round(xi)
+    delta = xi - n
+    sgn = np.where(n.astype(np.int64) % 2 == 0, 1.0, -1.0)
+    nz = np.abs(xi) > 1e-100  # sinc -> 1 below; avoids subnormal quotients
+    out[nz] *= sgn[nz] * np.sin(np.pi * delta[nz]) / (np.pi * xi[nz])
+    out[~nz] = 1.0
+    return out
+
+
+@_transform.register
+def _(measure: DiracMass, xi, tail_tol):
+    return np.exp(2j * np.pi * measure.point * xi)
+
+
+@_transform.register
+def _(measure: Convolution, xi, tail_tol):
+    return _transform(measure.left, xi, tail_tol) * _transform(measure.right, xi, tail_tol)
+
+
+@singledispatch
+def _modulus(measure, xi: np.ndarray, tail_tol: float) -> np.ndarray:
+    return np.abs(_transform(measure, xi, tail_tol))
+
+
+@_modulus.register
+def _(measure: FractalMeasure, xi, tail_tol):
+    return _product_walk(measure, xi, tail_tol, _symbol_abs, np.ones_like)
+
+
+@_modulus.register
+def _(measure: DiracMass, xi, tail_tol):
+    return np.ones(xi.size)
+
+
+@_modulus.register
+def _(measure: Convolution, xi, tail_tol):
+    return _modulus(measure.left, xi, tail_tol) * _modulus(measure.right, xi, tail_tol)
 
 
 # ---------------------------------------------------------------------------
 # Sampling
-
-
-def _check_depth(base: int, depth: int):
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if float(base) ** (-depth) == 0.0:
-        raise PrecisionLossError(
-            f"base^-depth underflows for base={base}, depth={depth}"
-        )
 
 
 @singledispatch
@@ -329,21 +312,18 @@ def sample(measure, depth: int, count: int, seed) -> np.ndarray:
     raise TypeError(f"not a measure expression: {measure!r}")
 
 
-def _rng_of(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @sample.register
 def _(measure: FractalMeasure, depth: int, count: int, seed) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
-    _check_depth(measure.base, depth)
-    rng = _rng_of(seed)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if float(measure.base) ** (-depth) == 0.0:
+        raise PrecisionLossError(f"base^-depth underflows for base={measure.base}, depth={depth}")
+    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     digits = np.asarray(measure.digits)
     out = np.zeros(count)
-    chunk = max(1, min(count, 10**6 * 8 // max(depth, 1)))
+    chunk = max(1, min(count, SAMPLE_BLOCK // depth))  # rows per pass; draws do not depend on it
     inv_b = 1.0 / measure.base
     for lo in range(0, count, chunk):
         hi = min(lo + chunk, count)
@@ -363,7 +343,7 @@ def _(measure: FractalMeasure, depth: int, count: int, seed) -> np.ndarray:
 def _(measure: LebesgueUnit, depth: int, count: int, seed) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
-    return _rng_of(seed).random(count)
+    return np.random.default_rng(seed).random(count)
 
 
 @sample.register
@@ -375,10 +355,57 @@ def _(measure: DiracMass, depth: int, count: int, seed) -> np.ndarray:
 
 @sample.register
 def _(measure: Convolution, depth: int, count: int, seed) -> np.ndarray:
-    rng = _rng_of(seed)
-    return sample(measure.left, depth, count, rng) + sample(
-        measure.right, depth, count, rng
-    )
+    rng = np.random.default_rng(seed)
+    return sample(measure.left, depth, count, rng) + sample(measure.right, depth, count, rng)
+
+
+@singledispatch
+def default_sample_depth(measure) -> int:
+    """Digit depth saturating double precision, 60 bits (largest base in the tree)."""
+    raise TypeError(f"not a measure expression: {measure!r}")
+
+
+@default_sample_depth.register
+def _(measure: FractalMeasure) -> int:
+    return max(1, math.ceil(60.0 * math.log(2) / math.log(measure.base)) + 1)
+
+
+@default_sample_depth.register(LebesgueUnit)
+@default_sample_depth.register(DiracMass)
+def _(measure) -> int:
+    return 1
+
+
+@default_sample_depth.register
+def _(measure: Convolution) -> int:
+    return max(default_sample_depth(measure.left), default_sample_depth(measure.right))
+
+
+@singledispatch
+def support_radius(measure) -> float:
+    """R with supp(mu) in [-R, R]: radii add across convolution factors; a
+    fractal leaf lives in [shift, shift + 1], Lebesgue in [0, 1]."""
+    raise TypeError(f"not a measure expression: {measure!r}")
+
+
+@support_radius.register
+def _(measure: FractalMeasure) -> float:
+    return abs(measure.shift) + 1.0
+
+
+@support_radius.register
+def _(measure: LebesgueUnit) -> float:
+    return 1.0
+
+
+@support_radius.register
+def _(measure: DiracMass) -> float:
+    return abs(measure.point)
+
+
+@support_radius.register
+def _(measure: Convolution) -> float:
+    return support_radius(measure.left) + support_radius(measure.right)
 
 
 # ---------------------------------------------------------------------------
@@ -468,18 +495,6 @@ def _(measure: Convolution, y: float, q: int, budget: int, tol: float, lip):
     return xs + extra, ws, width
 
 
-def default_sample_depth(measure: MeasureExpr) -> int:
-    """Digit depth saturating double precision, 60 bits (largest base in the tree)."""
-    if isinstance(measure, Convolution):
-        return max(
-            default_sample_depth(measure.left),
-            default_sample_depth(measure.right),
-        )
-    if isinstance(measure, FractalMeasure):
-        return max(1, math.ceil(60.0 * math.log(2) / math.log(measure.base)) + 1)
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # Fourier l^1 partial sums and dimension estimation
 
@@ -562,11 +577,8 @@ def estimate_dim_l1(
     if math.log10(X_grid[-1] / X_grid[0]) < 2.0 - 1e-9:
         raise ValueError("X_grid must span at least two decades")
 
-    X_max = int(X_grid[-1])
     S = _partial_sums(measure, X_grid, star, theta_grid)
-    theta_err = None
-    if star:
-        theta_err = TWO_PI * _support_radius(measure) * X_max / theta_grid
+    theta_err = TWO_PI * support_radius(measure) * int(X_grid[-1]) / theta_grid if star else None
 
     degenerate = bool(np.allclose(S, S[0], rtol=1e-12, atol=0.0))
     if degenerate:
@@ -583,18 +595,6 @@ def estimate_dim_l1(
         mode="star" if star else "plain",
         degenerate=degenerate, theta_grid_error=theta_err,
     )
-
-
-def _support_radius(measure: MeasureExpr) -> float:
-    """R with supp(mu) in [-R, R]: radii add across convolution factors; a
-    fractal leaf lives in [shift, shift + 1], Lebesgue in [0, 1]."""
-    if isinstance(measure, Convolution):
-        return _support_radius(measure.left) + _support_radius(measure.right)
-    if isinstance(measure, DiracMass):
-        return abs(measure.point)
-    if isinstance(measure, FractalMeasure):
-        return abs(measure.shift) + 1.0
-    return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -656,13 +656,6 @@ def b_of_s(s: float) -> int:
 
 # ---------------------------------------------------------------------------
 # Measure literals
-
-_MEASURE_GRAMMAR = (
-    "<measure> := <term> ('*' <term>)* ; <term> := <atom> ['+' <shift>] ; "
-    "<atom> := 'cantor:<b>:<digits>' | 'leb' | 'dirac:<x>' ; "
-    "<digits> := d1,d2,... | lo..hi"
-)
-
 
 def parse_measure(text: str) -> MeasureExpr:
     """Parse `cantor:<b>:<digits>`, `leb`, `dirac:<x>`, `*`, `+<x0>`."""

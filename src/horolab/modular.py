@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as _measures
-from .measures import CylinderBudgetError  # noqa: F401  (mu_y_value's refusal)
 
 BOUNDARY_BAND = 1e-12
 MAX_REDUCE_STEPS = 10_000
@@ -109,8 +108,7 @@ def mX_integral(phi, n_samples: int, seed) -> tuple[float | complex, float]:
     """
     if n_samples < 1000:
         raise ValueError("require at least 10^3 samples")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    x, y = sample_fundamental_domain(n_samples, rng)
+    x, y = sample_fundamental_domain(n_samples, np.random.default_rng(seed))
     return _mean_stderr(np.asarray(phi(x, y)))
 
 

@@ -124,7 +124,8 @@ class ConstantTest:
 
 
 def parse_test_function(text: str):
-    """Parse `eisenstein:t=<t>`, `bump:y0=<a>,y1=<b>`, `indicator:ygt=<c>`."""
+    """Parse `eisenstein:t=<t>`, `bump:y0=<a>,y1=<b>`, `indicator:ygt=<c>`,
+    `const:<c>`."""
     text = text.strip()
     if text.startswith("eisenstein:"):
         body = text[len("eisenstein:"):]

@@ -357,7 +357,11 @@ def test_eisenstein_values_match_dense_reference(params_t1):
 
 def test_reduced_points_have_eight_live_terms(params_t1):
     # 2 pi n y < 46 on y >= sqrt(3)/2 holds for n <= 8 only
-    assert _live_end(SQRT3_HALF) == 8 == params_t1._coef.size
+    # and eisenstein_values reads the 8-entry table coef(8)
+    assert _live_end(SQRT3_HALF) == 8
+    coef = params_t1.coef(8)
+    want = [params_t1.whittaker_norm * hecke_eis(m, params_t1) for m in range(1, 9)]
+    assert coef.size == 8 and coef == pytest.approx(want, rel=1e-13)
     assert 2 * math.pi * 8 * SQRT3_HALF < K_NEGLIGIBLE_X <= 2 * math.pi * 9 * SQRT3_HALF
 
 
@@ -530,6 +534,14 @@ def test_sieve_prefix_is_bit_identical(k, params_t1):
     assert hecke_range(params_t1, 3000)[:k].tobytes() == hecke_range(params_t1, k).tobytes()
     m = min(k, 40)
     assert hecke_range(params_t1, k)[m - 1] == pytest.approx(hecke_eis(m, params_t1), rel=1e-13)
+
+
+def test_coef_prefix_is_bit_identical(params_t1):
+    # past 16384 entries numpy would scale an unnamed table in place, with
+    # the operands swapped, and round complex products differently
+    full = params_t1.coef(40_000)
+    for k in (1, 8, 3000, 20_000):
+        assert full[:k].tobytes() == params_t1.coef(k).tobytes()
 
 
 def test_twisted_sum_series_sieves_once(monkeypatch):

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from horolab.automorphic import eisenstein_series_prediction
 from horolab.cli import cli_main
 from horolab.experiments import (
     ExperimentConfig,
-    eisenstein_series_prediction,
     run_basis_identity_check,
     run_equidistribution,
 )
@@ -473,6 +473,38 @@ def test_cli_ygrid_rule_is_shared(capsys, command, ygrid, needle):
     assert code == 1
     assert f"horolab: error: {needle}" in err
     assert out == ""
+
+
+def reached(*args, **kwargs):
+    raise AssertionError("an allocator past the refusal was reached")
+
+
+@pytest.mark.parametrize("ygrid", ["0.25:0.5:24", "0.25:0.5:40"])
+def test_cli_basis_check_refuses_a_series_over_budget(monkeypatch, capsys, ygrid):
+    # 0.25:0.5:24 would need 2.5e8 lambda entries, 0.25:0.5:40 1.6e13; the
+    # refusal names the first height over MAX_SERIES_TERMS and comes before
+    # the lambda table, mu_hat and the cylinder pass
+    from horolab import automorphic, experiments
+
+    monkeypatch.setattr(automorphic, "hecke_range", reached)
+    monkeypatch.setattr(automorphic, "fourier_transform", reached)
+    monkeypatch.setattr(experiments, "mu_y_value", reached)
+    code, out, err = run_cli(capsys, "basis-check", "--measure", "leb", "--ygrid", ygrid)
+    y = 0.25 * 0.5**19  # 46 / (2 pi y) first exceeds 2**23 here
+    assert 46 / (2 * math.pi * y) > automorphic.MAX_SERIES_TERMS > 46 / (4 * math.pi * y)
+    assert code == 1 and out == ""
+    assert f"horolab: error: height y = {y:g} needs" in err and "MAX_SERIES_TERMS" in err
+
+
+def test_cli_spectral_gap_refuses_an_fft_over_budget(monkeypatch, capsys):
+    # 0.125:0.5:25 would need a 2**29-point FFT at its last height
+    from horolab import automorphic
+
+    monkeypatch.setattr(automorphic, "reduce_many", reached)
+    monkeypatch.setattr(np.fft, "fft", reached)
+    code, out, err = run_cli(capsys, "spectral-gap", "--ygrid", "0.125:0.5:25")
+    assert code == 1 and out == ""
+    assert f"horolab: error: height y = {0.125 * 0.5**24:g} needs over MAX_FFT_POINTS" in err
 
 
 def test_cli_stationary_sweep_certifies_its_phase_once(monkeypatch, tmp_path, capsys):

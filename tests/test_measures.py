@@ -9,6 +9,7 @@ from horolab.fitting import LiteralParseError
 from horolab.measures import (
     ABS_BLOCK,
     DEFAULT_TAIL_TOL,
+    SAMPLE_BLOCK,
     Convolution,
     DiracMass,
     FractalMeasure,
@@ -17,6 +18,7 @@ from horolab.measures import (
     b_of_s,
     cvy_bound_for_measure,
     cvy_lower_bound,
+    default_sample_depth,
     estimate_dim_l1,
     fourier_abs,
     fourier_transform,
@@ -24,6 +26,7 @@ from horolab.measures import (
     parse_measure,
     product_depth,
     sample,
+    support_radius,
     symbol_g,
 )
 
@@ -229,6 +232,38 @@ def test_blocked_fourier_abs_equals_one_shot_product(text):
     assert not np.array_equal(got[:ABS_BLOCK], one_shot_abs(mu, small, J_block))
 
 
+@pytest.mark.parametrize("text", ["cantor:3:0,2", "cantor:450:0..446"])
+def test_fourier_transform_does_not_depend_on_array_length(text):
+    # appending max(xi) keeps J, so each entry meets the same factors in a
+    # short call as in the long one, and must get the same bits
+    mu = parse_measure(text)
+    xi = np.arange(1, 100_001) / 3.0
+    full = fourier_transform(mu, xi)
+    for n in (10, 10**4, 4 * 10**4):
+        part = fourier_transform(mu, np.append(xi[:n], xi[-1]))[:n]
+        assert np.array_equal(part.view(np.int64), full[:n].view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        FractalMeasure(3, (0, 2), (0.3, 0.7), 0.25),  # weighted, shifted
+        FractalMeasure(10, (0, 1, 4, 7)),  # digits not in progression
+    ],
+)
+def test_product_walk_across_blocks_equals_one_shot_product(mu):
+    xi = np.random.default_rng(8).uniform(-5e3, 5e3, 2 * ABS_BLOCK + 155)
+    J = product_depth(mu, float(np.abs(xi).max()), DEFAULT_TAIL_TOL)
+    value, modulus, u = np.exp(2j * np.pi * mu.shift * xi), np.ones(xi.size), xi
+    for _ in range(J):
+        u = u / mu.base
+        g = symbol_g(mu, u)
+        value = value * g
+        modulus = modulus * np.abs(g)
+    assert np.array_equal(fourier_transform(mu, xi).view(np.int64), value.view(np.int64))
+    assert np.array_equal(fourier_abs(mu, xi).view(np.int64), modulus.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 
@@ -262,6 +297,23 @@ def test_sample_convolution_adds_children():
 def test_sample_depth_underflow_rejected():
     with pytest.raises(PrecisionLossError):
         sample(CANTOR10, 400, 10, seed=0)
+
+
+@pytest.mark.parametrize("mu", [CANTOR3, FractalMeasure(3, (0, 2), (0.3, 0.7), 0.5)])
+def test_sample_in_passes_equals_one_draw(mu):
+    # more than three passes of SAMPLE_BLOCK digits, against one draw of all
+    depth, count = 8, 3 * SAMPLE_BLOCK // 8 + 777
+    rng = np.random.default_rng(11)
+    if mu.is_uniform:
+        idx = rng.integers(0, mu.n_digits, size=(count, depth))
+    else:
+        idx = rng.choice(mu.n_digits, size=(count, depth), p=mu.weight_array)
+    vals = np.asarray(mu.digits)[idx].astype(float)
+    x = np.zeros(count)
+    for j in range(depth - 1, -1, -1):
+        x = (x + vals[:, j]) * (1.0 / mu.base)
+    got = sample(mu, depth, count, 11)
+    assert np.array_equal(got.view(np.int64), (x + mu.shift).view(np.int64))
 
 
 def test_sample_deterministic_given_seed():
@@ -500,3 +552,12 @@ def test_star_grid_error_adds_factor_radii(text, radius):
     grid = np.unique(np.geomspace(100, 10**4, 6).astype(int))
     est = estimate_dim_l1(parse_measure(text), grid, star=True, theta_grid=16)
     assert est.theta_grid_error == pytest.approx(2 * np.pi * radius * 10**4 / 16)
+
+
+def test_per_type_rules_cover_every_measure_and_refuse_others():
+    expr = parse_measure("cantor:3:0,2+0.5*cantor:450:0..446*leb*dirac:-2")
+    assert default_sample_depth(expr) == math.ceil(60 * math.log(2) / math.log(3)) + 1
+    assert support_radius(expr) == 1.5 + 1.0 + 1.0 + 2.0
+    for rule in (default_sample_depth, support_radius):
+        with pytest.raises(TypeError):
+            rule("leb")

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from horolab.automorphic import horocycle_fourier_coeff
-from horolab.measures import parse_measure
+from horolab.measures import CylinderBudgetError, parse_measure
 from horolab.modular import (
     BOUNDARY_BAND,
-    CylinderBudgetError,
     HorocycleConfig,
     mX_integral,
     mu_y_value,
