@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -116,8 +117,13 @@ def _cmd_fourier(args) -> int:
     start, stop, step = _parse_triple(
         args.xi, "<xi-range>", (("start", float), ("stop", float), ("step", float))
     )
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise CliError(f"<xi-range>: {args.xi!r} is not finite")
     if step <= 0:
         raise CliError("<xi-range>: step must be positive")
+    if (stop + 0.5 * step - start) / step > _measures.MAX_GRID_POINTS:
+        raise CliError(f"<xi-range>: {args.xi!r} has more than "
+                       f"MAX_GRID_POINTS = {_measures.MAX_GRID_POINTS} points")
     xs = np.arange(start, stop + 0.5 * step, step)
     vals = _measures.fourier_transform(measure, xs, args.tail_tol)
     csv_text = csv_table("xi,re,im,abs", xs, vals.real, vals.imag, np.abs(vals))
@@ -129,6 +135,8 @@ def _cmd_dim(args) -> int:
     measure = _measures.parse_measure(args.measure)
     if args.xmax < 10_000:
         raise CliError("<dim>: --xmax must be at least 10^4 (two decades above 100)")
+    if args.xmax > _measures.MAX_GRID_POINTS:
+        raise CliError(f"<dim>: --xmax must be at most MAX_GRID_POINTS = {_measures.MAX_GRID_POINTS}")
     grid = np.unique(np.round(np.geomspace(100, args.xmax, args.points)).astype(int))
     est = _measures.estimate_dim_l1(
         measure, grid, star=args.star, theta_grid=args.theta_grid

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import singledispatch
+from functools import cached_property, singledispatch
 
 import numpy as np
 
@@ -34,7 +34,8 @@ DEFAULT_TAIL_TOL = 1e-12
 B_OF_S_CEILING = 10**9
 FOURIER_L1_THRESHOLD = 39.0 / 64.0  # spectral-gap barrier for the headline regime
 ABS_BLOCK = 1 << 15  # entries per block of the mu_hat product: 256 KiB per float array
-SAMPLE_BLOCK = 1 << 18  # digits per pass of sample: 2 MiB per index or value array
+SAMPLE_BLOCK = 1 << 18  # digits per pass of sample: 2 MiB per index array
+MAX_GRID_POINTS = 1 << 23  # largest xi or m grid of the fourier and dim commands: 64 MiB per float array
 
 
 class PrecisionLossError(ValueError):
@@ -85,9 +86,12 @@ class FractalMeasure:
     def is_uniform(self) -> bool:
         return self.weights is None
 
-    @property
+    @cached_property
     def digit_progression(self) -> tuple[int, int] | None:
-        """(first, step) when the digits form an arithmetic progression."""
+        """(first, step) when the digits form an arithmetic progression.
+
+        Cached: every factor of the mu_hat product reads it.
+        """
         D = self.digits
         if len(D) == 1:
             return (D[0], 1)
@@ -321,7 +325,7 @@ def _(measure: FractalMeasure, depth: int, count: int, seed) -> np.ndarray:
     if float(measure.base) ** (-depth) == 0.0:
         raise PrecisionLossError(f"base^-depth underflows for base={measure.base}, depth={depth}")
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
-    digits = np.asarray(measure.digits)
+    digits = np.asarray(measure.digits, dtype=float)
     out = np.zeros(count)
     chunk = max(1, min(count, SAMPLE_BLOCK // depth))  # rows per pass; draws do not depend on it
     inv_b = 1.0 / measure.base
@@ -331,10 +335,9 @@ def _(measure: FractalMeasure, depth: int, count: int, seed) -> np.ndarray:
             idx = rng.integers(0, measure.n_digits, size=(hi - lo, depth))
         else:
             idx = rng.choice(measure.n_digits, size=(hi - lo, depth), p=measure.weight_array)
-        vals = digits[idx].astype(float)
         x = np.zeros(hi - lo)
         for j in range(depth - 1, -1, -1):  # Horner: deterministic order
-            x = (x + vals[:, j]) * inv_b
+            x = (x + digits[idx[:, j]]) * inv_b
         out[lo:hi] = x + measure.shift
     return out
 

@@ -22,6 +22,7 @@ from . import measures as _measures
 
 BOUNDARY_BAND = 1e-12
 MAX_REDUCE_STEPS = 10_000
+EVAL_BLOCK = 1 << 15  # points per block of mu_y_value; never below 2**15 (see its docstring)
 
 
 class ReductionDivergedError(RuntimeError):
@@ -53,8 +54,16 @@ def reduce_many(x, y) -> tuple[np.ndarray, np.ndarray]:
     below it x^2 + y^2 underflows and the inversion returns NaN or inf)
     and every x is finite.  Steps never lower y, so checking the input
     suffices.
+
+    The first step runs in place on the output; later steps carry only the
+    points still live, in compact arrays with their output indices.  A step
+    translates its points and writes them back, then inverts those inside
+    the unit circle, writes those back and keeps exactly them (one
+    np.flatnonzero).  Per point the arithmetic and its order are the same
+    at every array length and live count, so the result does not depend on
+    how the points are grouped.
     """
-    x = np.array(x, dtype=float, copy=True)
+    x = np.array(x, dtype=float, copy=True, order="C")  # so xf below is a view
     y = np.broadcast_to(np.asarray(y, dtype=float), x.shape).copy()
     if not (y > 0).all():
         raise ValueError("require y > 0")
@@ -62,18 +71,19 @@ def reduce_many(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("require y*y >= the smallest normal float (y >= ~1.5e-154)")
     if not np.isfinite(x).all():
         raise ValueError("require finite x")
-    active = np.arange(x.size)
-    xf, yf = x.ravel(), y.ravel()
+    xf, yf = x.reshape(-1), y.reshape(-1)
+    xs, ys, live = xf, yf, None  # live: output indices of xs, ys (None: all, in place)
     for _ in range(MAX_REDUCE_STEPS):
-        xs, ys = xf[active], yf[active]
         xs -= np.round(xs)
+        if live is not None:
+            xf[live] = xs  # final for the points that stop here
         r2 = xs * xs + ys * ys
-        inside = r2 < 1.0 - BOUNDARY_BAND
-        xs[inside] = -xs[inside] / r2[inside]
-        ys[inside] = ys[inside] / r2[inside]
-        xf[active], yf[active] = xs, ys
-        active = active[inside]
-        if active.size == 0:
+        keep = np.flatnonzero(r2 < 1.0 - BOUNDARY_BAND)
+        live = keep if live is None else live[keep]
+        r2 = r2[keep]
+        xs, ys = -xs[keep] / r2, ys[keep] / r2
+        xf[live], yf[live] = xs, ys
+        if keep.size == 0:
             break
     else:
         raise ReductionDivergedError(f"no convergence after {MAX_REDUCE_STEPS} steps")
@@ -131,13 +141,34 @@ def mu_y_value(
     (midpoint rule for the Lebesgue leaf), error bounded via the declared
     Lipschitz constant (resp. a half-resolution comparison).
     montecarlo: seeded sample mean with its standard error.
+
+    The points are drawn (or enumerated) at once, then reduced and passed
+    to phi in blocks of EVAL_BLOCK, the remainder joining the last block,
+    into one array; the mean, its error and the cylinder sum run on the
+    whole array.  So every block holds EVAL_BLOCK to 2*EVAL_BLOCK - 1
+    points, or all of them when there are fewer.  The floor matters: numpy
+    runs an arithmetic operation in place in a temporary of 256 KiB or more,
+    operands swapped, and a swapped complex product rounds differently
+    (constant_term's c(t) * conj(e) from 16 384 complex entries on).  A
+    block of 2**15 points or more takes that branch wherever the whole array
+    would, so the result is bit for bit that of one unblocked evaluation.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
     def evaluate(xs_line: np.ndarray):
-        xr, yr = reduce_many(cfg.x0 + xs_line / cfg.q, cfg.y / cfg.q)
-        return np.asarray(phi(xr, yr))
+        n = xs_line.size
+        edges = [EVAL_BLOCK * i for i in range(max(1, n // EVAL_BLOCK))] + [n]
+        out = None
+        for lo, hi in zip(edges, edges[1:]):
+            xr, yr = reduce_many(cfg.x0 + xs_line[lo:hi] / cfg.q, cfg.y / cfg.q)
+            vals = np.asarray(phi(xr, yr))
+            if hi - lo == n:  # one block: its values are the result, uncopied
+                return vals
+            if out is None:
+                out = np.empty(n, dtype=vals.dtype)
+            out[lo:hi] = vals
+        return out
 
     if method == "cylinder":
         lip = getattr(phi, "lipschitz", None)

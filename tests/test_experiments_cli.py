@@ -408,6 +408,8 @@ def test_cli_malformed_literals_name_production(capsys, argv, needle):
         (("equidist", "--measure", "leb", "--x0", "nan", "--ygrid", "0.25:0.5:4"), "x0"),
         (("stationary", "--phase", "poly:0,0,1", "--window", "coswin:8.9e307,1"),
          "window support [8.9e+307, 8.9e+307]"),
+        (("fourier", "--measure", "leb", "--xi", "0:1:nan"), "<xi-range>: '0:1:nan' is not finite"),
+        (("fourier", "--measure", "leb", "--xi", "0:inf:1"), "<xi-range>: '0:inf:1' is not finite"),
     ],
 )
 def test_cli_non_finite_inputs_exit_1(capsys, argv, needle):
@@ -505,6 +507,24 @@ def test_cli_spectral_gap_refuses_an_fft_over_budget(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "spectral-gap", "--ygrid", "0.125:0.5:25")
     assert code == 1 and out == ""
     assert f"horolab: error: height y = {0.125 * 0.5**24:g} needs over MAX_FFT_POINTS" in err
+
+
+@pytest.mark.parametrize(
+    "argv, production",
+    [
+        (("dim", "--measure", "leb", "--xmax", "1000000000000"), "<dim>"),
+        (("fourier", "--measure", "leb", "--xi", "0:1e12:1"), "<xi-range>"),
+    ],
+)
+def test_cli_refuses_a_grid_over_max_grid_points(monkeypatch, capsys, argv, production):
+    # each grid would ask np.arange for 10^12 entries (8 TB)
+    from horolab import measures
+
+    assert measures.MAX_GRID_POINTS > 10**6  # the README's and line_analysis's dim grid
+    monkeypatch.setattr(np, "arange", reached)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"horolab: error: {production}") and "MAX_GRID_POINTS" in err
 
 
 def test_cli_stationary_sweep_certifies_its_phase_once(monkeypatch, tmp_path, capsys):

@@ -299,9 +299,12 @@ def test_sample_depth_underflow_rejected():
         sample(CANTOR10, 400, 10, seed=0)
 
 
-@pytest.mark.parametrize("mu", [CANTOR3, FractalMeasure(3, (0, 2), (0.3, 0.7), 0.5)])
+@pytest.mark.parametrize(
+    "mu", [CANTOR3, FractalMeasure(3, (0, 2), (0.3, 0.7), 0.5), FractalMeasure(10, (0, 1, 5))]
+)
 def test_sample_in_passes_equals_one_draw(mu):
     # more than three passes of SAMPLE_BLOCK digits, against one draw of all
+    # gathered from the digit table
     depth, count = 8, 3 * SAMPLE_BLOCK // 8 + 777
     rng = np.random.default_rng(11)
     if mu.is_uniform:
@@ -314,6 +317,13 @@ def test_sample_in_passes_equals_one_draw(mu):
         x = (x + vals[:, j]) * (1.0 / mu.base)
     got = sample(mu, depth, count, 11)
     assert np.array_equal(got.view(np.int64), (x + mu.shift).view(np.int64))
+
+
+def test_digit_progression_is_computed_once():
+    mu = FractalMeasure(450, tuple(range(447)))
+    assert mu.digit_progression == (0, 1)
+    assert mu.digit_progression is mu.digit_progression
+    assert FractalMeasure(10, (0, 1, 5)).digit_progression is None
 
 
 def test_sample_deterministic_given_seed():

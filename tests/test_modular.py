@@ -9,6 +9,7 @@ from horolab.measures import CylinderBudgetError, parse_measure
 from horolab.modular import (
     BOUNDARY_BAND,
     HorocycleConfig,
+    ReductionDivergedError,
     mX_integral,
     mu_y_value,
     reduce_many,
@@ -48,6 +49,34 @@ def reduce_scalar(x, y):
         x, y = -x / r2, y / r2
         a, b, c, d = -c, -d, a, b  # S g
     raise AssertionError("no convergence")
+
+
+def reduce_many_gather(x, y):
+    """Array oracle for reduce_many: every step gathers the active points
+    from the full arrays, inverts by boolean masks and scatters the whole
+    active set back."""
+    x = np.array(x, dtype=float, copy=True, order="C")
+    y = np.broadcast_to(np.asarray(y, dtype=float), x.shape).copy()
+    active = np.arange(x.size)
+    xf, yf = x.ravel(), y.ravel()
+    for _ in range(10_000):
+        xs, ys = xf[active], yf[active]
+        xs -= np.round(xs)
+        r2 = xs * xs + ys * ys
+        inside = r2 < 1.0 - BOUNDARY_BAND
+        xs[inside] = -xs[inside] / r2[inside]
+        ys[inside] = ys[inside] / r2[inside]
+        xf[active], yf[active] = xs, ys
+        active = active[inside]
+        if active.size == 0:
+            return x, y
+    raise AssertionError("no convergence")
+
+
+def bit_equal(a, b):
+    """Same shape and same bits, so the sign of zero counts."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def canonical(x, y):
@@ -119,6 +148,49 @@ def test_reduce_many_matches_scalar():
         assert g[0] * g[3] - g[1] * g[2] == 1
         assert mobius(g, xs[i], ys[i]) == pytest.approx((x, y), abs=1e-9)
     assert (yr >= math.sqrt(3) / 2 - 1e-9).all()
+
+
+def _reduction_cases():
+    rng = np.random.default_rng(23)
+    n = 5000
+    theta = rng.uniform(0.0, math.pi, n)
+    arc = 1.0 + rng.uniform(-2.0, 2.0, n) * BOUNDARY_BAND  # within the band of |z| = 1
+    halves = np.array([0.5, -0.5, 1.5, -1.5, 2.5, -2.5])
+    integers = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 1e6, -1e6])
+    return {
+        "random": (rng.uniform(-4, 4, n), rng.uniform(1e-4, 2.0, n)),
+        "low": (rng.uniform(-1, 1, n), 0.25 * 0.5**12),
+        "halves": (np.repeat(halves, 3), np.tile([0.3, 1.0, 3.0], halves.size)),
+        "integers": (np.repeat(integers, 3), np.tile([1e-3, 0.5, 1.0], integers.size)),
+        "huge_x": (np.array([1e15, -1e15, 2.0**52 + 0.5, 1e300, -1e300, 4.5e15]), 0.7),
+        "unit_arc": (arc * np.cos(theta), arc * np.sin(theta)),
+        "empty": (np.array([]), np.array([])),
+        "reduced": (np.array([0.0, 0.25, -0.4, 0.5, -0.5]), np.array([1.0, 1.2, 0.95, 2.0, 0.9])),
+        "grid_2d": (np.linspace(-2, 2, 35).reshape(5, 7), np.full((5, 7), 0.01)),
+        # Fortran-ordered input: the flat views must still alias the output
+        "transposed_2d": (
+            np.linspace(-2, 2, 35).reshape(5, 7).T, np.geomspace(1e-3, 2.0, 35).reshape(5, 7).T
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_reduction_cases()))
+def test_reduce_many_matches_gather_oracle_bit_for_bit(case):
+    x, y = _reduction_cases()[case]
+    got, want = reduce_many(x, y), reduce_many_gather(x, y)
+    for g, w in zip(got, want):
+        assert bit_equal(g, w)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def test_reduce_many_returns_empty_input_after_one_step(monkeypatch):
+    from horolab import modular
+
+    monkeypatch.setattr(modular, "MAX_REDUCE_STEPS", 1)
+    xr, yr = reduce_many(np.array([]), 0.5)
+    assert xr.shape == yr.shape == (0,)
+    with pytest.raises(ReductionDivergedError):
+        reduce_many([0.1], [0.01])  # needs a second step
 
 
 def test_reduce_rejects_nonpositive_height():
@@ -310,6 +382,57 @@ def test_mu_y_general_convolution_cylinder_refused():
     phi = BumpTest(0.9, 2.5)
     with pytest.raises(CylinderBudgetError):
         mu_y_value(measure, phi, HorocycleConfig(0.0, 1, 0.25), method="cylinder", budget=10**6)
+
+
+class Recording:
+    """phi that keeps every array it returns, in call order."""
+
+    def __init__(self, phi):
+        self.phi, self.values = phi, []
+
+    def __call__(self, x, y):
+        self.values.append(self.phi(x, y))
+        return self.values[-1]
+
+    def joined(self):
+        return np.concatenate(self.values)
+
+
+BLOCKING_SIZES = [16_383, 16_384, 1 << 15, (1 << 15) + 1, 3 * (1 << 15) - 1, 200_000]
+
+
+@pytest.mark.parametrize("n", BLOCKING_SIZES)
+def test_mu_y_blocks_equal_one_unblocked_evaluation(monkeypatch, n):
+    # constant_term's c(t) * conj(e) rounds differently below 16 384 complex
+    # entries, so a block split that leaves a smaller tail moves the values
+    from horolab import measures, modular
+
+    measure = parse_measure("cantor:450:0..446")
+    cfg = HorocycleConfig(0.1, 3, 0.25 * 0.5**8)
+    nodes = measures.sample(measure, 8, n, 5)
+
+    def cylinder_nodes(*args):  # exactly n nodes, checked at half resolution
+        return nodes, np.full(n, 1.0 / n), None
+
+    monkeypatch.setattr(measures, "cylinder_nodes", cylinder_nodes)
+    for component in ("re", "complex"):
+        runs = []
+        for block in (modular.EVAL_BLOCK, n):  # n: one block of every point
+            mc = Recording(EisensteinTest(1.0, component=component))
+            cyl = Recording(mc.phi)
+            with monkeypatch.context() as m:
+                m.setattr(modular, "EVAL_BLOCK", block)
+                results = [
+                    mu_y_value(measure, mc, cfg, method="montecarlo", budget=n, seed=7),
+                    mu_y_value(measure, cyl, cfg, method="cylinder", budget=n),
+                ]
+            runs.append((results, mc.joined(), cyl.joined()))
+        (blocked, *blocked_values), (whole, *whole_values) = runs
+        assert len(mc.values) == 1 and len(cyl.values) == 2  # unblocked: one call per pass
+        for v, w in zip(blocked_values, whole_values):
+            assert bit_equal(v, w)
+        for (v, e), (w, f) in zip(blocked, whole):
+            assert bit_equal(v, w) and bit_equal(e, f)
 
 
 def test_mu_y_montecarlo_deterministic_given_seed():
