@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -236,7 +237,7 @@ def bessel_K_imag(t: float, x):
         ch, w = _de_weights(t, float(x_arr[live].min()), step)
         xs = x_arr[live]
         vals = np.empty(xs.size)
-        chunk = max(1, 250_000 // ch.size)  # about 2 MB per temporary
+        chunk = max(1, 62_500 // ch.size)  # about 0.5 MB per temporary
         for lo in range(0, xs.size, chunk):
             hi = min(lo + chunk, xs.size)
             # explicit sum keeps the reduction order fixed
@@ -258,7 +259,8 @@ def bessel_K_series(t: float, x) -> np.ndarray:
     have one.  bessel_K_imag's grid depends on the smallest x alone, so
     those nodes are bit-equal to a call on all of x.
     """
-    grid, coef = _k_spline(t)
+    with _K_SPLINE_LOCK:  # threads that miss the cache together build the spline once
+        grid, coef = _k_spline(t)
     x = np.asarray(x, dtype=float)
     dx = (K_NEGLIGIBLE_X - K_SPLINE_X0) / (K_SPLINE_KNOTS - 1)
     i = np.clip((x - K_SPLINE_X0) / dx, 0, K_SPLINE_KNOTS - 2).astype(np.intp)
@@ -313,10 +315,14 @@ def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
+_K_SPLINE_LOCK = threading.Lock()  # held around every _k_spline call
+
+
 @cache
 def _k_spline(t: float) -> tuple[np.ndarray, np.ndarray]:
     """The K-spline of order t: its K_SPLINE_KNOTS equispaced knots on
-    [5, 46] and the not-a-knot coefficients through bessel_K_imag there."""
+    [5, 46] and the not-a-knot coefficients through bessel_K_imag there.
+    Built once per order: its caller holds _K_SPLINE_LOCK."""
     grid = np.linspace(K_SPLINE_X0, K_NEGLIGIBLE_X, K_SPLINE_KNOTS)
     coef = _not_a_knot_spline(grid, bessel_K_imag(t, grid))
     grid.flags.writeable = coef.flags.writeable = False  # shared by every caller
@@ -405,7 +411,7 @@ def _whittaker_terms(coef, t: float, m, y, phase):
     return coef * (np.sqrt(y) * k * phase)
 
 
-def eisenstein_values(x, y, p: EisensteinParams) -> np.ndarray:
+def eisenstein_values(x, y, p: EisensteinParams, real: bool = False) -> np.ndarray:
     """E(x + iy, 1/2 + it) on arrays of reduced coordinates (y >= sqrt3/2).
 
     The n-th term is live where w = 2 pi n y < 46 and exactly 0 elsewhere,
@@ -413,12 +419,18 @@ def eisenstein_values(x, y, p: EisensteinParams) -> np.ndarray:
     of live terms, which makes each n's live set a prefix; their sums are
     accumulated there and scattered back once.  The result has the
     broadcast shape of x and y.
+
+    real=True returns Re E, summed in real arrays: the real part of a
+    complex coefficient a + ib times a real r is a*r rounded (b*0 drops
+    out), so the values are bit for bit the real part of the complex result.
     """
     x, y = np.broadcast_arrays(
         np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
     )
     xf, yf = x.reshape(-1), y.reshape(-1)
     val = constant_term(yf, p)
+    if real:
+        val = val.real.copy()
     coef = p.coef(_live_end(SQRT3_HALF))
     depth = np.zeros(yf.size, dtype=np.min_scalar_type(coef.size))
     live_counts = []
@@ -429,14 +441,18 @@ def eisenstein_values(x, y, p: EisensteinParams) -> np.ndarray:
             break
         depth += live
         live_counts.append(count)
-    order = np.argsort(depth, kind="stable")[::-1][: np.count_nonzero(depth)]
-    xs, ys, acc = xf[order], yf[order], val[order]
+    order = np.argsort(depth, kind="stable")[::-1]
+    live = order[: np.count_nonzero(depth)]
+    xs, ys, acc = xf[live], yf[live], val[order]
+    del val  # acc holds every point's sum from here on
     for n, k in enumerate(live_counts, start=1):
         # the +-m pair of e(m x) coefficients combines to 2 a_n cos(2 pi n x)
+        lead = 2.0 * coef[n - 1]
         phase = np.cos(TWO_PI * n * xs[:k])
-        acc[:k] += _whittaker_terms(2.0 * coef[n - 1], p.t, n, ys[:k], phase)
-    val[order] = acc
-    return val.reshape(x.shape)
+        acc[:k] += _whittaker_terms(lead.real if real else lead, p.t, n, ys[:k], phase)
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out.reshape(x.shape)
 
 
 def eisenstein_series_prediction(measure, params: EisensteinParams, height, x0: float, q: int):

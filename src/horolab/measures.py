@@ -34,7 +34,7 @@ DEFAULT_TAIL_TOL = 1e-12
 B_OF_S_CEILING = 10**9
 FOURIER_L1_THRESHOLD = 39.0 / 64.0  # spectral-gap barrier for the headline regime
 ABS_BLOCK = 1 << 15  # entries per block of the mu_hat product: 256 KiB per float array
-SAMPLE_BLOCK = 1 << 18  # digits per pass of sample: 2 MiB per index array
+SAMPLE_BLOCK = 1 << 17  # digits per pass of sample: 1 MiB per index array
 MAX_GRID_POINTS = 1 << 23  # largest xi or m grid of the fourier and dim commands: 64 MiB per float array
 
 
@@ -339,6 +339,7 @@ def _(measure: FractalMeasure, depth: int, count: int, seed) -> np.ndarray:
         for j in range(depth - 1, -1, -1):  # Horner: deterministic order
             x = (x + digits[idx[:, j]]) * inv_b
         out[lo:hi] = x + measure.shift
+        del idx  # before the next pass draws its own
     return out
 
 

@@ -57,11 +57,13 @@ def reduce_many(x, y) -> tuple[np.ndarray, np.ndarray]:
 
     The first step runs in place on the output; later steps carry only the
     points still live, in compact arrays with their output indices.  A step
-    translates its points and writes them back, then inverts those inside
-    the unit circle, writes those back and keeps exactly them (one
-    np.flatnonzero).  Per point the arithmetic and its order are the same
-    at every array length and live count, so the result does not depend on
-    how the points are grouped.
+    translates its points and writes them back, then keeps those inside the
+    unit circle (one np.flatnonzero), inverts them in place and writes them
+    back.  Per point the arithmetic and its order are the same at every
+    array length and live count, so the result does not depend on how the
+    points are grouped.  The rounding temporary is reused for x^2 + y^2,
+    and the survivors are compacted one array at a time and inverted in
+    place, so few temporaries of a step's size are alive at once.
     """
     x = np.array(x, dtype=float, copy=True, order="C")  # so xf below is a view
     y = np.broadcast_to(np.asarray(y, dtype=float), x.shape).copy()
@@ -74,14 +76,20 @@ def reduce_many(x, y) -> tuple[np.ndarray, np.ndarray]:
     xf, yf = x.reshape(-1), y.reshape(-1)
     xs, ys, live = xf, yf, None  # live: output indices of xs, ys (None: all, in place)
     for _ in range(MAX_REDUCE_STEPS):
-        xs -= np.round(xs)
+        r2 = np.round(xs)
+        xs -= r2
         if live is not None:
             xf[live] = xs  # final for the points that stop here
-        r2 = xs * xs + ys * ys
+        r2 = np.multiply(xs, xs, out=r2)
+        r2 += ys * ys
         keep = np.flatnonzero(r2 < 1.0 - BOUNDARY_BAND)
         live = keep if live is None else live[keep]
         r2 = r2[keep]
-        xs, ys = -xs[keep] / r2, ys[keep] / r2
+        xs = xs[keep]
+        ys = ys[keep]
+        np.negative(xs, out=xs)
+        xs /= r2
+        ys /= r2
         xf[live], yf[live] = xs, ys
         if keep.size == 0:
             break
@@ -142,50 +150,63 @@ def mu_y_value(
     Lipschitz constant (resp. a half-resolution comparison).
     montecarlo: seeded sample mean with its standard error.
 
-    The points are drawn (or enumerated) at once, then reduced and passed
-    to phi in blocks of EVAL_BLOCK, the remainder joining the last block,
-    into one array; the mean, its error and the cylinder sum run on the
-    whole array.  So every block holds EVAL_BLOCK to 2*EVAL_BLOCK - 1
-    points, or all of them when there are fewer.  The floor matters: numpy
-    runs an arithmetic operation in place in a temporary of 256 KiB or more,
-    operands swapped, and a swapped complex product rounds differently
-    (constant_term's c(t) * conj(e) from 16 384 complex entries on).  A
-    block of 2**15 points or more takes that branch wherever the whole array
-    would, so the result is bit for bit that of one unblocked evaluation.
+    The points are reduced and passed to phi in blocks of EVAL_BLOCK, the
+    remainder joining the last block, into one array; the mean, its error
+    and the cylinder sum run on the whole array.  So every block holds
+    EVAL_BLOCK to 2*EVAL_BLOCK - 1 points, or all of them when there are
+    fewer.  Cylinder nodes are enumerated at once.  Monte-Carlo points are
+    drawn block by block from one Generator, so no whole sample is held; for
+    a leaf measure the draws are bit for bit those of one call (numpy's draws
+    do not depend on how the calls are split), while a Convolution
+    alternates its left and right draws per block.  A budget below 2 is
+    refused: the standard error needs two samples.
+
+    The floor matters: numpy runs an arithmetic operation in place in a
+    temporary of 256 KiB or more, operands swapped, and a swapped complex
+    product rounds differently (constant_term's c(t) * conj(e) from 16 384
+    complex entries on).  A block of 2**15 points or more takes that branch
+    wherever the whole array would, so the result is bit for bit that of one
+    unblocked evaluation.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
-    def evaluate(xs_line: np.ndarray):
-        n = xs_line.size
+    def evaluate(n: int, points) -> np.ndarray:
+        """phi on the n points, points(lo, hi) giving those of block [lo, hi)."""
         edges = [EVAL_BLOCK * i for i in range(max(1, n // EVAL_BLOCK))] + [n]
         out = None
         for lo, hi in zip(edges, edges[1:]):
-            xr, yr = reduce_many(cfg.x0 + xs_line[lo:hi] / cfg.q, cfg.y / cfg.q)
-            vals = np.asarray(phi(xr, yr))
+            vals = np.asarray(phi(*reduce_many(cfg.x0 + points(lo, hi) / cfg.q, cfg.y / cfg.q)))
             if hi - lo == n:  # one block: its values are the result, uncopied
                 return vals
             if out is None:
                 out = np.empty(n, dtype=vals.dtype)
             out[lo:hi] = vals
+            del vals  # so the next block is drawn with no array of this one alive
         return out
 
     if method == "cylinder":
         lip = getattr(phi, "lipschitz", None)
         xs, ws, width = _measures.cylinder_nodes(measure, cfg.y, cfg.q, budget, tol, lip)
-        vals = evaluate(xs)
+        vals = evaluate(xs.size, lambda lo, hi: xs[lo:hi])
         total = np.sum(vals * ws)
         if width is None:  # Lebesgue leaf: compare against half resolution
-            half = evaluate(xs[::2])
-            err = float(abs(total - half.mean()))
+            half = xs[::2]
+            err = float(abs(total - evaluate(half.size, lambda lo, hi: half[lo:hi]).mean()))
         else:  # a point mass (width 0) is exact
             err = lip * width / (2.0 * cfg.y) if width else 0.0
         out = complex(total) if np.iscomplexobj(vals) else float(total)
         return out, float(err)
 
     if method == "montecarlo":
+        if budget < 2:
+            raise ValueError(f"montecarlo budget must be >= 2 for a standard error, got {budget}")
         depth = _measures.default_sample_depth(measure)
-        xs = _measures.sample(measure, depth, budget, seed)
-        return _mean_stderr(evaluate(xs))
+        rng = np.random.default_rng(seed)
+
+        def draw(lo: int, hi: int) -> np.ndarray:
+            return _measures.sample(measure, depth, hi - lo, rng)
+
+        return _mean_stderr(evaluate(budget, draw))
 
     raise ValueError(f"unknown method {method!r}")

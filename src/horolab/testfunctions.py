@@ -52,9 +52,9 @@ class EisensteinTest:
         return 2.0 * float(grad.max())
 
     def __call__(self, x, y):
-        vals = eisenstein_values(x, y, self.params)
         if self.component == "re":
-            return vals.real
+            return eisenstein_values(x, y, self.params, real=True)
+        vals = eisenstein_values(x, y, self.params)
         if self.component == "im":
             return vals.imag
         return vals

@@ -1,6 +1,9 @@
+import hashlib
 import math
 import subprocess
 import sys
+import threading
+import time
 
 import mpmath as mp
 import numpy as np
@@ -321,14 +324,41 @@ def test_k_spline_built_once_per_order(monkeypatch):
     automorphic._k_spline.cache_clear()
     builds = []
     real = automorphic._not_a_knot_spline
-    monkeypatch.setattr(
-        automorphic, "_not_a_knot_spline", lambda x, y: builds.append(x.size) or real(x, y)
-    )
+
+    def slow_build(x, y):  # slow enough that both threads below miss the cache
+        builds.append(x.size)
+        time.sleep(0.2)
+        return real(x, y)
+
+    monkeypatch.setattr(automorphic, "_not_a_knot_spline", slow_build)
     w = np.array([6.0, 20.0, 45.9])
-    first = bessel_K_series(1.0, w)
+    together = threading.Barrier(2)
+    firsts = [None, None]
+
+    def first_call(i):
+        together.wait()
+        firsts[i] = bessel_K_series(1.0, w)
+
+    threads = [threading.Thread(target=first_call, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    first = firsts[0]
     EisensteinParams(1.0)
-    assert first.tobytes() == bessel_K_series(1.0, w).tobytes()
+    assert first.tobytes() == firsts[1].tobytes() == bessel_K_series(1.0, w).tobytes()
     assert builds == [K_SPLINE_KNOTS]
+
+
+def test_k_spline_coefficients_are_pinned():
+    # bessel_K_imag sums each row of its quadrature on its own, so the row
+    # chunk it evaluates at once moves no bit of the spline
+    from horolab import automorphic
+
+    _, coef = automorphic._k_spline.__wrapped__(1.0)  # built afresh, not from the cache
+    assert hashlib.sha256(coef.tobytes()).hexdigest() == (
+        "f0bf09047cb09cd332a31d843565b8e45d3e9ecb7f4c06941364b8f6728405f1"
+    )
 
 
 DENSE_TERMS = 16  # twice the 8 terms that are live on reduced points

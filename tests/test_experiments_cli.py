@@ -1,5 +1,8 @@
 import json
 import math
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +73,88 @@ def test_equidistribution_deterministic():
     a = run_equidistribution(ExperimentConfig(**cfg)).to_csv()
     b = run_equidistribution(ExperimentConfig(**cfg)).to_csv()
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Sweep threads
+
+
+def _sweep_outputs(tmp_path, command, method):
+    out_file, json_file = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    code = cli_main(
+        [command, "--measure", "cantor:3:0,2", "--ygrid", "0.25:0.5:5", "--method", method,
+         "--budget", "70000", "--tol", "1e-4", "--seed", "9",
+         "--out", str(out_file), "--json-out", str(json_file)]
+    )
+    assert code in (0, 2)  # byte identity is the claim, not fit quality
+    return out_file.read_bytes(), json_file.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["montecarlo", "cylinder"])
+@pytest.mark.parametrize("command", ["equidist", "basis-check"])
+def test_threaded_sweep_equals_serial_sweep(monkeypatch, tmp_path, command, method):
+    from horolab import experiments
+
+    before = threading.active_count()
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)  # threads even on one CPU
+    counts = []
+    real = experiments.mu_y_value
+    monkeypatch.setattr(
+        experiments, "mu_y_value",
+        lambda *a, **k: counts.append(threading.active_count()) or real(*a, **k),
+    )
+    threaded = _sweep_outputs(tmp_path, command, method)
+    assert max(counts) == before + experiments.SWEEP_THREADS - 1
+    assert threading.active_count() == before
+    monkeypatch.setattr(experiments, "SWEEP_THREADS", 1)
+    counts.clear()
+    assert _sweep_outputs(tmp_path, command, method) == threaded
+    assert max(counts) == before
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_raises_the_first_failing_height(monkeypatch, threads):
+    from horolab import experiments
+
+    cfg = ExperimentConfig(
+        measure="leb", test="eisenstein:t=1", y_max=0.25, y_ratio=0.5, y_count=8,
+        method="montecarlo", budget=2000, seed=1,
+    )
+    ys = cfg.y_grid.tolist()
+
+    def failing(measure, phi, hc, **kwargs):
+        k = ys.index(hc.y)
+        if k == 2:  # fails late, after height 4 has failed in the other thread
+            time.sleep(0.3)
+            raise ValueError("height 2")
+        if k == 4:
+            raise ValueError("height 4")
+        return 0.5, 0.0
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "SWEEP_THREADS", threads)
+    monkeypatch.setattr(experiments, "mu_y_value", failing)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="height 2"):
+        run_equidistribution(cfg)
+    assert threading.active_count() == before
+
+
+def test_montecarlo_budget_below_two_is_refused(capsys):
+    from horolab.measures import parse_measure
+    from horolab.modular import HorocycleConfig, mu_y_value
+    from horolab.testfunctions import EisensteinTest
+
+    with pytest.raises(ValueError, match="montecarlo budget must be >= 2"):
+        mu_y_value(parse_measure("leb"), EisensteinTest(1.0), HorocycleConfig(), budget=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "Degrees of freedom <= 0" on the way
+        code, out, err = run_cli(
+            capsys, "equidist", "--measure", "leb", "--method", "montecarlo",
+            "--budget", "1", "--ygrid", "0.25:0.5:4",
+        )
+    assert code == 1 and out == ""
+    assert err == "horolab: error: montecarlo budget must be >= 2 for a standard error, got 1\n"
 
 
 # ---------------------------------------------------------------------------

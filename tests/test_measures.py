@@ -300,23 +300,36 @@ def test_sample_depth_underflow_rejected():
 
 
 @pytest.mark.parametrize(
-    "mu", [CANTOR3, FractalMeasure(3, (0, 2), (0.3, 0.7), 0.5), FractalMeasure(10, (0, 1, 5))]
+    "mu",
+    [
+        CANTOR3, FractalMeasure(3, (0, 2), (0.3, 0.7), 0.5), FractalMeasure(10, (0, 1, 5)),
+        parse_measure("leb"), parse_measure("dirac:0.3"),
+    ],
 )
 def test_sample_in_passes_equals_one_draw(mu):
-    # more than three passes of SAMPLE_BLOCK digits, against one draw of all
-    # gathered from the digit table
-    depth, count = 8, 3 * SAMPLE_BLOCK // 8 + 777
+    depth = 8
+    if isinstance(mu, FractalMeasure):
+        # more than three passes of SAMPLE_BLOCK digits, against one draw of
+        # all gathered from the digit table
+        count = 3 * SAMPLE_BLOCK // 8 + 777
+        rng = np.random.default_rng(11)
+        if mu.is_uniform:
+            idx = rng.integers(0, mu.n_digits, size=(count, depth))
+        else:
+            idx = rng.choice(mu.n_digits, size=(count, depth), p=mu.weight_array)
+        vals = np.asarray(mu.digits)[idx].astype(float)
+        x = np.zeros(count)
+        for j in range(depth - 1, -1, -1):
+            x = (x + vals[:, j]) * (1.0 / mu.base)
+        got = sample(mu, depth, count, 11)
+        assert np.array_equal(got.view(np.int64), (x + mu.shift).view(np.int64))
+    # blocks of 2**15 and 2**15 + 777 from one Generator, as mu_y_value draws
+    # them, against one call
+    count = (1 << 16) + 777
     rng = np.random.default_rng(11)
-    if mu.is_uniform:
-        idx = rng.integers(0, mu.n_digits, size=(count, depth))
-    else:
-        idx = rng.choice(mu.n_digits, size=(count, depth), p=mu.weight_array)
-    vals = np.asarray(mu.digits)[idx].astype(float)
-    x = np.zeros(count)
-    for j in range(depth - 1, -1, -1):
-        x = (x + vals[:, j]) * (1.0 / mu.base)
+    blocks = [sample(mu, depth, size, rng) for size in (1 << 15, (1 << 15) + 777)]
     got = sample(mu, depth, count, 11)
-    assert np.array_equal(got.view(np.int64), (x + mu.shift).view(np.int64))
+    assert np.array_equal(np.concatenate(blocks).view(np.int64), got.view(np.int64))
 
 
 def test_digit_progression_is_computed_once():
