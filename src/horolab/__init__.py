@@ -59,6 +59,7 @@ from .oscillatory import (
     exponent_fit_oscillatory,
     find_stationary_points,
     oscillatory_integral,
+    oscillatory_integrals,
     parse_phase,
     parse_window,
     stationary_phase_leading,

@@ -27,7 +27,7 @@ from .oscillatory import (
     ToleranceNotReachedError,
     check_xi_grid,
     envelope_fit,
-    oscillatory_integral,
+    oscillatory_integrals,
     parse_phase,
     parse_window,
     stationary_phase_leading,
@@ -223,7 +223,7 @@ def _cmd_stationary(args) -> int:
     except ValueError as exc:
         raise CliError(f"<xi-grid>: {exc}") from None
     try:
-        vals = [oscillatory_integral(phase, window, float(xi), tol=args.tol) for xi in grid]
+        vals = oscillatory_integrals(phase, window, grid, tol=args.tol)
     except ToleranceNotReachedError as exc:
         raise CliError(f"--tol: {exc}") from None
     except QuadratureBudgetError as exc:  # no --tol cures a panel or |xi| budget

@@ -19,22 +19,15 @@ less than 4e-21 each.  automorphic.eisenstein_series_prediction sums it.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import measures as _measures
 from .automorphic import eisenstein_series_prediction
-from .fitting import DecayReport, csv_table, fit_decay_report, geometric_grid
+from .fitting import DecayReport, csv_table, fit_decay_report, geometric_grid, map_in_order
 from .modular import HorocycleConfig, mX_integral, mu_y_value
 from .testfunctions import EisensteinTest, parse_test_function
-
-# Heights of a sweep run at a time, on as many threads: the sweep's peak
-# memory is this many heights' working sets.  1 where only one CPU is usable.
-SWEEP_THREADS = 2
-
 
 @dataclass
 class ExperimentConfig:
@@ -70,63 +63,25 @@ def _sub_seed(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity mask where there is one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _mu_y_series(measure, phi, cfg: ExperimentConfig):
     """mu_y(phi) and its error estimate at each height of cfg.y_grid.
 
     Height k draws from its own sub-seed, so every row is reproducible on
-    its own, and the rows do not depend on which thread computed them.  Up
-    to SWEEP_THREADS heights run at a time (numpy releases the GIL in its
-    array loops), the calling thread being one of them; the others are
-    started here and joined before the call returns, so peak memory is
-    SWEEP_THREADS heights' working sets.  Heights are taken in grid order,
-    and after a height raises none later is started: the exception raised
-    is that of the first failing height in grid order, as in a serial loop.
+    its own, and the rows do not depend on which thread computed them:
+    map_in_order runs two heights at a time, so peak memory is two heights'
+    working sets, and raises the exception of the first failing height in
+    grid order.
     """
     ys = cfg.y_grid
-    rows: list = [None] * ys.size  # (value, err), or the exception raised
-    claim = threading.Lock()
-    state = {"next": 0, "stop": ys.size}  # next height to start; none from stop on
 
-    def work():
-        while True:
-            with claim:
-                k = state["next"]
-                if k >= state["stop"]:
-                    return
-                state["next"] = k + 1
-            try:
-                rows[k] = mu_y_value(
-                    measure, phi, HorocycleConfig(x0=cfg.x0, q=cfg.q, y=float(ys[k])),
-                    method=cfg.method, budget=cfg.budget,
-                    seed=_sub_seed(cfg.seed, k), tol=cfg.tol,
-                )
-            except BaseException as exc:  # raised below, in grid order
-                rows[k] = exc
-                with claim:
-                    state["stop"] = min(state["stop"], k)
+    def height(k: int):
+        return mu_y_value(
+            measure, phi, HorocycleConfig(x0=cfg.x0, q=cfg.q, y=float(ys[k])),
+            method=cfg.method, budget=cfg.budget,
+            seed=_sub_seed(cfg.seed, k), tol=cfg.tol,
+        )
 
-    threads = min(SWEEP_THREADS, _usable_cpus(), ys.size)
-    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
-    for t in helpers:
-        t.start()
-    try:
-        work()
-    finally:  # also when the calling thread is interrupted: start no more heights
-        with claim:
-            state["stop"] = 0
-        for t in helpers:
-            t.join()
-    for row in rows:
-        if isinstance(row, BaseException):
-            raise row
-    values, errs = zip(*rows)
+    values, errs = zip(*map_in_order(height, range(ys.size)))
     return np.array(values), np.array(errs)
 
 

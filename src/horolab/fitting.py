@@ -1,4 +1,4 @@
-"""Power-law decay fitting and the DecayReport container.
+"""Power-law decay fitting, the DecayReport container and the shared base.
 
 Decay experiments produce series (parameter, error) with error expected to
 behave like C * param^eta.  Many of these series oscillate (constant-term
@@ -9,11 +9,16 @@ iterative null-rejecting fit: rows falling more than one e-fold below the
 current fit line are treated as oscillation nulls and excluded, and the fit
 is repeated until stable.  On non-oscillatory data no row is rejected and
 the robust fit coincides with the plain one.
+
+The shared base every layer may use lives here too: csv_table (the one CSV
+writer), LiteralParseError, and map_in_order (the one thread map).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +29,74 @@ NULL_REJECT_LOGRATIO = 1.0
 MAX_REJECT_ROUNDS = 10
 # Floor for taking logs of error values.
 _LOG_FLOOR = 1e-300
+# Items map_in_order runs at a time, on as many threads, the calling thread
+# being one: peak memory is this many items' working sets.  1 where only one
+# CPU is usable.
+THREADS = 2
+
+_in_job = threading.local()  # .active: this thread runs a job of a threaded map
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_in_order(fn, items) -> list:
+    """[fn(item) for item in items], up to THREADS items at a time.
+
+    numpy releases the GIL in its array loops, so jobs that compute
+    disjoint, order-independent pieces overlap on two CPUs and give the bits
+    of the serial loop.  The calling thread is one of the threads; the
+    others are started here and joined before the call returns, so no
+    thread outlives it.  Items are taken in order, and after one raises none
+    later is started: the exception raised is that of the first failing item
+    in item order, as in a serial loop.  A call from inside a job of a
+    threaded map runs serially, so nested maps never run more than THREADS
+    threads.
+    """
+    items = list(items)
+    threads = 1 if getattr(_in_job, "active", False) else min(THREADS, _usable_cpus(), len(items))
+    if threads <= 1:
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    claim = threading.Lock()
+    state = {"next": 0, "stop": len(items)}  # next item to start; none from stop on
+
+    def work():
+        _in_job.active = True
+        try:
+            while True:
+                with claim:
+                    k = state["next"]
+                    if k >= state["stop"]:
+                        return
+                    state["next"] = k + 1
+                try:
+                    results[k] = fn(items[k])
+                except BaseException as exc:  # raised below, in item order
+                    with claim:
+                        errors[k] = exc
+                        state["stop"] = min(state["stop"], k)
+        finally:
+            _in_job.active = False
+
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:  # also when the calling thread is interrupted: start no more items
+        with claim:
+            state["stop"] = 0
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def csv_table(header: str, *columns) -> str:

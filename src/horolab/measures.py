@@ -27,7 +27,7 @@ from functools import cached_property, singledispatch
 
 import numpy as np
 
-from .fitting import LiteralParseError, least_squares_loglog, parse_real
+from .fitting import LiteralParseError, least_squares_loglog, map_in_order, parse_real
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_TAIL_TOL = 1e-12
@@ -233,18 +233,23 @@ def _product_walk(measure: FractalMeasure, xi: np.ndarray, tail_tol: float, fact
     entries so the temporaries stay cache-sized.  g is named because numpy
     multiplies a temporary of 256 KiB or more in place, operands swapped,
     which rounds complex products differently; so no bit depends on len(xi).
+    Blocks write disjoint slices of the result, so map_in_order runs them
+    two at a time with the same bits.  xi is only read.
     """
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
     J = product_depth(measure, float(np.max(np.abs(xi), initial=0.0)), tail_tol)
     out = start(xi)  # after |xi| is freed, so the two never coexist
-    for lo in range(0, xi.size, ABS_BLOCK):
+
+    def walk(lo: int) -> None:
         u, block = xi[lo : lo + ABS_BLOCK], out[lo : lo + ABS_BLOCK]
         for _ in range(J):
             u = u / measure.base
             g = factor(measure, u)
             block = block * g
         out[lo : lo + ABS_BLOCK] = block
+
+    map_in_order(walk, range(0, xi.size, ABS_BLOCK))
     return out
 
 
@@ -525,16 +530,18 @@ def _partial_sums(measure, X_grid: np.ndarray, star: bool, theta_grid: int):
     sum per shift theta; star mode takes the maximum over the theta-grid.
 
     At theta = 0 the terms at -m are the terms at m, since fourier_abs is
-    even bit for bit, so |mu_hat| is evaluated once on m = 1..X_max; a
-    nonzero theta evaluates m + theta and -m + theta.  The cumulative sum
-    is taken in place in the buffer fourier_abs returned.
+    even bit for bit, so |mu_hat| is evaluated once on m = 1..X_max itself
+    (m + 0.0 is m); a nonzero theta evaluates m + theta and -m + theta.
+    The cumulative sum is taken in place in the buffer fourier_abs returned.
+    The nonzero thetas run two at a time through map_in_order; the maximum
+    is exact, so the order in which it meets them changes no bit.
     """
     if star and theta_grid < 1:
         raise ValueError("theta_grid must be >= 1")
     m = np.arange(1, int(X_grid[-1]) + 1, dtype=float)
 
     def sums_for(theta: float) -> np.ndarray:
-        terms = fourier_abs(measure, m + theta)
+        terms = fourier_abs(measure, m if theta == 0.0 else m + theta)
         terms += terms if theta == 0.0 else fourier_abs(measure, -m + theta)
         center = fourier_abs(measure, np.array([theta]))[0]
         csum = np.cumsum(terms, out=terms)
@@ -542,8 +549,8 @@ def _partial_sums(measure, X_grid: np.ndarray, star: bool, theta_grid: int):
 
     S = sums_for(0.0)
     if star:
-        for k in range(1, theta_grid):
-            S = np.maximum(S, sums_for(k / theta_grid))
+        for shifted in map_in_order(sums_for, [k / theta_grid for k in range(1, theta_grid)]):
+            S = np.maximum(S, shifted)
     return S
 
 

@@ -15,6 +15,8 @@ from horolab.experiments import (
     run_equidistribution,
 )
 from horolab.fitting import least_squares_loglog
+from horolab.measures import ABS_BLOCK
+from horolab.oscillatory import QuadratureBudgetError, ToleranceNotReachedError
 
 
 # ---------------------------------------------------------------------------
@@ -79,24 +81,28 @@ def test_equidistribution_deterministic():
 # Sweep threads
 
 
-def _sweep_outputs(tmp_path, command, method):
-    out_file, json_file = tmp_path / "sweep.csv", tmp_path / "sweep.json"
-    code = cli_main(
-        [command, "--measure", "cantor:3:0,2", "--ygrid", "0.25:0.5:5", "--method", method,
-         "--budget", "70000", "--tol", "1e-4", "--seed", "9",
-         "--out", str(out_file), "--json-out", str(json_file)]
-    )
+def _command_outputs(tmp_path, argv):
+    out_file, json_file = tmp_path / "run.csv", tmp_path / "run.json"
+    code = cli_main([*argv, "--out", str(out_file), "--json-out", str(json_file)])
     assert code in (0, 2)  # byte identity is the claim, not fit quality
     return out_file.read_bytes(), json_file.read_bytes()
+
+
+def _sweep_outputs(tmp_path, command, method):
+    return _command_outputs(
+        tmp_path,
+        [command, "--measure", "cantor:3:0,2", "--ygrid", "0.25:0.5:5", "--method", method,
+         "--budget", "70000", "--tol", "1e-4", "--seed", "9"],
+    )
 
 
 @pytest.mark.parametrize("method", ["montecarlo", "cylinder"])
 @pytest.mark.parametrize("command", ["equidist", "basis-check"])
 def test_threaded_sweep_equals_serial_sweep(monkeypatch, tmp_path, command, method):
-    from horolab import experiments
+    from horolab import experiments, fitting
 
     before = threading.active_count()
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)  # threads even on one CPU
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: 2)  # threads even on one CPU
     counts = []
     real = experiments.mu_y_value
     monkeypatch.setattr(
@@ -104,9 +110,9 @@ def test_threaded_sweep_equals_serial_sweep(monkeypatch, tmp_path, command, meth
         lambda *a, **k: counts.append(threading.active_count()) or real(*a, **k),
     )
     threaded = _sweep_outputs(tmp_path, command, method)
-    assert max(counts) == before + experiments.SWEEP_THREADS - 1
+    assert max(counts) == before + fitting.THREADS - 1
     assert threading.active_count() == before
-    monkeypatch.setattr(experiments, "SWEEP_THREADS", 1)
+    monkeypatch.setattr(fitting, "THREADS", 1)
     counts.clear()
     assert _sweep_outputs(tmp_path, command, method) == threaded
     assert max(counts) == before
@@ -114,7 +120,7 @@ def test_threaded_sweep_equals_serial_sweep(monkeypatch, tmp_path, command, meth
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_raises_the_first_failing_height(monkeypatch, threads):
-    from horolab import experiments
+    from horolab import experiments, fitting
 
     cfg = ExperimentConfig(
         measure="leb", test="eisenstein:t=1", y_max=0.25, y_ratio=0.5, y_count=8,
@@ -131,13 +137,57 @@ def test_sweep_raises_the_first_failing_height(monkeypatch, threads):
             raise ValueError("height 4")
         return 0.5, 0.0
 
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(experiments, "SWEEP_THREADS", threads)
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fitting, "THREADS", threads)
     monkeypatch.setattr(experiments, "mu_y_value", failing)
     before = threading.active_count()
     with pytest.raises(ValueError, match="height 2"):
         run_equidistribution(cfg)
     assert threading.active_count() == before
+
+
+THREADED_COMMANDS = {
+    "dim": ["dim", "--measure", "cantor:450:0..446", "--xmax", str(2 * ABS_BLOCK + 4321)],
+    "dim-star": ["dim", "--measure", "cantor:3:0,2", "--xmax", "12000", "--star", "--theta-grid", "9"],
+    "fourier": ["fourier", "--measure", "cantor:3:0,2*dirac:0.3", "--xi", f"0:{ABS_BLOCK // 4 + 9}:0.25"],
+    "stationary": ["stationary", "--phase", "poly:0,0,0,1", "--xigrid", "10:3000:9"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREADED_COMMANDS))
+def test_threaded_command_equals_serial_command(monkeypatch, tmp_path, name):
+    from horolab import fitting
+
+    before = threading.active_count()
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: 2)  # threads even on one CPU
+    started = []
+    real_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or real_start(t))
+    threaded = _command_outputs(tmp_path, THREADED_COMMANDS[name])
+    assert started  # the map ran on a helper thread
+    assert threading.active_count() == before
+    monkeypatch.setattr(fitting, "THREADS", 1)
+    started.clear()
+    assert _command_outputs(tmp_path, THREADED_COMMANDS[name]) == threaded
+    assert started == []
+
+
+def test_cli_stationary_raises_the_first_failing_xi(monkeypatch, capsys):
+    from horolab import fitting, oscillatory
+
+    def failing(f, w, xi, tol):  # on the grid 1, 10, ..., 10**5
+        if 50 < xi < 200:  # fails late, after xi = 1000 has failed in the other thread
+            time.sleep(0.3)
+            raise ToleranceNotReachedError("xi = 100 did not settle")
+        if 500 < xi < 2000:
+            raise QuadratureBudgetError("xi = 1000 over the budget")
+        return 1.0 + 0.0j
+
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(oscillatory, "oscillatory_integral", failing)
+    code, out, err = run_cli(capsys, "stationary", "--phase", "poly:0,0,1", "--xigrid", "1:100000:6")
+    assert code == 1 and out == ""
+    assert err == "horolab: error: --tol: xi = 100 did not settle\n"
 
 
 def test_montecarlo_budget_below_two_is_refused(capsys):

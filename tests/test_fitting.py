@@ -1,12 +1,18 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from horolab import fitting
 from horolab.fitting import (
     DegenerateFitError,
     csv_table,
     fit_decay_report,
     geometric_grid,
     least_squares_loglog,
+    map_in_order,
     robust_loglog,
 )
 
@@ -103,3 +109,111 @@ def test_geometric_grid_values():
     assert np.allclose(g, [0.25, 0.125, 0.0625])
     with pytest.raises(ValueError):
         geometric_grid(1.0, -0.5, 3)
+
+
+# ---------------------------------------------------------------------------
+# The ordered thread map
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: 2)  # threads even on one CPU
+
+
+def test_map_in_order_keeps_item_order(two_cpus):
+    before = threading.active_count()
+    runners = set()
+
+    def job(x):
+        runners.add(threading.get_ident())
+        time.sleep(0.05 if x == 0 else 0.0)  # item 0 ends after the others
+        return x * x
+
+    assert map_in_order(job, range(12)) == [x * x for x in range(12)]
+    assert len(runners) == fitting.THREADS
+    assert threading.active_count() == before
+    assert map_in_order(job, []) == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_map_in_order_raises_the_first_failing_item(monkeypatch, two_cpus, threads):
+    monkeypatch.setattr(fitting, "THREADS", threads)
+    before = threading.active_count()
+    started = []
+
+    def job(x):
+        started.append(x)
+        if x == 2:  # fails late, after item 3 has failed in the other thread
+            time.sleep(0.3)
+            raise ValueError("item 2")
+        if x == 3:
+            raise ValueError("item 3")
+        return x
+
+    with pytest.raises(ValueError, match="item 2"):
+        map_in_order(job, range(8))
+    assert sorted(started) == list(range(threads + 2))  # no item after the failures starts
+    assert threading.active_count() == before
+
+
+def test_nested_map_in_order_runs_inline(two_cpus):
+    before = threading.active_count()
+    inner = {}  # inner item -> (its thread, threads alive)
+
+    def inner_job(y):
+        inner[y] = (threading.get_ident(), threading.active_count())
+        return y + 1
+
+    def outer_job(x):
+        time.sleep(0.05)  # both outer items overlap
+        return threading.get_ident(), map_in_order(inner_job, range(x, x + 4))
+
+    results = map_in_order(outer_job, [0, 10])
+    assert [values for _, values in results] == [[1, 2, 3, 4], [11, 12, 13, 14]]
+    assert len({ident for ident, _ in results}) == 2
+    # each inner item ran on the thread of its outer job, and no third thread started
+    for (ident, _), x in zip(results, [0, 10]):
+        assert [inner[y][0] for y in range(x, x + 4)] == [ident] * 4
+    assert max(count for _, count in inner.values()) == before + 1
+    assert threading.active_count() == before
+    # the calling thread is no longer marked: its next map uses threads again
+    runners = set()
+    map_in_order(lambda x: runners.add(threading.get_ident()) or time.sleep(0.05), range(4))
+    assert len(runners) == 2
+
+
+@pytest.mark.parametrize("cpus, threads", [(1, 2), (2, 1)])
+def test_map_in_order_on_one_thread_starts_none(monkeypatch, cpus, threads):
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fitting, "THREADS", threads)
+    before = threading.active_count()
+    runners, counts = set(), []
+
+    def job(x):
+        runners.add(threading.get_ident())
+        counts.append(threading.active_count())
+        return -x
+
+    assert map_in_order(job, range(6)) == [-x for x in range(6)]
+    assert runners == {threading.get_ident()}
+    assert counts == [before] * 6
+
+
+def test_map_in_order_under_thread_switch_stress(monkeypatch):
+    # more threads than this machine's two CPUs, switching every microsecond:
+    # a lost claim would run an item twice or leave a result unset
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(fitting, "THREADS", 8)
+    runs = [0] * 3000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def job(x):
+            runs[x] += 1
+            return sum(range(x % 50))
+
+        got = map_in_order(job, range(len(runs)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [sum(range(x % 50)) for x in range(len(runs))]
+    assert runs == [1] * len(runs)

@@ -1,4 +1,7 @@
 import math
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,18 +9,24 @@ import sympy
 from hypothesis import Phase, assume, given, settings, strategies as st
 from scipy.integrate import quad
 
+from horolab import fitting, oscillatory
 from horolab.fitting import LiteralParseError
 from horolab.oscillatory import (
     BOUNDARY_TOL,
+    GL_BLOCK,
+    GL_NODES,
+    GL_WEIGHTS,
     BoundaryStationaryPointError,
     PhasePolynomial,
     QuadratureBudgetError,
     RaisedCosineWindow,
     SmoothBumpWindow,
+    ToleranceNotReachedError,
     check_xi_grid,
     exponent_fit_oscillatory,
     find_stationary_points,
     oscillatory_integral,
+    oscillatory_integrals,
     parse_phase,
     parse_window,
     stationary_phase_leading,
@@ -193,6 +202,66 @@ def test_panel_budget_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(oscillatory, "MAX_PANELS", 100)
     with pytest.raises(QuadratureBudgetError, match="needs 114 panels"):
         oscillatory_integral(X2, W1, 37.0)
+
+
+def composite_gl_whole(f, w, xi, panels):
+    """The quadrature sum with each chunk's node values computed at once."""
+    a, b = w.support
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    total = 0.0 + 0.0j
+    chunk = max(1, 2_000_000 // GL_NODES.size)
+    for lo in range(0, panels, chunk):
+        hi = min(lo + chunk, panels)
+        xs = mid[lo:hi, None] + half[lo:hi, None] * GL_NODES[None, :]
+        vals = np.exp(2j * np.pi * xi * f(xs)) * w(xs)
+        total += complex(np.sum(vals * (half[lo:hi, None] * GL_WEIGHTS[None, :])))
+    return total
+
+
+@pytest.mark.parametrize("panels", [6, GL_BLOCK - 1, GL_BLOCK, GL_BLOCK + 1, 15_001, 30_002])
+def test_blocked_quadrature_equals_whole_chunk_oracle(panels):
+    cases = [
+        (X2, W1, 1e3),
+        (X3, SmoothBumpWindow(0.2, 0.7), -250.5),
+        (PhasePolynomial((0.3, -1.0, 0.5, 2.0)), RaisedCosineWindow(-3.0, 2.0), 13.7),
+    ]
+    for f, w, xi in cases:
+        got, want = oscillatory._composite_gl(f, w, xi, panels), composite_gl_whole(f, w, xi, panels)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_quadrature_peak_memory_per_node():
+    panels = 30_002
+    oscillatory._composite_gl(X2, W1, 1e3, 6)  # first-call allocations are not counted
+    tracemalloc.start()
+    try:
+        oscillatory._composite_gl(X2, W1, 1e3, panels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * panels * GL_NODES.size  # the whole-chunk sum held about 58 B per node
+
+
+def test_integrals_raise_the_first_failing_xi(monkeypatch):
+    grid = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
+
+    def failing(f, w, xi, tol):
+        if xi == 30.0:  # fails late, after xi = 40 has failed in the other thread
+            time.sleep(0.3)
+            raise ToleranceNotReachedError("xi = 30")
+        if xi == 40.0:
+            raise QuadratureBudgetError("xi = 40")
+        return complex(xi)
+
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(oscillatory, "oscillatory_integral", failing)
+    before = threading.active_count()
+    assert oscillatory_integrals(X2, W1, grid[:2], tol=1e-8) == [10.0, 20.0]
+    with pytest.raises(ToleranceNotReachedError, match="xi = 30"):
+        oscillatory_integrals(X2, W1, grid, tol=1e-8)
+    assert threading.active_count() == before
 
 
 def test_integral_conjugate_symmetry():
