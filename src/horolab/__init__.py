@@ -43,12 +43,8 @@ from .automorphic import (
 )
 from .diophantine import (
     ApproximationFunction,
-    RationalApprox,
-    convergents,
-    dirichlet_approx,
     khintchine_profile,
     khintchine_sum,
-    measure_of_Aq,
     parse_psi,
 )
 from .oscillatory import (

@@ -1,44 +1,26 @@
-"""Continued fractions, Dirichlet approximation, and Khintchine counting.
+"""Khintchine counting.
 
 Approximation counts are the finite-scale surrogate for the almost-sure
 statements: whether `dist(q x, Z) < psi(q)` holds for infinitely many q is
 undecidable from samples, so the experiments report the counting profile
 N_x(Q) = #{2 <= q <= Q : dist(q x, Z) < psi(q)} against the pair-counting
 heuristic 2 * sum_{q<=Q} psi(q), whose divergence governs the dichotomy.
-
-Continued fractions run on exact rationals (floats are converted to their
-exact binary value), so partial quotients never corrupt at large Q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import measures as _measures
-from .fitting import LiteralParseError, csv_table
+from .fitting import THREADS, LiteralParseError, csv_table, map_in_order
 
-RATIONAL_DETECTION_TOL = 1e-15
 # A window's two binary searches cost about ten row tests of one sample
 # (measured for 10^3 to 10^5 sorted samples).
 WINDOW_COST = 10
-HIT_BLOCK = 1 << 18  # (x, q) pairs per pass of _count_hits: 2 MiB per float array
-
-
-@dataclass(frozen=True)
-class RationalApprox:
-    p: int
-    q: int
-    quality: float  # |alpha - p/q|, 0.0 when within exact-detection tolerance
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("require q >= 1")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError("p/q must be in lowest terms")
+HIT_BLOCK = 1 << 17  # entries of the _count_hits passes running at once: 1 MiB per float array
 
 
 class ApproximationFunction:
@@ -120,100 +102,40 @@ def parse_psi(text: str) -> ApproximationFunction:
 
 
 # ---------------------------------------------------------------------------
-# Continued fractions
-
-
-def _as_fraction(alpha) -> Fraction:
-    if isinstance(alpha, Fraction):
-        return alpha
-    if isinstance(alpha, int):
-        return Fraction(alpha)
-    return Fraction(float(alpha))  # exact binary value of the double
-
-
-def convergents(alpha, Q: int) -> list[RationalApprox]:
-    """All continued-fraction convergents p/q with q <= Q, increasing q.
-
-    Runs the Euclidean algorithm on the exact rational value of alpha.
-    Terminates early once a convergent matches alpha within 1e-15 (exact
-    rational detected; its quality is reported as 0).
-    """
-    if Q < 1:
-        raise ValueError("require Q >= 1")
-    frac = _as_fraction(alpha)
-    alpha_f = float(frac)
-    out: list[RationalApprox] = []
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = int(math.floor(frac)), 1
-    rem = frac - math.floor(frac)
-    while q_cur <= Q:
-        quality = abs(alpha_f - p_cur / q_cur)
-        exact = quality < RATIONAL_DETECTION_TOL
-        out.append(RationalApprox(p_cur, q_cur, 0.0 if exact else quality))
-        if exact or rem == 0:
-            break
-        inv = 1 / rem
-        a = int(math.floor(inv))
-        rem = inv - a
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    return out
-
-
-def dirichlet_approx(alpha, Q: int) -> RationalApprox:
-    """A fraction p/q with 1 <= q <= Q and |alpha - p/q| <= 1/(qQ).
-
-    The last convergent with denominator <= Q works: its error is below
-    1/(q q_next) <= 1/(q Q).
-    """
-    if Q < 1:
-        raise ValueError("require Q >= 1")
-    return convergents(alpha, Q)[-1]
-
-
-# ---------------------------------------------------------------------------
 # Khintchine counting
 
 
 def _dist_to_integers(vals: np.ndarray) -> np.ndarray:
-    return np.abs(vals - np.round(vals))
+    """|vals - round(vals)|, computed in place in vals."""
+    vals -= np.round(vals)
+    return np.abs(vals, out=vals)
 
 
-def _check_resolution(measure, name: str, q: int, psi_q: float) -> None:
-    """Refuse q when floats near the support cannot resolve dist(q x, Z) < psi(q).
+def _check_resolution(measure, Q: int, psi_Q: float) -> None:
+    """Refuse Q when floats near the support cannot resolve dist(Q x, Z) < psi(Q).
 
-    With supp(mu) in [-R, R], fl(q x) may sit q spacing(R) / 2 away from
-    q x; once q spacing(R) reaches psi(q) / 2 the predicate tests rounding,
+    With supp(mu) in [-R, R], fl(Q x) may sit Q spacing(R) / 2 away from
+    Q x; once Q spacing(R) reaches psi(Q) / 2 the predicate tests rounding,
     not approximation (on leb+1e300 every q would "hit").
     """
     radius = _measures.support_radius(measure)
-    if not q * np.spacing(radius) < psi_q / 2:
+    if not Q * np.spacing(radius) < psi_Q / 2:
         raise ValueError(
-            f"support radius R = {radius:g} is too coarse for {name} = {q}: "
-            f"{name} * spacing(R) = {q * np.spacing(radius):g} is not below "
-            f"psi({name}) / 2 = {psi_q / 2:g}"
+            f"support radius R = {radius:g} is too coarse for Q = {Q}: "
+            f"Q * spacing(R) = {Q * np.spacing(radius):g} is not below "
+            f"psi(Q) / 2 = {psi_Q / 2:g}"
         )
 
 
-def measure_of_Aq(
-    measure,
-    q: int,
-    psi: ApproximationFunction,
-    n_samples: int,
-    seed,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of mu{x : dist(q x, Z) < psi(q)}."""
-    if q < 1:
-        raise ValueError("require q >= 1")
-    if n_samples < 1000:
-        raise ValueError("require at least 10^3 samples")
-    _check_resolution(measure, "q", q, float(psi(q)))
-    depth = max(40, _measures.default_sample_depth(measure))
-    xs = _measures.sample(measure, depth, n_samples, seed)
-    hits = _dist_to_integers(q * xs) < float(psi(q))
-    rate = hits.mean()
-    stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / n_samples)
-    return float(rate), float(stderr)
+def _runs(sizes: np.ndarray, cap: int):
+    """Consecutive runs [lo, hi) of items whose sizes sum to at most cap;
+    an item larger than cap runs alone."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < sizes.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - sizes[lo] + cap, side="right")))
+        yield lo, hi
+        lo = hi
 
 
 def _count_hits(xs: np.ndarray, psi_all: np.ndarray, q_half: int):
@@ -224,14 +146,21 @@ def _count_hits(xs: np.ndarray, psi_all: np.ndarray, q_half: int):
     at each q.  The hit set is exactly that of the float predicate
     _dist_to_integers(q * x) < psi(q) on every pair; khintchine_profile
     describes the two routes that evaluate it on fewer pairs.
+
+    The q are dealt to THREADS lanes in turn (q = 2, 4, ... and 3, 5, ...
+    for two), so the lanes share the windows and the candidates about
+    evenly, and map_in_order runs them at once.  Each lane adds its hits
+    into its own int64 counts and the lanes' counts are summed: integer
+    sums are exact, so no count depends on the lanes.  A lane works in
+    passes of at most HIT_BLOCK // THREADS entries: windows (a search
+    pass), candidates, which stop - start counts exactly (a predicate pass
+    over some windows of one search pass), or (q, x) pairs (a row pass).
     """
     n = xs.size
+    cap = HIT_BLOCK // THREADS  # entries per pass
     order = np.argsort(xs, kind="stable")
     xs = xs[order]
     qs_all = np.arange(2, psi_all.size + 2)
-    per_sample = np.zeros(n, dtype=np.int64)
-    per_sample_half = np.zeros(n, dtype=np.int64)
-    per_q = np.zeros(qs_all.size, dtype=np.int64)
 
     x_min, x_max = float(xs[0]), float(xs[-1])
     slack = 8.0 * float(np.spacing(max(-x_min, x_max) + 2.0))
@@ -239,40 +168,50 @@ def _count_hits(xs: np.ndarray, psi_all: np.ndarray, q_half: int):
         psi_all + 2 * qs_all * slack < 0.5
     )
 
-    chunk = max(1, HIT_BLOCK // n)  # q's per pass
-    window_qs = qs_all[windowed]
-    for lo in range(0, window_qs.size, chunk):
-        block = window_qs[lo:lo + chunk]
-        psi_b = psi_all[block - 2]
-        p_first = np.floor(block * x_min) - 1
-        n_windows = (np.ceil(block * x_max) + 2 - p_first).astype(np.int64)
-        first = np.cumsum(n_windows) - n_windows
-        p = np.arange(n_windows.sum()) + np.repeat(p_first - first, n_windows)
-        center = p * np.repeat(1.0 / block, n_windows)
-        half_width = np.repeat(psi_b / block + slack, n_windows)
-        start = np.searchsorted(xs, center - half_width, side="left")
-        stop = np.searchsorted(xs, center + half_width, side="right")
-        lengths = stop - start
-        offsets = np.cumsum(lengths) - lengths
-        idx = np.arange(lengths.sum()) + np.repeat(start - offsets, lengths)
-        per_block_q = np.add.reduceat(lengths, first)
-        q_c = np.repeat(block, per_block_q)
-        hit = _dist_to_integers(xs[idx] * q_c) < np.repeat(psi_b, per_block_q)
-        idx, q_c = idx[hit], q_c[hit]
-        np.add.at(per_sample, idx, 1)
-        np.add.at(per_sample_half, idx[q_c <= q_half], 1)
-        np.add.at(per_q, q_c - 2, 1)
+    def lane(j: int):
+        per_sample = np.zeros(n, dtype=np.int64)
+        per_sample_half = np.zeros(n, dtype=np.int64)
+        per_q = np.zeros(qs_all.size, dtype=np.int64)
 
-    row_qs = qs_all[~windowed]
-    for lo in range(0, row_qs.size, chunk):
-        block = row_qs[lo:lo + chunk]
-        hits = _dist_to_integers(np.outer(xs, block)) < psi_all[block - 2]
-        per_sample += hits.sum(axis=1)
-        half_mask = block <= q_half
-        if half_mask.any():
-            per_sample_half += hits[:, half_mask].sum(axis=1)
-        per_q[block - 2] = hits.sum(axis=0)
+        qs, by_window = qs_all[j::THREADS], windowed[j::THREADS]
+        window_qs, row_qs = qs[by_window], qs[~by_window]
+        p_first = np.floor(window_qs * x_min) - 1
+        n_windows = (np.ceil(window_qs * x_max) + 2 - p_first).astype(np.int64)
+        for lo, hi in _runs(n_windows, cap):
+            block, n_w = window_qs[lo:hi], n_windows[lo:hi]
+            first = np.cumsum(n_w) - n_w
+            # window centres p/q, p from floor(q min x) - 1 to ceil(q max x) + 1,
+            # built in place so that a search pass holds four arrays of windows
+            center = np.arange(n_w.sum()) + np.repeat(p_first[lo:hi] - first, n_w)
+            center *= np.repeat(1.0 / block, n_w)
+            half_width = np.repeat(psi_all[block - 2] / block + slack, n_w)
+            edge = center - half_width
+            start = np.searchsorted(xs, edge, side="left")
+            lengths = np.searchsorted(xs, np.add(center, half_width, out=edge), side="right")
+            lengths -= start
+            del center, half_width, edge  # the predicate passes read start and lengths only
+            window_q = np.repeat(block, n_w)
+            for a, b in _runs(lengths, cap):
+                size = lengths[a:b]
+                offsets = np.cumsum(size) - size
+                idx = np.arange(size.sum()) + np.repeat(start[a:b] - offsets, size)
+                q_c = np.repeat(window_q[a:b], size)
+                hit = _dist_to_integers(xs[idx] * q_c) < psi_all[q_c - 2]
+                idx, q_c = idx[hit], q_c[hit]
+                per_sample += np.bincount(idx, minlength=n)
+                per_sample_half += np.bincount(idx[q_c <= q_half], minlength=n)
+                per_q += np.bincount(q_c - 2, minlength=qs_all.size)
 
+        chunk = max(1, cap // n)  # q's per row pass
+        for lo in range(0, row_qs.size, chunk):
+            block = row_qs[lo:lo + chunk]
+            hits = _dist_to_integers(np.outer(block, xs)) < psi_all[block - 2, None]
+            per_sample += hits.sum(axis=0)
+            per_sample_half += hits[block <= q_half].sum(axis=0)
+            per_q[block - 2] = hits.sum(axis=1)
+        return per_sample, per_sample_half, per_q
+
+    per_sample, per_sample_half, per_q = (sum(c) for c in zip(*map_in_order(lane, range(THREADS))))
     inverse = np.empty_like(order)
     inverse[order] = np.arange(n)
     return per_sample[inverse], per_sample_half[inverse], per_q
@@ -356,7 +295,7 @@ def khintchine_profile(
     if not 2 <= rate_q_max <= Q:
         raise ValueError(f"rate_q_max must lie in [2, Q = {Q}], got {rate_q_max}")
     psi.check_monotone(Q)
-    _check_resolution(measure, "Q", Q, float(psi(Q)))
+    _check_resolution(measure, Q, float(psi(Q)))
     depth = max(40, _measures.default_sample_depth(measure))
     xs = _measures.sample(measure, depth, n_samples, seed)
 

@@ -530,26 +530,43 @@ def _partial_sums(measure, X_grid: np.ndarray, star: bool, theta_grid: int):
     sum per shift theta; star mode takes the maximum over the theta-grid.
 
     At theta = 0 the terms at -m are the terms at m, since fourier_abs is
-    even bit for bit, so |mu_hat| is evaluated once on m = 1..X_max itself
-    (m + 0.0 is m); a nonzero theta evaluates m + theta and -m + theta.
-    The cumulative sum is taken in place in the buffer fourier_abs returned.
-    The nonzero thetas run two at a time through map_in_order; the maximum
-    is exact, so the order in which it meets them changes no bit.
+    even bit for bit, so |mu_hat| is evaluated once on m = 1..X_max itself.
+    The nonzero shifts k/G (G = theta_grid) are taken in pairs k/G and
+    (G - k)/G, and one job evaluates |mu_hat| at n + k/G and n + (G - k)/G
+    for n = 0..X_max.  By evenness the term at -m + k/G is |mu_hat| at
+    m - k/G, which the job reads at (m - 1) + (G - k)/G, and symmetrically;
+    theta = 1/2 is its own partner.  On a power-of-two grid the two
+    arguments are the same float, so every sum has the bits of evaluating
+    m + theta and -m + theta directly, unless the product depth J differs
+    between X_max - theta and X_max + 1 - theta; on other grids they may
+    round apart and a sum may move in its last bits.  The centre
+    |mu_hat(theta)| takes its own J(theta).  The pairs run two at a time
+    through map_in_order; the maximum is exact, so the order in which it
+    meets them changes no bit.
     """
     if star and theta_grid < 1:
         raise ValueError("theta_grid must be >= 1")
-    m = np.arange(1, int(X_grid[-1]) + 1, dtype=float)
+    n = np.arange(int(X_grid[-1]) + 1, dtype=float)
 
-    def sums_for(theta: float) -> np.ndarray:
-        terms = fourier_abs(measure, m if theta == 0.0 else m + theta)
-        terms += terms if theta == 0.0 else fourier_abs(measure, -m + theta)
+    def sums_from(terms: np.ndarray, theta: float) -> np.ndarray:
         center = fourier_abs(measure, np.array([theta]))[0]
-        csum = np.cumsum(terms, out=terms)
-        return center + csum[X_grid - 1]
+        return center + np.cumsum(terms, out=terms)[X_grid - 1]
 
-    S = sums_for(0.0)
+    def sums_for_pair(k: int) -> np.ndarray:
+        lo = fourier_abs(measure, n + k / theta_grid)
+        if 2 * k == theta_grid:  # theta = 1/2 is its own partner
+            return sums_from(lo[1:] + lo[:-1], 0.5)
+        hi = fourier_abs(measure, n + (theta_grid - k) / theta_grid)
+        terms = lo[1:] + hi[:-1]
+        S_lo = sums_from(terms, k / theta_grid)
+        np.add(hi[1:], lo[:-1], out=terms)
+        return np.maximum(S_lo, sums_from(terms, (theta_grid - k) / theta_grid))
+
+    terms = fourier_abs(measure, n[1:])
+    S = sums_from(np.add(terms, terms, out=terms), 0.0)
+    del terms  # not held while the shift pairs run
     if star:
-        for shifted in map_in_order(sums_for, [k / theta_grid for k in range(1, theta_grid)]):
+        for shifted in map_in_order(sums_for_pair, range(1, theta_grid // 2 + 1)):
             S = np.maximum(S, shifted)
     return S
 

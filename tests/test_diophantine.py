@@ -1,116 +1,20 @@
 import math
-from fractions import Fraction
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from horolab import diophantine
+from horolab import diophantine, fitting
 from horolab.diophantine import (
     ConstPsi,
     PowerPsi,
     QLogQPsi,
-    convergents,
-    dirichlet_approx,
     khintchine_profile,
     khintchine_sum,
-    measure_of_Aq,
     parse_psi,
 )
 from horolab.fitting import LiteralParseError
 from horolab.measures import default_sample_depth, parse_measure, sample
-
-GOLDEN = (1 + math.sqrt(5)) / 2
-
-
-def brute_force_best(alpha: float, Q: int):
-    """Best rational with denominator at most Q, by exhaustion."""
-    best = (0, 1, abs(alpha))
-    for q in range(1, Q + 1):
-        p = round(alpha * q)
-        err = abs(alpha - p / q)
-        if err < best[2] - 1e-18:
-            best = (p, q, err)
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Continued fractions
-
-
-def test_rational_input_terminates_exactly():
-    convs = convergents(3 / 7, 100)
-    last = convs[-1]
-    assert (last.p, last.q) == (3, 7)
-    assert last.quality == 0.0
-
-
-def test_golden_ratio_gives_fibonacci_denominators():
-    qs = [c.q for c in convergents(GOLDEN, 100)]
-    assert qs == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
-
-
-def test_pi_convergents_include_the_classics():
-    convs = convergents(math.pi, 120)
-    pairs = {(c.p, c.q) for c in convs}
-    assert (22, 7) in pairs and (355, 113) in pairs
-    # every convergent (q >= 2) beats all smaller denominators: best approximations
-    for c in convs:
-        if c.q < 2:
-            continue
-        _, _, best_err = brute_force_best(math.pi, c.q)
-        assert c.quality <= best_err + 1e-15
-
-
-def test_convergents_quality_bound():
-    # |q alpha - p| < 1/q_next for consecutive convergents
-    for alpha in (math.pi, math.sqrt(2), 0.37137):
-        convs = convergents(alpha, 10**6)
-        for cur, nxt in zip(convs, convs[1:]):
-            assert abs(cur.q * alpha - cur.p) < 1.0 / nxt.q + 1e-15
-
-
-def test_convergents_exact_fraction_input():
-    convs = convergents(Fraction(355, 113), 200)
-    assert (convs[-1].p, convs[-1].q) == (355, 113)
-
-
-@settings(max_examples=30, derandomize=True)
-@given(st.floats(-10, 10), st.integers(1, 5000))
-def test_convergents_lowest_terms_property(alpha, Q):
-    for c in convergents(alpha, Q):
-        assert math.gcd(c.p, c.q) == 1
-        assert c.q <= Q
-
-
-def test_dirichlet_examples():
-    r = dirichlet_approx(1 / 3, 10)
-    assert (r.p, r.q) == (1, 3)
-    r = dirichlet_approx(0.0, 5)
-    assert (r.p, r.q) == (0, 1)
-
-
-def test_dirichlet_bound_verified_by_brute_force():
-    Q = 100
-    alpha = math.sqrt(2)
-    r = dirichlet_approx(alpha, Q)
-    assert 1 <= r.q <= Q
-    assert abs(alpha - r.p / r.q) <= 1.0 / (r.q * Q) + 1e-15
-    # exhaustive check that some q <= Q achieves the Dirichlet bound as well
-    ok = any(
-        abs(alpha - round(alpha * q) / q) <= 1.0 / (q * Q)
-        for q in range(1, Q + 1)
-    )
-    assert ok
-
-
-@settings(max_examples=30, derandomize=True)
-@given(st.floats(0, 1), st.integers(1, 2000))
-def test_dirichlet_bound_property(alpha, Q):
-    r = dirichlet_approx(alpha, Q)
-    assert 1 <= r.q <= Q
-    assert abs(alpha - r.p / r.q) <= 1.0 / (r.q * Q) + 1e-12
-
 
 # ---------------------------------------------------------------------------
 # psi families
@@ -151,22 +55,37 @@ def test_khintchine_sum_values():
 # Monte-Carlo measures of approximation sets
 
 
+def rate_of_Aq(measure, q, psi, n_samples, seed):
+    """mu{x : dist(q x, Z) < psi(q)} and its standard error, read off the
+    profile's hit rate at q."""
+    profile = khintchine_profile(measure, psi, max(q, 10), n_samples, seed, rate_q_max=q)
+    rate = float(profile.hit_rates[q - 2])
+    return rate, math.sqrt(rate * (1.0 - rate) / n_samples)
+
+
+def direct_rate_of_Aq(measure, q, psi, n_samples, seed):
+    """The same rate from fresh samples, each tested at q alone."""
+    xs = sample(measure, max(40, default_sample_depth(measure)), n_samples, seed)
+    rate = float((np.abs(q * xs - np.round(q * xs)) < float(psi(q))).mean())
+    return rate, math.sqrt(rate * (1.0 - rate) / n_samples)
+
+
 def test_measure_Aq_lebesgue_closed_form():
     psi = PowerPsi(1.5)
     q = 10
-    val, err = measure_of_Aq(parse_measure("leb"), q, psi, 100_000, seed=1)
+    val, err = rate_of_Aq(parse_measure("leb"), q, psi, 100_000, seed=1)
     assert abs(val - 2 * 10**-1.5) < 3 * err + 1e-9
 
 
 def test_measure_Aq_vacuous_threshold():
-    val, err = measure_of_Aq(parse_measure("leb"), 7, ConstPsi(0.6), 2000, seed=2)
+    val, err = rate_of_Aq(parse_measure("leb"), 7, ConstPsi(0.6), 2000, seed=2)
     assert val == 1.0 and err == 0.0
 
 
 def test_measure_Aq_monotone_in_psi():
     leb = parse_measure("leb")
-    small, e1 = measure_of_Aq(leb, 50, PowerPsi(1.8), 50_000, seed=3)
-    large, e2 = measure_of_Aq(leb, 50, PowerPsi(1.2), 50_000, seed=3)
+    small, e1 = rate_of_Aq(leb, 50, PowerPsi(1.8), 50_000, seed=3)
+    large, e2 = rate_of_Aq(leb, 50, PowerPsi(1.2), 50_000, seed=3)
     assert large - small > -3 * (e1 + e2)
     assert large > small
 
@@ -176,7 +95,7 @@ def test_measure_Aq_cantor_near_lebesgue_heuristic():
     psi = PowerPsi(1.0)
     ratios = []
     for q in (5, 17, 40, 99):
-        val, err = measure_of_Aq(m, q, psi, 50_000, seed=q)
+        val, err = rate_of_Aq(m, q, psi, 50_000, seed=q)
         ratios.append(val / (2.0 / q))
     assert abs(np.mean(ratios) - 1.0) < 0.15
 
@@ -211,7 +130,7 @@ def test_profile_consistent_with_measure_Aq():
     profile = khintchine_profile(leb, psi, 200, 20_000, seed=7)
     for q in (2, 10, 100):
         rate_profile = profile.hit_rates[q - 2]
-        rate_direct, err = measure_of_Aq(leb, q, psi, 20_000, seed=100 + q)
+        rate_direct, err = direct_rate_of_Aq(leb, q, psi, 20_000, seed=100 + q)
         se = math.sqrt(rate_profile * (1 - rate_profile) / 20_000) + err
         assert abs(rate_profile - rate_direct) < 4 * se + 1e-12
 
@@ -244,8 +163,6 @@ def test_profile_refuses_supports_floats_cannot_resolve():
     far = parse_measure("leb+1e300")
     with pytest.raises(ValueError, match=r"R = 1e\+300 .* Q = 20: .* psi\(Q\) / 2 = 0.025"):
         khintchine_profile(far, PowerPsi(1.0), 20, 100, seed=0)
-    with pytest.raises(ValueError, match=r"R = 1e\+300 .* q = 7: .* psi\(q\) / 2"):
-        measure_of_Aq(far, 7, PowerPsi(1.0), 1000, seed=0)
     # the bound is Q spacing(R) < psi(Q) / 2: spacing(1e10 + 1) is 2**-19
     near = parse_measure("leb+1e10")
     assert khintchine_profile(near, PowerPsi(1.0), 20, 100, seed=0).mean_count > 0
@@ -311,7 +228,10 @@ def _bytes(x):
         ("cantor:3:0,2*leb", "pow:1.5", 800, 2000, 5, 800),
     ],
 )
-def test_profile_byte_equal_to_outer_product(measure, psi, Q, n_samples, seed, rate_q_max):
+def test_profile_byte_equal_to_outer_product(
+    monkeypatch, measure, psi, Q, n_samples, seed, rate_q_max
+):
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: 2)  # lanes threaded even on one CPU
     m, p = parse_measure(measure), parse_psi(psi)
     profile = khintchine_profile(m, p, Q, n_samples, seed, rate_q_max=rate_q_max)
     rates, mean, stderr, regime = outer_product_profile(m, p, Q, n_samples, seed, rate_q_max)
@@ -351,25 +271,33 @@ def test_count_hits_byte_equal_on_window_edges(psi, shift):
 
 def test_window_route_tests_only_candidates(monkeypatch):
     # testing every pair runs the predicate n (Q - 1) = 398000 times
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: 2)  # lanes threaded even on one CPU
     real = diophantine._dist_to_integers
-    evaluated = {1: 0, 2: 0}  # window candidates, row pairs
-    row_qs = []
-
-    def counting(vals):
-        evaluated[vals.ndim] += vals.size
-        if vals.ndim == 2:
-            row_qs.append(vals.shape[1])
-        return real(vals)
-
-    monkeypatch.setattr(diophantine, "_dist_to_integers", counting)
+    lock = threading.Lock()  # two lanes call the predicate at once
     Q, n = 200, 2000
     m = parse_measure("cantor:450:0..446")
-    profile = khintchine_profile(m, PowerPsi(1.0), Q, n, seed=2024, rate_q_max=Q)
-    hits = int(np.rint(profile.hit_rates * n).sum())
     xs = sample(m, max(40, default_sample_depth(m)), n, 2024)
     span = xs.max() - xs.min()
     windows = sum(math.ceil(q * span) + 5 for q in range(2, Q + 1))
-    # q = 2 (psi = 1/2: windows could overlap) and the last q, where windows cost more
-    assert sum(row_qs) <= 3 and evaluated[2] == n * sum(row_qs)
-    assert evaluated[1] <= hits + 2 * windows
-    assert evaluated[1] + evaluated[2] < n * (Q - 1) / 5
+    # the default passes, and passes small enough that each route takes several
+    for hit_block in (diophantine.HIT_BLOCK, 1 << 13):
+        evaluated = {1: 0, 2: 0}  # window candidates, row pairs
+        row_qs, largest = [], [0]
+
+        def counting(vals):
+            with lock:
+                evaluated[vals.ndim] += vals.size
+                largest[0] = max(largest[0], vals.size)
+                if vals.ndim == 2:
+                    row_qs.append(vals.shape[0])
+            return real(vals)
+
+        monkeypatch.setattr(diophantine, "_dist_to_integers", counting)
+        monkeypatch.setattr(diophantine, "HIT_BLOCK", hit_block)
+        profile = khintchine_profile(m, PowerPsi(1.0), Q, n, seed=2024, rate_q_max=Q)
+        hits = int(np.rint(profile.hit_rates * n).sum())
+        # q = 2 (psi = 1/2: windows could overlap) and the last q, where windows cost more
+        assert sum(row_qs) <= 3 and evaluated[2] == n * sum(row_qs)
+        assert evaluated[1] <= hits + 2 * windows
+        assert evaluated[1] + evaluated[2] < n * (Q - 1) / 5
+        assert largest[0] <= hit_block // fitting.THREADS

@@ -150,6 +150,11 @@ THREADED_COMMANDS = {
     "dim": ["dim", "--measure", "cantor:450:0..446", "--xmax", str(2 * ABS_BLOCK + 4321)],
     "dim-star": ["dim", "--measure", "cantor:3:0,2", "--xmax", "12000", "--star", "--theta-grid", "9"],
     "fourier": ["fourier", "--measure", "cantor:3:0,2*dirac:0.3", "--xi", f"0:{ABS_BLOCK // 4 + 9}:0.25"],
+    # both counting routes: windows at small q, rows at q = 2 and at large q
+    "khintchine": ["khintchine", "--measure", "leb", "--psi", "pow:1", "--Q", "3000",
+                   "--samples", "500"],
+    "khintchine-cantor": ["khintchine", "--measure", "cantor:3:0,2", "--psi", "pow:1",
+                          "--Q", "400", "--samples", "3000"],
     "stationary": ["stationary", "--phase", "poly:0,0,0,1", "--xigrid", "10:3000:9"],
 }
 

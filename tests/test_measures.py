@@ -386,19 +386,63 @@ def test_plain_partial_sum_evaluates_each_m_once(monkeypatch):
     assert sum(sizes) == J * X + J0
 
 
-def test_star_partial_sum_evaluates_both_sides_per_nonzero_theta(monkeypatch):
-    sizes = count_symbol_abs(monkeypatch)
-    X, grid = 100, 4
-    l1_partial_sum(CANTOR3, X, star=True, theta_grid=grid)
+def test_star_partial_sum_evaluates_each_shift_pair_once(monkeypatch):
+    # theta = k/G and (G - k)/G share one job: n + k/G and n + (G - k)/G for
+    # n = 0..X, instead of m + theta and -m + theta for each theta; the
+    # centres keep their own depth, and theta = 1/2 is its own partner
+    X = 100
 
     def depth(xi_max):
         return product_depth(CANTOR3, xi_max, DEFAULT_TAIL_TOL)
 
-    expected = depth(X) * X + depth(0.0)
-    for k in range(1, grid):
+    for grid in (4, 5):
+        sizes = count_symbol_abs(monkeypatch)
+        l1_partial_sum(CANTOR3, X, star=True, theta_grid=grid)
+        expected = depth(X) * X + depth(0.0)
+        for k in range(1, grid):
+            expected += depth(X + k / grid) * (X + 1) + depth(k / grid)
+        assert sum(sizes) == expected
+
+
+def per_theta_star_sums(measure, X_grid, grid):
+    """Star sums from m + theta and -m + theta at every theta = k/grid, the
+    maximum taken in order: the oracle for the paired shifts."""
+    m = np.arange(1, X_grid[-1] + 1, dtype=float)
+    S = None
+    for k in range(grid):
         theta = k / grid
-        expected += depth(X + theta) * X + depth(X - theta) * X + depth(theta)
-    assert sum(sizes) == expected
+        terms = fourier_abs(measure, m + theta) + fourier_abs(measure, -m + theta)
+        sums = fourier_abs(measure, np.array([theta]))[0] + np.cumsum(terms)[X_grid - 1]
+        S = sums if S is None else np.maximum(S, sums)
+    return S
+
+
+STAR_ORACLE_MEASURES = [
+    "cantor:3:0,2", "cantor:450:0..446", "cantor:5:0,3+0.3", "cantor:3:0,2*dirac:0.3",
+]
+
+
+@pytest.mark.parametrize("literal", STAR_ORACLE_MEASURES)
+def test_paired_star_sums_bit_equal_to_per_theta_on_dyadic_grid(literal):
+    mu = parse_measure(literal)
+    X_grid = np.array([10, 57, 300, 1999])
+    # the pairing reads -m + theta at depth J(X + 1 - theta), not J(X - theta)
+    for f in (mu, getattr(mu, "left", None)):
+        if isinstance(f, FractalMeasure):
+            assert len({product_depth(f, x, DEFAULT_TAIL_TOL) for x in (1998, 2000)}) == 1
+    for grid in (2, 8, 64):
+        got = measures._partial_sums(mu, X_grid, True, grid)
+        assert got.tobytes() == per_theta_star_sums(mu, X_grid, grid).tobytes()
+
+
+@pytest.mark.parametrize("literal", STAR_ORACLE_MEASURES)
+def test_paired_star_sums_within_4_ulps_of_per_theta_on_grid_9(literal):
+    # (m - 1) + 8/9 and m - 1/9 round differently, so the terms may move
+    mu = parse_measure(literal)
+    X_grid = np.array([10, 57, 300, 1999])
+    got = measures._partial_sums(mu, X_grid, True, 9)
+    want = per_theta_star_sums(mu, X_grid, 9)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
 
 def test_star_sum_dominates_plain():
