@@ -33,12 +33,9 @@ from .automorphic import (
     TwistedSumSpec,
     bessel_K_imag,
     constant_term,
-    divisor_tau,
-    hecke_eis,
     horocycle_fourier_coeff,
     spectral_gap_fit,
     truncation_tail_mass,
-    twisted_hecke_sum,
     zeta_1line,
 )
 from .diophantine import (
@@ -51,7 +48,6 @@ from .oscillatory import (
     PhasePolynomial,
     RaisedCosineWindow,
     SmoothBumpWindow,
-    StationaryData,
     exponent_fit_oscillatory,
     find_stationary_points,
     oscillatory_integral,

@@ -161,23 +161,6 @@ def completed_xi_1line(u: complex) -> complex:
 # Divisor sums
 
 
-def divisor_tau(m: int, z) -> complex | int:
-    """tau_z(m) = sum over divisors d of m of d^z (exact finite sum)."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    divisors = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            divisors.append(d)
-            if d != m // d:
-                divisors.append(m // d)
-        d += 1
-    if isinstance(z, int) and z >= 0:
-        return sum(d**z for d in divisors)
-    return sum(d ** complex(z) for d in divisors)
-
-
 def sigma_range(z: complex, m_max: int) -> np.ndarray:
     """tau_z(m) for m = 1..m_max via a divisor sieve (index m-1).
 
@@ -383,13 +366,6 @@ def constant_term(y, p: EisensteinParams):
     return complex(out[0]) if np.asarray(y).ndim == 0 else out
 
 
-def hecke_eis(m: int, p: EisensteinParams) -> complex:
-    """lambda(m) = m^(-it) tau_(2it)(m) / zeta(1+2it) on the Eisenstein line."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return m ** (-1j * p.t) * complex(divisor_tau(m, 2j * p.t)) / p.zeta_1p2it
-
-
 def hecke_range(p: EisensteinParams, m_max: int) -> np.ndarray:
     """lambda(m) for m = 1..m_max (index m-1) from one sigma_range sieve.
 
@@ -581,18 +557,6 @@ class TwistedSumSpec:
         return (0.5 if self.regime == "half_plus_delta" else 1.0) + self.delta
 
 
-def twisted_hecke_sum(spec: TwistedSumSpec, y: float) -> complex:
-    """sum over m != 0 of lambda(|m|) |m|^-e W(|m| y) e(m alpha).
-
-    W(u) = sqrt(u) K_it(2 pi u); the +-m pair combines into
-    2 cos(2 pi m alpha).  K follows bessel_K_series, so the sum runs over
-    the live terms 2 pi m y < 46 only; the rest are below 4e-21.  Each call
-    sieves its own lambda table; twisted_sum_series sieves once for a whole
-    sweep.
-    """
-    return _twisted_sum(spec, y, hecke_range(EisensteinParams(spec.t), _live_end(y)))
-
-
 def _live_end(y: float) -> int:
     """The number of m >= 1 with 2 pi (m y) < 46 in floats, for y > 0: the
     live terms of a series (bessel_K_series), since 2 pi (m y) rises with m.
@@ -615,8 +579,12 @@ def _live_end(y: float) -> int:
 
 
 def _twisted_sum(spec: TwistedSumSpec, y: float, lam: np.ndarray) -> complex:
-    """twisted_hecke_sum at y from lam = lambda(1..n), n >= _live_end(y).
+    """sum over m != 0 of lambda(|m|) |m|^-e W(|m| y) e(m alpha), from
+    lam = lambda(1..n), n >= _live_end(y).
 
+    W(u) = sqrt(u) K_it(2 pi u); the +-m pair combines into
+    2 cos(2 pi m alpha).  K follows bessel_K_series, so the sum runs over
+    the live terms 2 pi m y < 46 only; the rest are below 4e-21.
     sqrt(m y) = sqrt(m) sqrt(y), so the coefficient of sqrt(y) K_it(2 pi m y)
     is 2 lambda(m) m^(1/2 - e).
     """
@@ -626,7 +594,7 @@ def _twisted_sum(spec: TwistedSumSpec, y: float, lam: np.ndarray) -> complex:
 
 
 def twisted_sum_series(spec: TwistedSumSpec, y_grid) -> DecayReport:
-    """|twisted_hecke_sum| over a descending y-grid with a decay fit; sieves once."""
+    """|_twisted_sum| over a descending y-grid with a decay fit; sieves once."""
     y_grid = np.asarray(sorted(y_grid, reverse=True), dtype=float)
     lam = hecke_range(EisensteinParams(spec.t), _live_end(float(y_grid[-1])))
     values = np.array([_twisted_sum(spec, float(y), lam) for y in y_grid])

@@ -137,6 +137,8 @@ def _cmd_dim(args) -> int:
         raise CliError("<dim>: --xmax must be at least 10^4 (two decades above 100)")
     if args.xmax > _measures.MAX_GRID_POINTS:
         raise CliError(f"<dim>: --xmax must be at most MAX_GRID_POINTS = {_measures.MAX_GRID_POINTS}")
+    if args.points > _measures.MAX_GRID_POINTS:
+        raise CliError(f"<dim>: --points must be at most MAX_GRID_POINTS = {_measures.MAX_GRID_POINTS}")
     grid = np.unique(np.round(np.geomspace(100, args.xmax, args.points)).astype(int))
     est = _measures.estimate_dim_l1(
         measure, grid, star=args.star, theta_grid=args.theta_grid

@@ -35,7 +35,7 @@ B_OF_S_CEILING = 10**9
 FOURIER_L1_THRESHOLD = 39.0 / 64.0  # spectral-gap barrier for the headline regime
 ABS_BLOCK = 1 << 15  # entries per block of the mu_hat product: 256 KiB per float array
 SAMPLE_BLOCK = 1 << 17  # digits per pass of sample: 1 MiB per index array
-MAX_GRID_POINTS = 1 << 23  # largest xi or m grid of the fourier and dim commands: 64 MiB per float array
+MAX_GRID_POINTS = 1 << 23  # largest xi, m, theta or X grid of the fourier and dim commands: 64 MiB per float array
 
 
 class PrecisionLossError(ValueError):
@@ -546,6 +546,8 @@ def _partial_sums(measure, X_grid: np.ndarray, star: bool, theta_grid: int):
     """
     if star and theta_grid < 1:
         raise ValueError("theta_grid must be >= 1")
+    if star and theta_grid > MAX_GRID_POINTS:  # map_in_order lists every shift pair first
+        raise ValueError(f"theta_grid must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     n = np.arange(int(X_grid[-1]) + 1, dtype=float)
 
     def sums_from(terms: np.ndarray, theta: float) -> np.ndarray:

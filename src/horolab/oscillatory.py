@@ -69,10 +69,6 @@ class PhasePolynomial:
             raise ValueError(f"phase coefficients must be finite, got {self.coeffs}")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in trimmed))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         acc = np.zeros_like(x)
@@ -167,14 +163,9 @@ class StationaryPoint:
     scale: float        # f^(k)(x)
 
 
-@dataclass
-class StationaryData:
-    points: list[StationaryPoint]
-    max_order: int  # k_{f,w}; 0 when there is no stationary point
-
-
-def find_stationary_points(f: PhasePolynomial, w: Window) -> StationaryData:
-    """f.critical_points inside supp(w), as stationary points of order mult + 1.
+def find_stationary_points(f: PhasePolynomial, w: Window) -> list[StationaryPoint]:
+    """f.critical_points inside supp(w), as stationary points of order mult + 1,
+    ascending; the largest order is k_{f,w}.
 
     A root within BOUNDARY_TOL of the support boundary raises: boundary
     stationary points change the asymptotics.
@@ -188,8 +179,7 @@ def find_stationary_points(f: PhasePolynomial, w: Window) -> StationaryData:
             raise BoundaryStationaryPointError(f"stationary point {xr} at the support boundary")
         k = mult + 1
         points.append(StationaryPoint(xr, k, float(f(np.array(xr))), f.derivative_value(k, xr)))
-    max_order = max((p.order for p in points), default=0)
-    return StationaryData(points=points, max_order=max_order)
+    return points
 
 
 # Exact polynomials are lists of Fractions by increasing degree with a
@@ -359,9 +349,8 @@ def stationary_phase_leading(f: PhasePolynomial, w: Window, xi: float) -> comple
     """
     if xi < 1.0:
         raise ValueError("require xi >= 1")
-    data = find_stationary_points(f, w)
     total = 0.0 + 0.0j
-    for pt in data.points:
+    for pt in find_stationary_points(f, w):
         k = pt.order
         c = pt.scale / math.factorial(k)
         lam = xi * abs(c)

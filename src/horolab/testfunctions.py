@@ -31,8 +31,8 @@ class EisensteinTest:
     """
 
     def __init__(self, t: float = 1.0, component: str = "re"):
-        if component not in ("re", "im", "complex"):
-            raise ValueError("component must be re, im, or complex")
+        if component not in ("re", "complex"):
+            raise ValueError("component must be re or complex")
         self.t = t
         self.component = component
         self.params = EisensteinParams(t)
@@ -54,10 +54,7 @@ class EisensteinTest:
     def __call__(self, x, y):
         if self.component == "re":
             return eisenstein_values(x, y, self.params, real=True)
-        vals = eisenstein_values(x, y, self.params)
-        if self.component == "im":
-            return vals.imag
-        return vals
+        return eisenstein_values(x, y, self.params)
 
 
 @dataclass
@@ -74,7 +71,8 @@ class BumpTest:
 
     @cached_property
     def lipschitz(self) -> float:
-        # sup of y |w'(y)|: |w'| <= 2*exp(1)*sup|u'|... calibrated on a grid
+        # sup of y |w'(y)|: central differences of step (y1 - y0) * 1e-6 at
+        # 4001 points of (y0, y1), times a margin of 1.1
         ys = np.linspace(self.y0 + 1e-9, self.y1 - 1e-9, 4001)
         h = (self.y1 - self.y0) * 1e-6
         grad = np.abs(self(np.zeros_like(ys), ys + h) - self(np.zeros_like(ys), ys - h)) / (2 * h)

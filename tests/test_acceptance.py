@@ -21,7 +21,6 @@ import pytest
 import horolab as hl
 from horolab.automorphic import (
     EisensteinParams,
-    divisor_tau,
     spectral_gap_fit,
     truncation_tail_mass,
 )
@@ -36,7 +35,7 @@ from horolab.oscillatory import (
 )
 from horolab.testfunctions import EisensteinTest
 
-from conftest import ACCEPTANCE_LINES, whittaker_coefficient
+from conftest import ACCEPTANCE_LINES, divisor_tau, whittaker_coefficient
 
 _cache: dict = {}
 

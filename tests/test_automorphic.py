@@ -27,23 +27,20 @@ from horolab.automorphic import (
     bessel_K_series,
     completed_xi_1line,
     constant_term,
-    divisor_tau,
     eisenstein_values,
     gamma_complex,
-    hecke_eis,
     hecke_range,
     horocycle_fourier_coeff,
     sigma_range,
     spectral_gap_fit,
     truncation_tail_mass,
-    twisted_hecke_sum,
     twisted_sum_series,
     zeta_1line,
 )
 from horolab.modular import reduce_many
 from horolab.testfunctions import ConstantTest, EisensteinTest
 
-from conftest import whittaker_coefficient
+from conftest import divisor_tau, hecke_eis, whittaker_coefficient
 
 mp.mp.dps = 30
 
@@ -528,11 +525,17 @@ def test_truncation_tail_tiny_at_deep_height(params_t1):
     assert truncation_tail_mass(params_t1, 0.01, 1.5) < 1e-12
 
 
+def twisted_sum_at(spec, y):
+    """The twisted sum at y, read off a sweep over [y, y/2]."""
+    cols = twisted_sum_series(spec, [y, y / 2]).extra_columns
+    return complex(cols["re"][0], cols["im"][0])
+
+
 def test_twisted_sum_periodic_in_alpha():
     spec0 = TwistedSumSpec(t=1.0, delta=0.3, alpha=0.37)
     spec1 = TwistedSumSpec(t=1.0, delta=0.3, alpha=1.37)
     y = 0.1
-    assert twisted_hecke_sum(spec0, y) == pytest.approx(twisted_hecke_sum(spec1, y), rel=1e-9)
+    assert twisted_sum_at(spec0, y) == pytest.approx(twisted_sum_at(spec1, y), rel=1e-9)
 
 
 def test_twisted_sum_against_mpmath_oracle():
@@ -544,16 +547,7 @@ def test_twisted_sum_against_mpmath_oracle():
         lam = m ** (-1j) * complex(divisor_tau(m, 2j)) / p.zeta_1p2it
         w = math.sqrt(m * y) * float(mp.re(mp.besselk(1j, 2 * math.pi * m * y)))
         oracle += lam * m ** (-spec.exponent) * w * 2.0
-    assert twisted_hecke_sum(spec, y) == pytest.approx(oracle, rel=1e-8)
-
-
-def test_twisted_sum_series_matches_single_sums():
-    spec = TwistedSumSpec(t=1.0, delta=0.3, alpha=0.37)
-    ys = 2.0 ** -np.arange(2, 7)
-    report = twisted_sum_series(spec, ys)
-    direct = np.array([twisted_hecke_sum(spec, float(y)) for y in report.params])
-    assert np.array_equal(report.extra_columns["re"], direct.real)
-    assert np.array_equal(report.extra_columns["im"], direct.imag)
+    assert twisted_sum_at(spec, y) == pytest.approx(oracle, rel=1e-8)
 
 
 @pytest.mark.parametrize("k", [1, 2, 16, 997, 2999, 3000])
@@ -648,16 +642,15 @@ def test_twisted_sweep_evaluates_k_only_below_46(monkeypatch):
     monkeypatch.setattr(
         automorphic, "bessel_K_series", lambda t, x: nodes.append(np.asarray(x)) or real(t, x)
     )
-    ys = 2.0 ** -np.arange(2, 9)
+    ys = [*2.0 ** -np.arange(2, 9), 0.01]
     spec = TwistedSumSpec(t=1.0, delta=0.3, alpha=0.37)
     twisted_sum_series(spec, ys)
-    twisted_hecke_sum(spec, 0.01)
     x = np.concatenate(nodes)
     assert x.max() < K_NEGLIGIBLE_X
     live = [
         np.count_nonzero(2 * math.pi * np.arange(1, math.floor(700.0 / (2 * math.pi * y)) + 1) * y
                          < K_NEGLIGIBLE_X)
-        for y in (*ys, 0.01)
+        for y in ys
     ]
     assert x.size == sum(live)
 

@@ -667,6 +667,23 @@ def test_cli_refuses_a_grid_over_max_grid_points(monkeypatch, capsys, argv, prod
     assert err.startswith(f"horolab: error: {production}") and "MAX_GRID_POINTS" in err
 
 
+@pytest.mark.parametrize(
+    "flags, allocator",
+    [
+        # map_in_order lists its items first: 10^9 shifts are 5 * 10^8 pairs
+        (("--star", "--theta-grid", "1000000000"), "horolab.measures.map_in_order"),
+        (("--points", "1000000000"), "numpy.geomspace"),  # 8 GB of X
+    ],
+)
+def test_cli_dim_refuses_counts_over_max_grid_points(monkeypatch, capsys, flags, allocator):
+    from horolab import measures
+
+    monkeypatch.setattr(allocator, reached)
+    code, out, err = run_cli(capsys, "dim", "--measure", "cantor:3:0,2", "--xmax", "10000", *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("horolab: error: ") and f"MAX_GRID_POINTS = {measures.MAX_GRID_POINTS}" in err
+
+
 def test_cli_stationary_sweep_certifies_its_phase_once(monkeypatch, tmp_path, capsys):
     from horolab import oscillatory
 

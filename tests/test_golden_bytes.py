@@ -3,12 +3,15 @@
 Each command runs through cli_main with --seed 2024, --out and --json-out,
 and both files must hash to the values recorded in CHANGES.md.  The hashes
 hold for the numpy this suite runs on: another numpy build may round a
-transcendental function differently in the last bit.  A change that moves
-these bytes on purpose updates the table here and says so in CHANGES.md.
+transcendental function differently in the last bit, and so may the same
+build on a CPU with other SIMD kernels, so a failure names numpy's version
+and the float64 kernels of exp, log, sin and cos.  A change that moves these
+bytes on purpose updates the table here and says so in CHANGES.md.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from horolab.cli import cli_main
@@ -58,11 +61,24 @@ GOLDEN = {
 }
 
 
+def numpy_dispatch() -> str:
+    """numpy's version and the float64 dispatch target of exp, log, sin, cos."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy before 2.0 cannot say
+        return f"numpy {np.__version__}"
+    info = opt_func_info(func_name="^(exp|log|sin|cos)$", signature="float64")
+    kernels = ", ".join(
+        f"{name} {'/'.join(sig['current'] for sig in sigs.values())}" for name, sigs in sorted(info.items())
+    )
+    return f"numpy {np.__version__} ({kernels})"
+
+
 @pytest.mark.parametrize("command", list(GOLDEN), ids=[c.split()[0] + ":" + c.split()[2] for c in GOLDEN])
 def test_golden_csv_and_json_bytes(command, tmp_path, capsys):
     csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
     code = cli_main(command.split() + ["--seed", "2024", "--out", str(csv_path), "--json-out", str(json_path)])
     assert code == 0, f"{command}: exit {code}: {capsys.readouterr().err}"
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path))
-    assert digests[0] == GOLDEN[command][0], f"CSV bytes moved: {command}"
-    assert digests[1] == GOLDEN[command][1], f"JSON bytes moved: {command}"
+    assert digests[0] == GOLDEN[command][0], f"CSV bytes moved: {command} on {numpy_dispatch()}"
+    assert digests[1] == GOLDEN[command][1], f"JSON bytes moved: {command} on {numpy_dispatch()}"

@@ -3,6 +3,10 @@
 A name with a leading underscore is private to its module.  A sibling that
 imports one, or reads one off the module object, depends on a detail the
 owner may change without notice, so the rule is checked on the source.
+
+A public name that nothing in src/ or bench/ calls is either a second
+implementation of something src/ already computes or code no output reads;
+the tests' own oracles live in tests/conftest.py instead.
 """
 
 import ast
@@ -60,3 +64,73 @@ def test_the_rule_sees_both_kinds_of_read(tmp_path):
         "s = _measures.__name__\n"
     )
     assert private_reads(src) == ["mod.py:2 _live_end", "mod.py:3 _measures._support_radius"]
+
+
+# Public names with no caller in src/ or bench/, kept for what reads them
+KEPT_WITHOUT_CALLER = {
+    "horocycle_fourier_coeff": "criterion 5b reads one coefficient of the spectral-gap FFT",
+    "l1_partial_sum": "ROADMAP item 3's hypothesis test checks its inequality against it",
+    "b_of_s": "ROADMAP item 7 picks the base b of its cantor:b:0..l-1 family with it",
+}
+
+
+def public_definitions(path: Path) -> list[tuple[str, ast.AST]]:
+    """(name, node) of every public top-level function and class of path and
+    of every public method or property of its public classes (Class.name)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return found
+
+
+def names_read(path: Path) -> list[tuple[str, int]]:
+    """(name, line) of every ast.Name and ast.Attribute in path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        (node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+
+
+def without_caller(defining: list[Path], reading: list[Path]) -> list[str]:
+    """`module.name` of every public definition in `defining` that no file of
+    `reading` names outside the definition's own body."""
+    reads = [(path, name, line) for path in reading for name, line in names_read(path)]
+    found = []
+    for path in defining:
+        for qualname, node in public_definitions(path):
+            name, own = qualname.rsplit(".", 1)[-1], range(node.lineno, node.end_lineno + 1)
+            if not any(n == name and not (p == path and line in own) for p, n, line in reads):
+                found.append(f"{path.stem}.{qualname}")
+    return found
+
+
+def test_every_public_function_has_a_caller():
+    # a public name that only tests call is a second implementation or dead
+    # code; __init__ re-exports are imports, not calls, and do not count
+    bench = PACKAGE.parents[1] / "bench"
+    assert bench.is_dir()
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    found = without_caller(modules, [*PACKAGE.glob("*.py"), *sorted(bench.glob("*.py"))])
+    assert [f for f in found if f.split(".", 1)[1] not in KEPT_WITHOUT_CALLER] == []
+    assert sorted(f.split(".", 1)[1] for f in found) == sorted(KEPT_WITHOUT_CALLER)  # none stale
+
+
+def test_the_caller_rule_skips_a_names_own_body(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text(
+        "def f(n):\n    return f(n - 1) if n else 0\n\n\n"
+        "class C:\n    def used(self):\n        return C()\n\n    @property\n    def unused(self):\n        return self.used()\n"
+    )
+    user.write_text("x = f(3)\n")
+    assert without_caller([lib], [lib, user]) == ["lib.C", "lib.C.unused"]
+    assert without_caller([lib], [lib]) == ["lib.f", "lib.C", "lib.C.unused"]

@@ -483,6 +483,18 @@ def test_dimension_grid_validation():
         l1_partial_sum(CANTOR3, 100, star=True, theta_grid=0)
 
 
+def test_star_sums_refuse_a_theta_grid_over_max_grid_points(monkeypatch):
+    def reached(*args):
+        raise AssertionError("the shift pairs were listed")
+
+    monkeypatch.setattr(measures, "map_in_order", reached)
+    over = measures.MAX_GRID_POINTS + 1
+    with pytest.raises(ValueError, match="theta_grid must be at most MAX_GRID_POINTS"):
+        estimate_dim_l1(CANTOR3, [100, 1000, 5000, 10**4], star=True, theta_grid=over)
+    with pytest.raises(ValueError, match="theta_grid must be at most MAX_GRID_POINTS"):
+        l1_partial_sum(CANTOR3, 100, star=True, theta_grid=over)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form bounds
 

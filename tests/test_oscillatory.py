@@ -59,23 +59,24 @@ def test_window_vanishes_outside_support():
 
 
 def test_stationary_points_monomials():
-    data = find_stationary_points(X2, W1)
-    assert [(p.x, p.order) for p in data.points] == [(0.0, 2)]
-    data = find_stationary_points(X3, W1)
-    assert [(p.x, p.order) for p in data.points] == [(0.0, 3)]
-    assert data.max_order == 3
+    points = find_stationary_points(X2, W1)
+    assert [(p.x, p.order) for p in points] == [(0.0, 2)]
+    points = find_stationary_points(X3, W1)
+    assert [(p.x, p.order) for p in points] == [(0.0, 3)]
+    assert max(p.order for p in points) == 3
 
 
 def test_stationary_points_double_well():
     f = PhasePolynomial((0.0, 0.0, -0.5, 0.0, 0.25))  # x^4/4 - x^2/2
-    data = find_stationary_points(f, RaisedCosineWindow(0.0, 2.0))
-    assert [(round(p.x, 12), p.order) for p in data.points] == [(-1.0, 2), (0.0, 2), (1.0, 2)]
+    points = find_stationary_points(f, RaisedCosineWindow(0.0, 2.0))
+    assert [(round(p.x, 12), p.order) for p in points] == [(-1.0, 2), (0.0, 2), (1.0, 2)]
 
 
 def test_stationary_points_count_bounded_by_degree():
     f = PhasePolynomial((1.0, -2.0, 0.5, 3.0, -0.25, 0.1))
-    data = find_stationary_points(f, RaisedCosineWindow(0.0, 50.0))
-    assert sum(p.order - 1 for p in data.points) <= f.degree - 1
+    points = find_stationary_points(f, RaisedCosineWindow(0.0, 50.0))
+    degree = len(f.coeffs) - 1
+    assert sum(p.order - 1 for p in points) <= degree - 1
 
 
 def test_stationary_point_at_boundary_rejected():
@@ -151,17 +152,16 @@ def test_stationary_points_match_sympy_oracle(f, edge, pick, delta, radius):
         with pytest.raises(BoundaryStationaryPointError):
             find_stationary_points(f, w)
     else:
-        data = find_stationary_points(f, w)
-        assert [(p.x, p.order) for p in data.points] == inside
+        assert [(p.x, p.order) for p in find_stationary_points(f, w)] == inside
     # the whole real line: every root of f' and its order
     everywhere = RaisedCosineWindow(0.0, 1e6)
-    assert [(p.x, p.order) for p in find_stationary_points(f, everywhere).points] == roots
+    assert [(p.x, p.order) for p in find_stationary_points(f, everywhere)] == roots
 
 
 def test_no_stationary_points_for_monotone_phase():
     f = PhasePolynomial((0.0, 1.0, 0.0, 1.0))  # x + x^3, f' > 0
-    data = find_stationary_points(f, W1)
-    assert data.points == [] and data.max_order == 0
+    points = find_stationary_points(f, W1)
+    assert points == [] and max((p.order for p in points), default=0) == 0
 
 
 # ---------------------------------------------------------------------------
