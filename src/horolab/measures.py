@@ -211,6 +211,7 @@ def product_depth(measure: FractalMeasure, xi_max: float, tail_tol: float) -> in
 
 def fourier_transform(measure, xi, tail_tol: float = DEFAULT_TAIL_TOL):
     """mu_hat(xi) = integral of e(xi*x) d mu(x); accepts scalar or array xi."""
+    _check_tail_tol(tail_tol)
     xi_arr = np.asarray(xi, dtype=float)
     out = _transform(measure, xi_arr.reshape(-1), tail_tol).reshape(xi_arr.shape)
     return complex(out) if xi_arr.ndim == 0 else out
@@ -223,8 +224,15 @@ def fourier_abs(measure, xi, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     |mu_hat| is even for every measure here (all are real), bit for bit:
     fourier_abs(mu, -xi) == fourier_abs(mu, xi).  _partial_sums relies on it.
     """
+    _check_tail_tol(tail_tol)
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     return _modulus(measure, xi_arr.reshape(-1), tail_tol).reshape(xi_arr.shape)
+
+
+def _check_tail_tol(tail_tol: float) -> None:
+    """The tail_tol check of both public transforms, for every kind of measure."""
+    if not 0 < tail_tol < math.inf:
+        raise ValueError(f"tail_tol must be positive and finite, got {tail_tol}")
 
 
 def _product_walk(measure: FractalMeasure, xi: np.ndarray, tail_tol: float, factor, start):
@@ -236,8 +244,6 @@ def _product_walk(measure: FractalMeasure, xi: np.ndarray, tail_tol: float, fact
     Blocks write disjoint slices of the result, so map_in_order runs them
     two at a time with the same bits.  xi is only read.
     """
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be positive")
     J = product_depth(measure, float(np.max(np.abs(xi), initial=0.0)), tail_tol)
     out = start(xi)  # after |xi| is freed, so the two never coexist
 
@@ -548,6 +554,8 @@ def _partial_sums(measure, X_grid: np.ndarray, star: bool, theta_grid: int):
         raise ValueError("theta_grid must be >= 1")
     if star and theta_grid > MAX_GRID_POINTS:  # map_in_order lists every shift pair first
         raise ValueError(f"theta_grid must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}")
+    if X_grid[-1] > MAX_GRID_POINTS:  # n below holds X_max + 1 floats
+        raise ValueError(f"X must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     n = np.arange(int(X_grid[-1]) + 1, dtype=float)
 
     def sums_from(terms: np.ndarray, theta: float) -> np.ndarray:

@@ -152,5 +152,8 @@ def _keyvals(body: str, production: str) -> dict:
         if "=" not in item:
             raise LiteralParseError(production, f"expected key=value, got {item!r}")
         key, val = item.split("=", 1)
-        out[key.strip()] = parse_real(val, production)
+        key = key.strip()
+        if key in out:
+            raise LiteralParseError(production, f"repeated key {key!r} in {body!r}")
+        out[key] = parse_real(val, production)
     return out

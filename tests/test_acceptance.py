@@ -51,7 +51,7 @@ def record(tag: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_cvy_threshold():
-    bound = hl.cvy_lower_bound(450, 447)
+    bound = hl.measures.cvy_lower_bound(450, 447)
     dim_h = math.log(447) / math.log(450)
     ok = bound > 0.609375 and dim_h < 0.9992
     record("1", ok, f"cvy(450,447)={bound:.6f} > 0.609375; dim_H={dim_h:.6f} < 0.9992")
@@ -140,7 +140,7 @@ def test_criterion_4_constant_term_identity():
     basis = run_basis_identity_check(cfg)
     p = EisensteinParams(1.0)
     direct = max(
-        abs(mu - hl.constant_term(float(y), p))
+        abs(mu - hl.automorphic.constant_term(float(y), p))
         for y, mu in zip(basis.ys, basis.measured)
     )
     decay = run_equidistribution(cfg)
@@ -199,7 +199,7 @@ def test_criterion_5b_coefficients_match_series():
     worst = 0.0
     for y in (0.2, 0.05):
         for m in range(1, 21):
-            got = hl.horocycle_fourier_coeff(phi, m, y, 4096)
+            got = hl.automorphic.horocycle_fourier_coeff(phi, m, y, 4096)
             worst = max(worst, abs(got - whittaker_coefficient(p, m, y)))
     ok = worst < 1e-7
     record("5b", ok, f"numeric vs analytic coefficients: max diff {worst:.2e} < 1e-7")
@@ -323,10 +323,10 @@ def _criterion_9_run():
     if "c9" in _cache:
         return _cache["c9"]
     leb = khintchine_profile(
-        hl.parse_measure("leb"), PowerPsi(1.0), 10**4, 1000, seed=101
+        hl.measures.parse_measure("leb"), PowerPsi(1.0), 10**4, 1000, seed=101
     )
     cantor = khintchine_profile(
-        hl.parse_measure("cantor:450:0..446"), PowerPsi(1.0), 1000, 100_000,
+        hl.measures.parse_measure("cantor:450:0..446"), PowerPsi(1.0), 1000, 100_000,
         seed=202, rate_q_max=1000,
     )
     _cache["c9"] = (leb, cantor, leb.to_csv() + cantor.to_csv())

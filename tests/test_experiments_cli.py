@@ -525,6 +525,14 @@ def test_cli_stationary_accepts_exact_two_decades(xigrid, tmp_path, capsys):
          "horolab: error: tol must be positive and finite"),
         (("stationary", "--phase", "poly:0,0,1", "--xigrid", "1:100:6", "--tol", "1e-300"),
          "horolab: error: --tol: panel refinement did not reach tol 1e-300"),
+        (("fourier", "--measure", "leb", "--xi", "0:2:1", "--tail-tol", "0"),
+         "horolab: error: tail_tol must be positive and finite, got 0.0"),
+        (("fourier", "--measure", "cantor:3:0,2", "--xi", "0:2:1", "--tail-tol", "-1"),
+         "horolab: error: tail_tol must be positive and finite, got -1.0"),
+        (("equidist", "--measure", "leb", "--test", "eisenstein:t=5,t=1", "--ygrid", "0.25:0.5:4"),
+         "horolab: error: literal, production <test:eisenstein>: repeated key 't'"),
+        (("equidist", "--measure", "leb", "--test", "bump:y0=1,y1=2,y0=1.5", "--ygrid", "0.25:0.5:4"),
+         "horolab: error: literal, production <test:bump>: repeated key 'y0'"),
     ],
 )
 def test_cli_malformed_literals_name_production(capsys, argv, needle):
@@ -550,6 +558,10 @@ def test_cli_malformed_literals_name_production(capsys, argv, needle):
          "window support [8.9e+307, 8.9e+307]"),
         (("fourier", "--measure", "leb", "--xi", "0:1:nan"), "<xi-range>: '0:1:nan' is not finite"),
         (("fourier", "--measure", "leb", "--xi", "0:inf:1"), "<xi-range>: '0:inf:1' is not finite"),
+        (("fourier", "--measure", "leb", "--xi", "0:2:1", "--tail-tol", "nan"),
+         "tail_tol must be positive and finite, got nan"),
+        (("fourier", "--measure", "dirac:0.3", "--xi", "0:2:1", "--tail-tol", "inf"),
+         "tail_tol must be positive and finite, got inf"),
     ],
 )
 def test_cli_non_finite_inputs_exit_1(capsys, argv, needle):

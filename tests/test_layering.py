@@ -7,6 +7,9 @@ owner may change without notice, so the rule is checked on the source.
 A public name that nothing in src/ or bench/ calls is either a second
 implementation of something src/ already computes or code no output reads;
 the tests' own oracles live in tests/conftest.py instead.
+
+Each public name has one import path, from the module that defines it: the
+package root binds the layer modules and __version__, and re-exports nothing.
 """
 
 import ast
@@ -116,7 +119,7 @@ def without_caller(defining: list[Path], reading: list[Path]) -> list[str]:
 
 def test_every_public_function_has_a_caller():
     # a public name that only tests call is a second implementation or dead
-    # code; __init__ re-exports are imports, not calls, and do not count
+    # code; imports are not calls and do not count
     bench = PACKAGE.parents[1] / "bench"
     assert bench.is_dir()
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -134,3 +137,39 @@ def test_the_caller_rule_skips_a_names_own_body(tmp_path):
     user.write_text("x = f(3)\n")
     assert without_caller([lib], [lib, user]) == ["lib.C", "lib.C.unused"]
     assert without_caller([lib], [lib]) == ["lib.f", "lib.C", "lib.C.unused"]
+
+
+LAYERS = {
+    "automorphic", "diophantine", "experiments", "fitting", "measures", "modular", "oscillatory", "testfunctions",
+}
+
+
+def root_extras(path: Path) -> list[str]:
+    """`line: statement` for every top-level statement of a package root other
+    than its docstring, `from . import` of layer modules and `__version__ = ...`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for i, node in enumerate(tree.body):
+        docstring = i == 0 and isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        layers = (
+            isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) == (1, None)
+            and all(alias.name in LAYERS and alias.asname is None for alias in node.names)
+        )
+        version = isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__version__"]
+        if not (docstring or layers or version):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_package_root_binds_only_the_layer_modules(tmp_path):
+    root = PACKAGE / "__init__.py"
+    assert root_extras(root) == []
+    tree = ast.parse(root.read_text())
+    bound = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert bound == LAYERS  # `import horolab as hl; hl.measures...` reads every layer
+    facade = tmp_path / "__init__.py"
+    facade.write_text(
+        '"""doc"""\nfrom . import measures\nfrom .measures import sample\nfrom . import cli\n__version__ = "1"\n'
+    )
+    assert root_extras(facade) == ["3: from .measures import sample", "4: from . import cli"]

@@ -232,6 +232,15 @@ def test_blocked_fourier_abs_equals_one_shot_product(text):
     assert not np.array_equal(got[:ABS_BLOCK], one_shot_abs(mu, small, J_block))
 
 
+@pytest.mark.parametrize("tail_tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("text", ["leb", "dirac:0.3", "cantor:3:0,2", "cantor:3:0,2*leb"])
+def test_transforms_refuse_a_tail_tol_not_positive_and_finite(text, tail_tol):
+    mu = parse_measure(text)
+    for transform in (fourier_transform, fourier_abs):
+        with pytest.raises(ValueError, match=f"tail_tol must be positive and finite, got {tail_tol}"):
+            transform(mu, np.array([0.0, 1.5]), tail_tol)
+
+
 @pytest.mark.parametrize("text", ["cantor:3:0,2", "cantor:450:0..446"])
 def test_fourier_transform_does_not_depend_on_array_length(text):
     # appending max(xi) keeps J, so each entry meets the same factors in a
@@ -493,6 +502,23 @@ def test_star_sums_refuse_a_theta_grid_over_max_grid_points(monkeypatch):
         estimate_dim_l1(CANTOR3, [100, 1000, 5000, 10**4], star=True, theta_grid=over)
     with pytest.raises(ValueError, match="theta_grid must be at most MAX_GRID_POINTS"):
         l1_partial_sum(CANTOR3, 100, star=True, theta_grid=over)
+
+
+def test_partial_sums_refuse_an_x_over_max_grid_points(monkeypatch):
+    # X = 10^12 would ask np.arange for 10^12 floats (8 TB) before any work
+    real = np.arange
+
+    def guarded(*args, **kwargs):
+        if max(args) > 10**8:
+            raise AssertionError(f"np.arange asked for {max(args)} entries")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", guarded)
+    leb, cap = parse_measure("leb"), f"X must be at most MAX_GRID_POINTS = {measures.MAX_GRID_POINTS}"
+    with pytest.raises(ValueError, match=cap):
+        l1_partial_sum(leb, 10**12)
+    with pytest.raises(ValueError, match=cap):
+        estimate_dim_l1(leb, [100, 10**4, 10**8, 10**12])
 
 
 # ---------------------------------------------------------------------------

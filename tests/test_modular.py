@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from horolab.automorphic import horocycle_fourier_coeff
+from horolab.fitting import LiteralParseError
 from horolab.measures import CylinderBudgetError, parse_measure
 from horolab.modular import (
     BOUNDARY_BAND,
@@ -15,7 +16,7 @@ from horolab.modular import (
     reduce_many,
     sample_fundamental_domain,
 )
-from horolab.testfunctions import BumpTest, ConstantTest, EisensteinTest, IndicatorTest
+from horolab.testfunctions import BumpTest, ConstantTest, EisensteinTest, IndicatorTest, parse_test_function
 
 GENERATORS = {
     "T": (1, 1, 0, 1),
@@ -334,6 +335,20 @@ def test_lipschitz_is_computed_once(monkeypatch):
     first = bump.lipschitz
     monkeypatch.setattr(BumpTest, "__call__", lambda *a: pytest.fail("grid rebuilt"))
     assert bump.lipschitz == first
+
+
+@pytest.mark.parametrize(
+    "text, production",
+    [
+        ("eisenstein:t=5,t=1", "<test:eisenstein>"),
+        ("bump:y0=1,y1=2,y0=1.5", "<test:bump>"),
+        ("indicator:ygt=2, ygt=3", "<test:indicator>"),
+    ],
+)
+def test_test_function_literal_refuses_a_repeated_key(text, production):
+    with pytest.raises(LiteralParseError, match="repeated key") as exc:
+        parse_test_function(text)
+    assert exc.value.production == production
 
 
 def test_mu_y_montecarlo_reads_no_lipschitz():

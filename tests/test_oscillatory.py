@@ -173,6 +173,13 @@ def test_integral_at_zero_is_window_mass():
         assert oscillatory_integral(X2, w, 0.0) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_bump_mass_literal_is_the_gauss_legendre_sum():
+    mass = oscillatory._BUMP_MASS
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    assert mass == float(np.sum(weights * np.exp(-1.0 / (1.0 - nodes**2))))
+    assert abs(mass - quad(lambda u: math.exp(-1.0 / (1.0 - u * u)), -1.0, 1.0)[0]) < 1e-14
+
+
 def test_total_variation_reads_certified_critical_points():
     # f = (x - 1/4)^4 in exact binary coefficients: f' has a triple root at
     # 1/4, and the variation on [-1, 1] is f(-1) + f(1) - 2 f(1/4)
