@@ -152,11 +152,6 @@ def zeta_1line(s: complex) -> complex:
     return total
 
 
-def completed_xi_1line(u: complex) -> complex:
-    """xi(u) = pi^(-u/2) Gamma(u/2) zeta(u) for Re(u) >= 1."""
-    return cmath.exp(-u / 2.0 * math.log(math.pi)) * gamma_complex(u / 2.0) * zeta_1line(u)
-
-
 # ---------------------------------------------------------------------------
 # Divisor sums
 
@@ -325,17 +320,16 @@ class EisensteinParams:
     """
 
     t: float
-    nu: float = field(init=False)
     zeta_1p2it: complex = field(init=False)
     c: complex = field(init=False)
 
     def __post_init__(self):
         if self.t == 0.0 or not math.isfinite(self.t):
             raise ValueError(f"spectral parameter t must be finite and nonzero, got {self.t}")
-        t = self.t
-        self.nu = 0.25 + t * t
-        self.zeta_1p2it = zeta_1line(1.0 + 2j * t)
-        self._xi1 = completed_xi_1line(1.0 + 2j * t)
+        u = 1.0 + 2j * self.t
+        self.zeta_1p2it = zeta_1line(u)
+        # xi(u) = pi^(-u/2) Gamma(u/2) zeta(u)
+        self._xi1 = cmath.exp(-u / 2.0 * math.log(math.pi)) * gamma_complex(u / 2.0) * self.zeta_1p2it
         self.c = self._xi1.conjugate() / self._xi1
         if abs(abs(self.c) - 1.0) > 1e-9:
             raise AssertionError("scattering coefficient lost unimodularity")

@@ -4,8 +4,8 @@ Subcommands: fourier, dim, equidist, basis-check, spectral-gap, khintchine,
 stationary.  Each reads flags (or a key=value config file via --config),
 writes CSV rows to stdout or --out, and emits a JSON summary with the fixed
 key set {command, config, seed, exponent, stderr, r2, status}.  Exit codes:
-0 success, 2 inconclusive fit, 1 error.  Identical config + seed produce
-byte-identical CSV and JSON.
+0 success, 2 inconclusive fit, 1 error (usage errors included).  Identical
+config + seed produce byte-identical CSV and JSON.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from . import measures as _measures
 from . import diophantine as _dio
 from .automorphic import spectral_gap_csv, spectral_gap_fit
 from .experiments import ExperimentConfig, run_basis_identity_check, run_equidistribution
-from .fitting import DecayReport, csv_table, geometric_grid
+from .fitting import MAX_GRID_POINTS, DecayReport, LiteralParseError, csv_table, geometric_grid
 from .oscillatory import (
-    QuadratureBudgetError,
     ToleranceNotReachedError,
     check_xi_grid,
     envelope_fit,
@@ -34,10 +33,6 @@ from .oscillatory import (
 )
 from .testfunctions import EisensteinTest
 
-class CliError(Exception):
-    pass
-
-
 _YGRID_FIELDS = (("ymax", float), ("ratio", float), ("count", int))
 
 
@@ -46,13 +41,13 @@ def _parse_triple(text: str, production: str, fields) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
         names = ":".join(name for name, _ in fields)
-        raise CliError(f"{production}: expected {names}, got {text!r}")
+        raise LiteralParseError(production, f"expected {names}, got {text!r}")
     values = []
     for (name, kind), part in zip(fields, parts):
         try:
             values.append(kind(part))
         except ValueError:
-            raise CliError(f"{production}: bad {name} {part!r} in {text!r}") from None
+            raise LiteralParseError(production, f"bad {name} {part!r} in {text!r}") from None
     return tuple(values)
 
 
@@ -118,12 +113,11 @@ def _cmd_fourier(args) -> int:
         args.xi, "<xi-range>", (("start", float), ("stop", float), ("step", float))
     )
     if not all(map(math.isfinite, (start, stop, step))):
-        raise CliError(f"<xi-range>: {args.xi!r} is not finite")
+        raise ValueError(f"<xi-range>: {args.xi!r} is not finite")
     if step <= 0:
-        raise CliError("<xi-range>: step must be positive")
-    if (stop + 0.5 * step - start) / step > _measures.MAX_GRID_POINTS:
-        raise CliError(f"<xi-range>: {args.xi!r} has more than "
-                       f"MAX_GRID_POINTS = {_measures.MAX_GRID_POINTS} points")
+        raise ValueError("<xi-range>: step must be positive")
+    if (stop + 0.5 * step - start) / step > MAX_GRID_POINTS:
+        raise ValueError(f"<xi-range>: {args.xi!r} has more than MAX_GRID_POINTS = {MAX_GRID_POINTS} points")
     xs = np.arange(start, stop + 0.5 * step, step)
     vals = _measures.fourier_transform(measure, xs, args.tail_tol)
     csv_text = csv_table("xi,re,im,abs", xs, vals.real, vals.imag, np.abs(vals))
@@ -134,19 +128,17 @@ def _cmd_fourier(args) -> int:
 def _cmd_dim(args) -> int:
     measure = _measures.parse_measure(args.measure)
     if args.xmax < 10_000:
-        raise CliError("<dim>: --xmax must be at least 10^4 (two decades above 100)")
-    if args.xmax > _measures.MAX_GRID_POINTS:
-        raise CliError(f"<dim>: --xmax must be at most MAX_GRID_POINTS = {_measures.MAX_GRID_POINTS}")
-    if args.points > _measures.MAX_GRID_POINTS:
-        raise CliError(f"<dim>: --points must be at most MAX_GRID_POINTS = {_measures.MAX_GRID_POINTS}")
+        raise ValueError("<dim>: --xmax must be at least 10^4 (two decades above 100)")
+    if args.xmax > MAX_GRID_POINTS:
+        raise ValueError(f"<dim>: --xmax must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}")
+    if args.points > MAX_GRID_POINTS:
+        raise ValueError(f"<dim>: --points must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     grid = np.unique(np.round(np.geomspace(100, args.xmax, args.points)).astype(int))
     est = _measures.estimate_dim_l1(
         measure, grid, star=args.star, theta_grid=args.theta_grid
     )
     status = "degenerate" if est.degenerate else "ok"
-    summary = _summary(
-        "dim", args, exponent=est.dimension, stderr=est.stderr, r2=None, status=status
-    )
+    summary = _summary("dim", args, exponent=est.dimension, stderr=est.stderr, status=status)
     summary["config"]["slope"] = est.slope
     summary["config"]["slope_full"] = est.slope_full
     if isinstance(measure, _measures.FractalMeasure):
@@ -180,10 +172,7 @@ def _cmd_equidist(args) -> int:
 def _cmd_basis_check(args) -> int:
     cfg = _experiment_config(args, "cylinder")
     report = run_basis_identity_check(cfg)
-    summary = _summary(
-        "basis-check", args,
-        exponent=report.envelope_constant, stderr=None, r2=None, status="ok",
-    )
+    summary = _summary("basis-check", args, exponent=report.envelope_constant)
     summary["config"]["max_discrepancy"] = report.max_discrepancy
     _emit(args, report.to_csv(), summary)
     return 0
@@ -202,7 +191,7 @@ def _cmd_khintchine(args) -> int:
     profile = _dio.khintchine_profile(
         measure, psi, args.Q, args.samples, args.seed, rate_q_max=args.rate_qmax
     )
-    summary = _summary("khintchine", args, exponent=None, stderr=None, r2=None, status="ok")
+    summary = _summary("khintchine", args)
     summary["config"]["mean_count"] = profile.mean_count
     summary["config"]["mean_count_stderr"] = profile.mean_count_stderr
     summary["config"]["comparison_sum"] = profile.comparison_sum
@@ -219,17 +208,17 @@ def _cmd_stationary(args) -> int:
         args.xigrid, "<xi-grid>", (("start", float), ("stop", float), ("count", int))
     )
     if not start > 0:
-        raise CliError(f"<xi-grid>: start must be positive, got {start}")
+        raise ValueError(f"<xi-grid>: start must be positive, got {start}")
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"<xi-grid>: count must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     try:
         grid = check_xi_grid(np.geomspace(start, stop, count))
     except ValueError as exc:
-        raise CliError(f"<xi-grid>: {exc}") from None
+        raise ValueError(f"<xi-grid>: {exc}") from None
     try:
         vals = oscillatory_integrals(phase, window, grid, tol=args.tol)
-    except ToleranceNotReachedError as exc:
-        raise CliError(f"--tol: {exc}") from None
-    except QuadratureBudgetError as exc:  # no --tol cures a panel or |xi| budget
-        raise CliError(str(exc)) from None
+    except ToleranceNotReachedError as exc:  # no --tol cures the other budget errors
+        raise ValueError(f"--tol: {exc}") from None
     # Python's abs(complex), not np.abs: the two can differ in the last bit
     report = envelope_fit(grid, [abs(v) for v in vals])
     leads = []
@@ -257,8 +246,14 @@ def _add_common(p: argparse.ArgumentParser):
                    help="JSON summary path (default: stdout when --out is a file)")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 through cli_main, not 2 (an inconclusive fit)
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(
+    root = _Parser(
         prog="horolab",
         description="numerical experiments on horocycle equidistribution",
     )
@@ -324,11 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Expand --config FILE into leading flags (command line overrides)."""
-    if "--config" not in argv:
-        return argv
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
-        raise CliError("--config needs a file path")
+        raise ValueError("--config needs a file path")
     path = argv[idx + 1]
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     switches = {  # store_true flags take no argument
@@ -342,15 +335,15 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list
             if not line:
                 continue
             if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
             flag = "--" + key.replace("_", "-")
             if key.replace("-", "_") in switches:
                 # a falsy value means omit the flag
                 if value.lower() in ("true", "yes", "1"):
                     injected.append(flag)
-            else:
-                injected.extend([flag, value])
+            else:  # one token, so a value may begin with "-"
+                injected.append(f"{flag}={value}")
     # keep the subcommand first, then injected defaults, then explicit flags
     return argv[:1] + injected + [a for i, a in enumerate(argv[1:], 1) if i not in (idx, idx + 1)]
 
@@ -362,7 +355,7 @@ def cli_main(argv: list[str]) -> int:
             argv = _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"horolab: error: {exc}\n")
         return 1
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as _measures
-from .fitting import THREADS, LiteralParseError, csv_table, map_in_order
+from .fitting import MAX_GRID_POINTS, THREADS, LiteralParseError, csv_table, map_in_order
 
 # A window's two binary searches cost about ten row tests of one sample
 # (measured for 10^3 to 10^5 sorted samples).
@@ -30,14 +30,6 @@ class ApproximationFunction:
 
     def __call__(self, q):
         raise NotImplementedError
-
-    def check_monotone(self, q_max: int = 10_000):
-        qs = np.unique(np.geomspace(2, q_max, 64).astype(int))
-        vals = self(qs)
-        if np.any(np.diff(vals) > 1e-15):
-            raise ValueError(f"{self.label} is not non-increasing on [2, {q_max}]")
-        if np.any(vals <= 0):
-            raise ValueError(f"{self.label} is not positive")
 
 
 @dataclass
@@ -233,14 +225,6 @@ class KhintchineProfile:
         return csv_table("q,hit_rate,two_psi", self.qs, self.hit_rates, self.two_psi)
 
 
-def khintchine_sum(psi: ApproximationFunction, Q: int) -> float:
-    """2-to-Q partial sum of psi (exact, deterministic summation order)."""
-    if Q < 2:
-        raise ValueError("require Q >= 2")
-    qs = np.arange(2, Q + 1)
-    return float(np.sum(psi(qs)))
-
-
 def khintchine_profile(
     measure,
     psi: ApproximationFunction,
@@ -284,7 +268,9 @@ def khintchine_profile(
     windowed q, against n pair tests at each row q: O(Q^2 s log n + hits)
     against O(n Q) in all.  Q is refused once Q spacing(R) >= psi(Q)/2 for
     the support radius R: then fl(q x) cannot resolve the target
-    (leb+1e300 would "hit" every q).
+    (leb+1e300 would "hit" every q).  psi is evaluated once, on all of
+    [2, Q], which must be positive and non-increasing; Q and n_samples past
+    MAX_GRID_POINTS are refused before that.
     """
     if Q < 10:
         raise ValueError("require Q >= 10")
@@ -294,12 +280,16 @@ def khintchine_profile(
         rate_q_max = min(Q, 1000)
     if not 2 <= rate_q_max <= Q:
         raise ValueError(f"rate_q_max must lie in [2, Q = {Q}], got {rate_q_max}")
-    psi.check_monotone(Q)
+    for name, count in (("Q", Q), ("n_samples", n_samples)):
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"{name} must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}")
+    psi_all = np.asarray(psi(np.arange(2, Q + 1)), dtype=float)  # psi_all[q - 2] = psi(q)
+    if np.any(np.diff(psi_all) > 1e-15) or np.any(psi_all <= 0):
+        raise ValueError(f"{psi.label} is not positive and non-increasing on [2, {Q}]")
     _check_resolution(measure, Q, float(psi(Q)))
     depth = max(40, _measures.default_sample_depth(measure))
     xs = _measures.sample(measure, depth, n_samples, seed)
 
-    psi_all = np.asarray(psi(np.arange(2, Q + 1)), dtype=float)
     per_sample, per_sample_half, per_q = _count_hits(xs, psi_all, Q // 2)
     # exact: integer counts below 2**53 as floats, and hits / n is a bool mean
     counts = per_sample.astype(float)
@@ -312,13 +302,12 @@ def khintchine_profile(
     inc_stderr = float(increment.std(ddof=1) / math.sqrt(n_samples)) or 1e-300
     regime = "divergent-like" if increment.mean() > 3.0 * inc_stderr else "convergent-like"
 
-    qs = np.arange(2, rate_q_max + 1)
     return KhintchineProfile(
-        qs=qs,
+        qs=np.arange(2, rate_q_max + 1),
         hit_rates=rate_hits,
-        two_psi=2.0 * np.asarray(psi(qs), dtype=float),
+        two_psi=2.0 * psi_all[: rate_q_max - 1],
         mean_count=mean_count,
         mean_count_stderr=stderr,
-        comparison_sum=2.0 * khintchine_sum(psi, Q),
+        comparison_sum=2.0 * float(np.sum(psi_all)),
         regime=regime,
     )

@@ -11,7 +11,8 @@ is repeated until stable.  On non-oscillatory data no row is rejected and
 the robust fit coincides with the plain one.
 
 The shared base every layer may use lives here too: csv_table (the one CSV
-writer), LiteralParseError, and map_in_order (the one thread map).
+writer), LiteralParseError, map_in_order (the one thread map) and
+MAX_GRID_POINTS (the one cap on an allocated grid).
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ _LOG_FLOOR = 1e-300
 # being one: peak memory is this many items' working sets.  1 where only one
 # CPU is usable.
 THREADS = 2
+# Largest grid or count a command allocates (xi, m, theta, X, y, q or
+# sample grids): 64 MiB per float array.  A larger one is refused first.
+MAX_GRID_POINTS = 1 << 23
 
 _in_job = threading.local()  # .active: this thread runs a job of a threaded map
 
@@ -278,7 +282,8 @@ def fit_decay_report(
 def geometric_grid(y_max: float, ratio: float, count: int) -> np.ndarray:
     """The descending y-grid y_max, y_max*ratio, ..., of count heights.
 
-    The one y-grid rule: y_max in (0, 1], ratio in (0, 1), count >= 1.
+    The one y-grid rule: y_max in (0, 1], ratio in (0, 1), and
+    1 <= count <= MAX_GRID_POINTS.
     """
     if not 0.0 < y_max <= 1.0:
         raise ValueError(f"y_max must lie in (0, 1], got {y_max}")
@@ -286,4 +291,6 @@ def geometric_grid(y_max: float, ratio: float, count: int) -> np.ndarray:
         raise ValueError(f"y_ratio must lie in (0, 1) for a decreasing grid, got {ratio}")
     if count < 1:
         raise ValueError(f"y_count must be positive, got {count}")
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"y_count must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}, got {count}")
     return y_max * ratio ** np.arange(count)

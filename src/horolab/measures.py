@@ -27,7 +27,7 @@ from functools import cached_property, singledispatch
 
 import numpy as np
 
-from .fitting import LiteralParseError, least_squares_loglog, map_in_order, parse_real
+from .fitting import MAX_GRID_POINTS, LiteralParseError, least_squares_loglog, map_in_order, parse_real
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_TAIL_TOL = 1e-12
@@ -35,7 +35,6 @@ B_OF_S_CEILING = 10**9
 FOURIER_L1_THRESHOLD = 39.0 / 64.0  # spectral-gap barrier for the headline regime
 ABS_BLOCK = 1 << 15  # entries per block of the mu_hat product: 256 KiB per float array
 SAMPLE_BLOCK = 1 << 17  # digits per pass of sample: 1 MiB per index array
-MAX_GRID_POINTS = 1 << 23  # largest xi, m, theta or X grid of the fourier and dim commands: 64 MiB per float array
 
 
 class PrecisionLossError(ValueError):
@@ -178,8 +177,12 @@ def symbol_g(measure: FractalMeasure, xi) -> complex | np.ndarray:
     else:
         digits = np.asarray(measure.digits, dtype=float)
         w = measure.weight_array
-        # summed explicitly to keep the reduction order fixed
-        out = (np.exp(2j * np.pi * np.outer(xi_arr, digits)) * w).sum(axis=1)
+        out = np.empty(xi_arr.size, dtype=complex)
+        rows = max(1, ABS_BLOCK // digits.size)  # xi per pass of at most ABS_BLOCK terms
+        for lo in range(0, xi_arr.size, rows):
+            # each row is reduced on its own, so no bit depends on the pass
+            u = xi_arr[lo : lo + rows]
+            out[lo : lo + rows] = (np.exp(2j * np.pi * np.outer(u, digits)) * w).sum(axis=1)
     return complex(out[0]) if scalar else out
 
 
@@ -206,6 +209,11 @@ def product_depth(measure: FractalMeasure, xi_max: float, tail_tol: float) -> in
     """
     b = measure.base
     arg = TWO_PI * b * max(abs(xi_max), 1.0) / tail_tol
+    if not arg < math.inf:  # a tiny tail_tol or a huge xi overflows the product
+        raise ValueError(
+            f"2 pi b max(|xi|, 1) / tail_tol is not finite for b = {b}, "
+            f"|xi| <= {xi_max:g}, tail_tol = {tail_tol:g}"
+        )
     return max(1, math.ceil(math.log(arg) / math.log(b)) + 1)
 
 

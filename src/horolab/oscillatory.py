@@ -41,7 +41,7 @@ WINDOW_RESOLUTION = 2.0**-26
 MAX_PANELS = 2**24
 
 
-class QuadratureBudgetError(RuntimeError):
+class QuadratureBudgetError(ValueError):
     """|xi| beyond the configured maximum or refinement failed to settle."""
 
 

@@ -125,22 +125,21 @@ def parse_test_function(text: str):
     """Parse `eisenstein:t=<t>`, `bump:y0=<a>,y1=<b>`, `indicator:ygt=<c>`,
     `const:<c>`."""
     text = text.strip()
-    if text.startswith("eisenstein:"):
-        body = text[len("eisenstein:"):]
-        kv = _keyvals(body, "<test:eisenstein>")
-        if set(kv) != {"t"}:
-            raise LiteralParseError("<test:eisenstein>", f"expected t=<real>, got {body!r}")
-        return EisensteinTest(t=kv["t"])
-    if text.startswith("bump:"):
-        kv = _keyvals(text[len("bump:"):], "<test:bump>")
-        if set(kv) != {"y0", "y1"}:
-            raise LiteralParseError("<test:bump>", "expected y0=<a>,y1=<b>")
-        return BumpTest(kv["y0"], kv["y1"])
-    if text.startswith("indicator:"):
-        kv = _keyvals(text[len("indicator:"):], "<test:indicator>")
-        if set(kv) != {"ygt"}:
-            raise LiteralParseError("<test:indicator>", "expected ygt=<c>")
-        return IndicatorTest(kv["ygt"])
+    for name, keys, build in (
+        ("eisenstein", ("t",), EisensteinTest),
+        ("bump", ("y0", "y1"), BumpTest),
+        ("indicator", ("ygt",), IndicatorTest),
+    ):
+        if text.startswith(name + ":"):
+            production, body = f"<test:{name}>", text[len(name) + 1:]
+            kv = _keyvals(body, production)
+            if set(kv) != set(keys):
+                form = ",".join(f"{k}=<real>" for k in keys)
+                raise LiteralParseError(production, f"expected {form}, got {body!r}")
+            try:  # the constructor's own refusal, e.g. y0 >= y1, names the production too
+                return build(*(kv[k] for k in keys))
+            except ValueError as exc:
+                raise LiteralParseError(production, str(exc)) from None
     if text.startswith("const:"):
         return ConstantTest(parse_real(text[len("const:"):], "<test:const>"))
     raise LiteralParseError("<test>", f"unknown test function {text!r}")

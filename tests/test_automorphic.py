@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import math
 import subprocess
@@ -25,7 +26,6 @@ from horolab.automorphic import (
     _live_end,
     bessel_K_imag,
     bessel_K_series,
-    completed_xi_1line,
     constant_term,
     eisenstein_values,
     gamma_complex,
@@ -259,14 +259,35 @@ def test_eisenstein_constant_term_by_quadrature(params_t1):
 
 
 def test_eisenstein_realness_after_symmetrization(params_t1):
-    # xi(1+2it)/|xi(1+2it)| rotates E to a real-valued function
-    xi1 = completed_xi_1line(1 + 2j * params_t1.t)
+    # xi(1+2it)/|xi(1+2it)| rotates E to a real-valued function, with
+    # xi(u) = pi^(-u/2) Gamma(u/2) zeta(u)
+    u = 1 + 2j * params_t1.t
+    xi1 = cmath.exp(-u / 2 * math.log(math.pi)) * gamma_complex(u / 2) * zeta_1line(u)
     rot = xi1 / abs(xi1)
     rng = np.random.default_rng(6)
     for _ in range(50):
         x, y = reduce_many(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 4.0))
         val = rot * eisenstein_at(x, y, params_t1)
         assert abs(val.imag) < 1e-9
+
+
+def test_eisenstein_params_evaluates_zeta_once(monkeypatch):
+    # xi(1+2it) is built from the stored zeta(1+2it), not from a second zeta_1line call
+    from horolab import automorphic
+
+    calls = []
+    real = automorphic.zeta_1line
+    monkeypatch.setattr(automorphic, "zeta_1line", lambda s: calls.append(s) or real(s))
+    EisensteinParams(1.0)
+    assert calls == [1 + 2j]
+    monkeypatch.undo()
+    # c(t) and the Whittaker norm keep the bits of a second, independent zeta call
+    for t in (0.37, 1.0, 5.5, 29.0):
+        u = 1 + 2j * t
+        xi1 = cmath.exp(-u / 2.0 * math.log(math.pi)) * gamma_complex(u / 2.0) * zeta_1line(u)
+        p = EisensteinParams(t)
+        assert p.c == xi1.conjugate() / xi1
+        assert p.whittaker_norm == 2.0 * zeta_1line(u) / xi1
 
 
 def test_eisenstein_laplace_eigenvalue(params_t1):
@@ -278,7 +299,7 @@ def test_eisenstein_laplace_eigenvalue(params_t1):
 
     lap = (E(x0 + h, y0) + E(x0 - h, y0) + E(x0, y0 + h) + E(x0, y0 - h) - 4 * E(x0, y0)) / h**2
     lhs = -(y0**2) * lap
-    rhs = params_t1.nu * E(x0, y0)
+    rhs = (0.25 + params_t1.t**2) * E(x0, y0)
     assert abs(lhs - rhs) < 1e-5 * abs(rhs)
 
 

@@ -10,7 +10,6 @@ from horolab.diophantine import (
     PowerPsi,
     QLogQPsi,
     khintchine_profile,
-    khintchine_sum,
     parse_psi,
 )
 from horolab.fitting import LiteralParseError
@@ -30,25 +29,62 @@ def test_psi_literals_round_trip():
 
 
 def test_psi_monotonicity_check():
-    parse_psi("pow:2").check_monotone()
-    with pytest.raises(ValueError):
+    leb = parse_measure("leb")
+    khintchine_profile(leb, parse_psi("pow:2"), 10_000, 2, seed=0)
+    with pytest.raises(ValueError, match=r"is not positive and non-increasing on \[2, 10000\]"):
         # an increasing "psi" is rejected
         class Increasing(PowerPsi):
             def __call__(self, q):
                 return np.asarray(q, dtype=float)
 
-        Increasing(1.0).check_monotone()
+        khintchine_profile(leb, Increasing(1.0), 10_000, 2, seed=0)
 
 
 def test_khintchine_sum_values():
+    # comparison_sum = 2 sum_{q=2}^{Q} psi(q); dirac:0 has support radius 0,
+    # so the resolution check admits any Q
+    def half_sum(psi, Q):
+        return khintchine_profile(parse_measure("dirac:0"), psi, Q, 2, seed=0).comparison_sum / 2
+
     # sum_{q=2}^{inf} q^-2 = pi^2/6 - 1
-    assert khintchine_sum(PowerPsi(2.0), 10**6) == pytest.approx(
-        math.pi**2 / 6 - 1, abs=2e-6
-    )
+    assert half_sum(PowerPsi(2.0), 10**6) == pytest.approx(math.pi**2 / 6 - 1, abs=2e-6)
     # harmonic tail: ln Q + gamma - 1
     expect = math.log(10**6) + 0.5772156649015329 - 1.0
-    assert khintchine_sum(PowerPsi(1.0), 10**6) == pytest.approx(expect, abs=1e-3)
-    assert khintchine_sum(ConstPsi(0.5), 10) == pytest.approx(4.5)
+    assert half_sum(PowerPsi(1.0), 10**6) == pytest.approx(expect, abs=1e-3)
+    assert half_sum(ConstPsi(0.5), 10) == pytest.approx(4.5)
+
+
+def test_khintchine_profile_evaluates_psi_on_one_array():
+    # psi runs on [2, Q] once; two_psi and comparison_sum read that array,
+    # with the bits of evaluating psi on their own ranges
+    calls = []
+
+    class Counted:
+        def __init__(self, psi):
+            self.psi, self.label = psi, psi.label
+
+        def __call__(self, q):
+            calls.append(np.shape(q))
+            return self.psi(q)
+
+    for psi in (PowerPsi(1.0), PowerPsi(1.5), QLogQPsi(), ConstPsi(0.01)):
+        calls.clear()
+        profile = khintchine_profile(parse_measure("leb"), Counted(psi), 3000, 200, seed=4, rate_q_max=700)
+        assert calls == [(2999,), ()]  # the array, and the scalar psi(Q) of the resolution check
+        assert np.array_equal(profile.two_psi, 2.0 * psi(np.arange(2, 701)))
+        assert profile.comparison_sum == 2.0 * float(np.sum(psi(np.arange(2, 3001))))
+
+
+def test_khintchine_profile_refuses_counts_over_max_grid_points(monkeypatch):
+    # Q = 10^12 would ask np.arange for psi on 10^12 q, n_samples = 10^12
+    # np.zeros for 10^12 samples (8 TB each); the refusal comes before both
+    for allocator in ("arange", "zeros"):
+        monkeypatch.setattr(np, allocator, lambda *a, **k: pytest.fail("an allocator was reached"))
+    cap = f"must be at most MAX_GRID_POINTS = {fitting.MAX_GRID_POINTS}"
+    with pytest.raises(ValueError, match=f"Q {cap}"):
+        khintchine_profile(parse_measure("leb"), ConstPsi(0.4), 10**12, 100, seed=0)
+    with pytest.raises(ValueError, match=f"n_samples {cap}"):
+        khintchine_profile(parse_measure("cantor:3:0,2"), PowerPsi(1.0), 100, 10**12, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -533,6 +533,12 @@ def test_cli_stationary_accepts_exact_two_decades(xigrid, tmp_path, capsys):
          "horolab: error: literal, production <test:eisenstein>: repeated key 't'"),
         (("equidist", "--measure", "leb", "--test", "bump:y0=1,y1=2,y0=1.5", "--ygrid", "0.25:0.5:4"),
          "horolab: error: literal, production <test:bump>: repeated key 'y0'"),
+        (("equidist", "--measure", "leb", "--test", "bump:y0=2,y1=1", "--ygrid", "0.25:0.5:4"),
+         "horolab: error: literal, production <test:bump>: require 0 < y0 < y1"),
+        (("equidist", "--measure", "leb", "--test", "indicator:ygt=-1", "--ygrid", "0.25:0.5:4"),
+         "horolab: error: literal, production <test:indicator>: require c > 0"),
+        (("equidist", "--measure", "leb", "--test", "eisenstein:t=0", "--ygrid", "0.25:0.5:4"),
+         "horolab: error: literal, production <test:eisenstein>: spectral parameter t"),
     ],
 )
 def test_cli_malformed_literals_name_production(capsys, argv, needle):
@@ -562,6 +568,8 @@ def test_cli_malformed_literals_name_production(capsys, argv, needle):
          "tail_tol must be positive and finite, got nan"),
         (("fourier", "--measure", "dirac:0.3", "--xi", "0:2:1", "--tail-tol", "inf"),
          "tail_tol must be positive and finite, got inf"),
+        (("fourier", "--measure", "cantor:3:0,2", "--xi", "0:2:1", "--tail-tol", "1e-310"),
+         "horolab: error: 2 pi b max(|xi|, 1) / tail_tol is not finite"),
     ],
 )
 def test_cli_non_finite_inputs_exit_1(capsys, argv, needle):
@@ -696,6 +704,42 @@ def test_cli_dim_refuses_counts_over_max_grid_points(monkeypatch, capsys, flags,
     assert err.startswith("horolab: error: ") and f"MAX_GRID_POINTS = {measures.MAX_GRID_POINTS}" in err
 
 
+# entries each allocator is asked for, from its positional arguments
+ENTRIES = {
+    "arange": lambda *args: max(args),
+    "geomspace": lambda start, stop, num=50, *rest: num,
+    "zeros": lambda shape, *rest: math.prod(shape if isinstance(shape, tuple) else (shape,)),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, allocator",
+    [
+        (("equidist", "--measure", "leb", "--ygrid", "0.25:0.5:1000000000000"), "arange"),
+        (("spectral-gap", "--ygrid", "0.125:0.5:1000000000000"), "arange"),
+        (("stationary", "--phase", "poly:0,0,1", "--xigrid", "10:10000:1000000000000"), "geomspace"),
+        (("khintchine", "--measure", "leb", "--psi", "const:0.4", "--Q", "1000000000000"), "arange"),
+        (("khintchine", "--measure", "cantor:3:0,2", "--samples", "1000000000000"), "zeros"),
+    ],
+)
+def test_cli_refuses_counts_over_max_grid_points_before_allocating(monkeypatch, capsys, argv, allocator):
+    # each count would ask numpy for 10^12 entries (8 TB); the guard lets
+    # the small allocations before the refusal through
+    from horolab.fitting import MAX_GRID_POINTS
+
+    real = getattr(np, allocator)
+
+    def guarded(*args, **kwargs):
+        if ENTRIES[allocator](*args) > 10**8:
+            raise AssertionError(f"np.{allocator} was asked for over 10^8 entries")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, allocator, guarded)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("horolab: error: ") and f"MAX_GRID_POINTS = {MAX_GRID_POINTS}" in err
+
+
 def test_cli_stationary_sweep_certifies_its_phase_once(monkeypatch, tmp_path, capsys):
     from horolab import oscillatory
 
@@ -732,6 +776,30 @@ def test_cli_config_file_matches_flags(tmp_path, capsys):
     )
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_cli_config_value_may_begin_with_a_dash(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("measure = cantor:3:0,2\nxi = -1:1:0.5\n")
+    code1, out1, err1 = run_cli(capsys, "fourier", "--config", str(cfg))
+    code2, out2, err2 = run_cli(capsys, "fourier", "--measure", "cantor:3:0,2", "--xi=-1:1:0.5")
+    assert code1 == code2 == 0
+    assert (out1, err1) == (out2, err2) and len(out1.splitlines()) == 6
+
+
+def test_cli_usage_errors_exit_1_and_help_exits_0(capsys):
+    # argparse's own exit code 2 is the code of an inconclusive fit
+    for argv, needle in (
+        (("fourier", "--measure", "leb"), "the following arguments are required: --xi"),
+        (("dim", "--measure", "leb", "--xmax", "ten"), "argument --xmax: invalid int value: 'ten'"),
+        (("nosuch",), "argument command: invalid choice: 'nosuch'"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: horolab") and f"horolab: error: {needle}" in err
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["fourier", "-h"])
+    assert exc.value.code == 0 and "--tail-tol" in capsys.readouterr().out
 
 
 def test_cli_flags_override_config_file(tmp_path, capsys):

@@ -111,6 +111,12 @@ def test_geometric_grid_values():
         geometric_grid(1.0, -0.5, 3)
 
 
+def test_geometric_grid_refuses_a_count_over_max_grid_points(monkeypatch):
+    monkeypatch.setattr(np, "arange", lambda *a: pytest.fail("np.arange was reached"))
+    with pytest.raises(ValueError, match=f"y_count must be at most MAX_GRID_POINTS = {fitting.MAX_GRID_POINTS}"):
+        geometric_grid(0.25, 0.5, 10**12)
+
+
 # ---------------------------------------------------------------------------
 # The ordered thread map
 

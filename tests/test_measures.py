@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,48 @@ def test_blocked_fourier_abs_equals_one_shot_product(text):
     J_block = product_depth(mu, 0.5, 0.5)
     assert J_block < J
     assert not np.array_equal(got[:ABS_BLOCK], one_shot_abs(mu, small, J_block))
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        FractalMeasure(450, (*range(446), 447)),  # 447 digits not in progression: 73 xi per pass
+        FractalMeasure(10, (0, 1, 5)),  # cantor:10:0,1,5
+        FractalMeasure(3, (0, 2), (0.3, 0.7), 0.25),  # weighted, shifted
+    ],
+)
+def test_symbol_g_digit_sum_in_passes_keeps_its_bits(mu):
+    rows = ABS_BLOCK // len(mu.digits)
+    xi = np.random.default_rng(12).uniform(-5e3, 5e3, 3 * rows + 17)  # four passes, the last short
+    digits = np.asarray(mu.digits, dtype=float)
+    whole = (np.exp(2j * np.pi * np.outer(xi, digits)) * mu.weight_array).sum(axis=1)
+    assert np.array_equal(symbol_g(mu, xi).view(np.int64), whole.view(np.int64))
+    assert symbol_g(mu, xi[5]) == whole[5]
+
+
+def test_fourier_abs_digit_sum_memory_is_bounded():
+    # 2^12 xi on 447 digits held two complex temporaries of 2^12 x 447
+    # entries (58 MB) at once before the digit sum ran in passes
+    mu = FractalMeasure(450, (*range(446), 447))
+    xi = np.linspace(0.0, 1e4, 1 << 12)
+    tracemalloc.start()
+    try:
+        fourier_abs(mu, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # 1.3 MiB measured
+
+
+def test_product_depth_refuses_an_overflowing_argument():
+    # 2 pi b max(|xi|, 1) / tail_tol is inf here; math.log(inf) used to
+    # reach math.ceil and raise OverflowError
+    for xi_max, tail_tol in ((2.0, 1e-310), (1e308, 1e-12), (math.nan, 1e-12)):
+        with pytest.raises(ValueError, match="tail_tol"):
+            product_depth(CANTOR3, xi_max, tail_tol)
+    for transform in (fourier_transform, fourier_abs):
+        with pytest.raises(ValueError, match="is not finite .* tail_tol = 1e-310"):
+            transform(CANTOR3, np.array([0.0, 2.0]), 1e-310)
 
 
 @pytest.mark.parametrize("tail_tol", [0.0, -1.0, math.nan, math.inf])

@@ -351,6 +351,20 @@ def test_test_function_literal_refuses_a_repeated_key(text, production):
     assert exc.value.production == production
 
 
+@pytest.mark.parametrize(
+    "text, production, detail",
+    [
+        ("bump:y0=2,y1=1", "<test:bump>", "require 0 < y0 < y1"),
+        ("indicator:ygt=-1", "<test:indicator>", "require c > 0"),
+        ("eisenstein:t=0", "<test:eisenstein>", "spectral parameter t must be finite and nonzero"),
+    ],
+)
+def test_test_function_literal_names_its_production_on_a_refused_value(text, production, detail):
+    with pytest.raises(LiteralParseError, match=detail) as exc:
+        parse_test_function(text)
+    assert exc.value.production == production
+
+
 def test_mu_y_montecarlo_reads_no_lipschitz():
     class NoLipschitz(BumpTest):
         @property
