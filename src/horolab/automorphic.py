@@ -324,8 +324,9 @@ class EisensteinParams:
     c: complex = field(init=False)
 
     def __post_init__(self):
-        if self.t == 0.0 or not math.isfinite(self.t):
-            raise ValueError(f"spectral parameter t must be finite and nonzero, got {self.t}")
+        # below 5e-7, s = 1 + 2it is within 1e-6 of zeta's pole; past 30, K_it is not resolved
+        if not 5e-7 <= self.t <= MAX_BESSEL_ORDER:
+            raise ValueError(f"spectral parameter t must satisfy 5e-07 <= t <= {MAX_BESSEL_ORDER:g}, got {self.t}")
         u = 1.0 + 2j * self.t
         self.zeta_1p2it = zeta_1line(u)
         # xi(u) = pi^(-u/2) Gamma(u/2) zeta(u)
@@ -442,7 +443,7 @@ def eisenstein_series_prediction(measure, params: EisensteinParams, height, x0: 
     for h, k in zip(heights, ends):
         m = np.arange(1, k + 1)
         mu_hat = fourier_transform(measure, m / q)
-        phases = np.exp(2j * np.pi * m * x0)
+        phases = np.exp(2j * np.pi * m * (x0 % 1.0))  # e(m x0) has period 1 in x0
         # +-m pairs: a_m is even in m and mu_hat(-u) conjugates for real measures
         pair = 2.0 * np.real(phases * mu_hat)
         total = np.sum(_whittaker_terms(coef[:k], params.t, m, h, pair))

@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: fourier, dim, equidist, basis-check, spectral-gap, khintchine,
-stationary.  Each reads flags (or a key=value config file via --config),
-writes CSV rows to stdout or --out, and emits a JSON summary with the fixed
-key set {command, config, seed, exponent, stderr, r2, status}.  Exit codes:
-0 success, 2 inconclusive fit, 1 error (usage errors included).  Identical
-config + seed produce byte-identical CSV and JSON.
+stationary.  Each reads flags (or a key=value config file via --config) and
+returns CSV rows and a JSON summary with the fixed key set {command, config,
+seed, exponent, stderr, r2, status}; cli_main writes both, the CSV to stdout
+or --out.  Exit codes: 0 success, 2 inconclusive fit, 1 error (usage errors
+included).  Identical config + seed produce byte-identical CSV and JSON.
 """
 
 from __future__ import annotations
@@ -51,6 +51,13 @@ def _parse_triple(text: str, production: str, fields) -> tuple:
     return tuple(values)
 
 
+def _true_or_false(text: str) -> bool:
+    """The value of --star: true/yes/1 or false/no/0, in any case."""
+    if text.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return text.lower() in ("true", "yes", "1")
+
+
 def _write(path: str | None, payload: str, default_stream):
     if path in (None, "-"):
         default_stream.write(payload)
@@ -59,27 +66,30 @@ def _write(path: str | None, payload: str, default_stream):
             fh.write(payload)
 
 
-def _emit(args, csv_text: str | None, summary: dict) -> None:
+def _emit(args, csv_text: str, summary: dict) -> None:
     # strict JSON: a NaN or inf raises here, before any output is written
     json_text = json.dumps(summary, allow_nan=False) + "\n"
-    if csv_text is not None:
-        _write(args.out, csv_text, sys.stdout)
+    _write(args.out, csv_text, sys.stdout)
     if args.json_out not in (None, "-"):
         _write(args.json_out, json_text, sys.stdout)
-    elif args.out not in (None, "-") or csv_text is None:
+    elif args.out not in (None, "-"):
         sys.stdout.write(json_text)
     else:
         sys.stderr.write(json_text)
 
 
-def _summary(command: str, args, exponent=None, stderr=None, r2=None, status="ok") -> dict:
+def _summary(args, report: DecayReport | None = None, exponent=None, stderr=None, status="ok") -> dict:
+    """The JSON summary; a fitted report supplies exponent, stderr, r2 and status."""
+    r2 = None
+    if report is not None:
+        exponent, stderr, r2, status = report.exponent, report.exponent_stderr, report.r2, report.status
     config = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in ("func", "config", "out", "json_out") and v is not None
     }
     return {
-        "command": command,
+        "command": args.command,
         "config": {k: (v if isinstance(v, (int, float, str)) else str(v)) for k, v in config.items()},
         "seed": getattr(args, "seed", None),
         "exponent": exponent,
@@ -89,25 +99,11 @@ def _summary(command: str, args, exponent=None, stderr=None, r2=None, status="ok
     }
 
 
-def _status_exit(status: str) -> int:
-    return 0 if status in ("ok", "degenerate") else 2
-
-
-def _report_exit(args, command: str, report: DecayReport, csv_text: str) -> int:
-    summary = _summary(
-        command, args,
-        exponent=report.exponent, stderr=report.exponent_stderr, r2=report.r2,
-        status=report.status,
-    )
-    _emit(args, csv_text, summary)
-    return _status_exit(report.status)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _cmd_fourier(args) -> int:
+def _cmd_fourier(args) -> tuple[str, dict]:
     measure = _measures.parse_measure(args.measure)
     start, stop, step = _parse_triple(
         args.xi, "<xi-range>", (("start", float), ("stop", float), ("step", float))
@@ -120,17 +116,13 @@ def _cmd_fourier(args) -> int:
         raise ValueError(f"<xi-range>: {args.xi!r} has more than MAX_GRID_POINTS = {MAX_GRID_POINTS} points")
     xs = np.arange(start, stop + 0.5 * step, step)
     vals = _measures.fourier_transform(measure, xs, args.tail_tol)
-    csv_text = csv_table("xi,re,im,abs", xs, vals.real, vals.imag, np.abs(vals))
-    _emit(args, csv_text, _summary("fourier", args))
-    return 0
+    return csv_table("xi,re,im,abs", xs, vals.real, vals.imag, np.abs(vals)), _summary(args)
 
 
-def _cmd_dim(args) -> int:
+def _cmd_dim(args) -> tuple[str, dict]:
     measure = _measures.parse_measure(args.measure)
     if args.xmax < 10_000:
         raise ValueError("<dim>: --xmax must be at least 10^4 (two decades above 100)")
-    if args.xmax > MAX_GRID_POINTS:
-        raise ValueError(f"<dim>: --xmax must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     if args.points > MAX_GRID_POINTS:
         raise ValueError(f"<dim>: --points must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     grid = np.unique(np.round(np.geomspace(100, args.xmax, args.points)).astype(int))
@@ -138,7 +130,7 @@ def _cmd_dim(args) -> int:
         measure, grid, star=args.star, theta_grid=args.theta_grid
     )
     status = "degenerate" if est.degenerate else "ok"
-    summary = _summary("dim", args, exponent=est.dimension, stderr=est.stderr, status=status)
+    summary = _summary(args, exponent=est.dimension, stderr=est.stderr, status=status)
     summary["config"]["slope"] = est.slope
     summary["config"]["slope_full"] = est.slope_full
     if isinstance(measure, _measures.FractalMeasure):
@@ -146,8 +138,7 @@ def _cmd_dim(args) -> int:
         if bound is not None:  # certified for digits in progression only
             summary["config"]["cvy_lower_bound"] = bound
         summary["config"]["hausdorff_dimension"] = measure.hausdorff_dimension()
-    _emit(args, csv_table("X,partial_sum", est.X_grid, est.sums), summary)
-    return 0
+    return csv_table("X,partial_sum", est.X_grid, est.sums), summary
 
 
 def _experiment_config(args, method_default: str) -> ExperimentConfig:
@@ -163,45 +154,41 @@ def _experiment_config(args, method_default: str) -> ExperimentConfig:
     )
 
 
-def _cmd_equidist(args) -> int:
-    cfg = _experiment_config(args, "montecarlo")
-    report = run_equidistribution(cfg)
-    return _report_exit(args, "equidist", report, report.to_csv())
+def _cmd_equidist(args) -> tuple[str, dict]:
+    report = run_equidistribution(_experiment_config(args, "montecarlo"))
+    return report.to_csv(), _summary(args, report)
 
 
-def _cmd_basis_check(args) -> int:
-    cfg = _experiment_config(args, "cylinder")
-    report = run_basis_identity_check(cfg)
-    summary = _summary("basis-check", args, exponent=report.envelope_constant)
+def _cmd_basis_check(args) -> tuple[str, dict]:
+    report = run_basis_identity_check(_experiment_config(args, "cylinder"))
+    summary = _summary(args, exponent=report.envelope_constant)
     summary["config"]["max_discrepancy"] = report.max_discrepancy
-    _emit(args, report.to_csv(), summary)
-    return 0
+    return report.to_csv(), summary
 
 
-def _cmd_spectral_gap(args) -> int:
+def _cmd_spectral_gap(args) -> tuple[str, dict]:
     y_max, ratio, count = _parse_triple(args.ygrid, "<ygrid>", _YGRID_FIELDS)
     phi = EisensteinTest(t=args.t, component="complex")
     report = spectral_gap_fit(phi, geometric_grid(y_max, ratio, count))
-    return _report_exit(args, "spectral-gap", report, spectral_gap_csv(report))
+    return spectral_gap_csv(report), _summary(args, report)
 
 
-def _cmd_khintchine(args) -> int:
+def _cmd_khintchine(args) -> tuple[str, dict]:
     measure = _measures.parse_measure(args.measure)
     psi = _dio.parse_psi(args.psi)
     profile = _dio.khintchine_profile(
         measure, psi, args.Q, args.samples, args.seed, rate_q_max=args.rate_qmax
     )
-    summary = _summary("khintchine", args)
+    summary = _summary(args)
     summary["config"]["mean_count"] = profile.mean_count
     summary["config"]["mean_count_stderr"] = profile.mean_count_stderr
     summary["config"]["comparison_sum"] = profile.comparison_sum
     summary["config"]["count_ratio"] = profile.mean_count / profile.comparison_sum
     summary["config"]["regime"] = profile.regime
-    _emit(args, profile.to_csv(), summary)
-    return 0
+    return profile.to_csv(), summary
 
 
-def _cmd_stationary(args) -> int:
+def _cmd_stationary(args) -> tuple[str, dict]:
     phase = parse_phase(args.phase)
     window = parse_window(args.window)
     start, stop, count = _parse_triple(
@@ -231,7 +218,7 @@ def _cmd_stationary(args) -> int:
         "xi,re,im,abs,leading_abs", grid,
         [v.real for v in vals], [v.imag for v in vals], report.errors, leads,
     )
-    return _report_exit(args, "stationary", report, csv_text)
+    return csv_text, _summary(args, report)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--xmax", type=int, required=True)
     p.add_argument("--points", type=int, default=13)
-    p.add_argument("--star", action="store_true")
+    p.add_argument("--star", type=_true_or_false, nargs="?", const=True, default=False)
     p.add_argument("--theta-grid", dest="theta_grid", type=int, default=64)
     _add_common(p)
     p.set_defaults(func=_cmd_dim)
@@ -317,17 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
-def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     """Expand --config FILE into leading flags (command line overrides)."""
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise ValueError("--config needs a file path")
     path = argv[idx + 1]
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    switches = {  # store_true flags take no argument
-        a.dest for p in commands.choices.values() for a in p._actions
-        if isinstance(a, argparse._StoreTrueAction)
-    }
     injected = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -337,13 +319,8 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
-            flag = "--" + key.replace("_", "-")
-            if key.replace("-", "_") in switches:
-                # a falsy value means omit the flag
-                if value.lower() in ("true", "yes", "1"):
-                    injected.append(flag)
-            else:  # one token, so a value may begin with "-"
-                injected.append(f"{flag}={value}")
+            # one token, so a value may begin with "-"
+            injected.append(f"--{key.replace('_', '-')}={value}")
     # keep the subcommand first, then injected defaults, then explicit flags
     return argv[:1] + injected + [a for i, a in enumerate(argv[1:], 1) if i not in (idx, idx + 1)]
 
@@ -352,9 +329,11 @@ def cli_main(argv: list[str]) -> int:
     parser = build_parser()
     try:
         if argv and argv[0] not in ("-h", "--help") and "--config" in argv:
-            argv = _apply_config_file(argv, parser)
+            argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        csv_text, summary = args.func(args)
+        _emit(args, csv_text, summary)
+        return 0 if summary["status"] in ("ok", "degenerate") else 2
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"horolab: error: {exc}\n")
         return 1

@@ -26,7 +26,7 @@ import numpy as np
 from . import measures as _measures
 from .automorphic import eisenstein_series_prediction
 from .fitting import DecayReport, csv_table, fit_decay_report, geometric_grid, map_in_order
-from .modular import HorocycleConfig, mX_integral, mu_y_value
+from .modular import mX_integral, mu_y_value
 from .testfunctions import EisensteinTest, parse_test_function
 
 @dataclass
@@ -76,8 +76,7 @@ def _mu_y_series(measure, phi, cfg: ExperimentConfig):
 
     def height(k: int):
         return mu_y_value(
-            measure, phi, HorocycleConfig(x0=cfg.x0, q=cfg.q, y=float(ys[k])),
-            method=cfg.method, budget=cfg.budget,
+            measure, phi, float(ys[k]), cfg.x0, cfg.q, method=cfg.method, budget=cfg.budget,
             seed=_sub_seed(cfg.seed, k), tol=cfg.tol,
         )
 

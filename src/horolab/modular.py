@@ -14,7 +14,6 @@ exactly 1 for every sample size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,21 +26,6 @@ EVAL_BLOCK = 1 << 15  # points per block of mu_y_value; never below 2**15 (see i
 
 class ReductionDivergedError(RuntimeError):
     """Reduction failed to terminate; numerically degenerate input."""
-
-
-@dataclass(frozen=True)
-class HorocycleConfig:
-    """Base point n(x0) a(1/q) and horocycle height y."""
-
-    x0: float = 0.0
-    q: int = 1
-    y: float = 0.25
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("require q >= 1")
-        if not 0.0 < self.y <= 1.0:
-            raise ValueError("require 0 < y <= 1")
 
 
 def reduce_many(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -137,13 +121,18 @@ def mX_integral(phi, n_samples: int, seed) -> tuple[float | complex, float]:
 def mu_y_value(
     measure,
     phi,
-    cfg: HorocycleConfig,
+    y: float,
+    x0: float = 0.0,
+    q: int = 1,
     method: str = "montecarlo",
     budget: int = 10**5,
     seed=0,
     tol: float = 1e-6,
 ) -> tuple[float | complex, float]:
     """integral of phi(n(x0 + x/q) a(y/q)) d mu(x) with an error estimate.
+
+    The base point n(x0) a(1/q) takes q >= 1, and the height 0 < y <= 1.
+    n(x0) is 1-periodic, so x0 enters as x0 % 1.0, which is exact.
 
     cylinder: weighted sum over depth-L digit cylinders at their midpoints
     (midpoint rule for the Lebesgue leaf), error bounded via the declared
@@ -168,15 +157,20 @@ def mu_y_value(
     wherever the whole array would, so the result is bit for bit that of one
     unblocked evaluation.
     """
+    if q < 1:
+        raise ValueError("require q >= 1")
+    if not 0.0 < y <= 1.0:
+        raise ValueError("require 0 < y <= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    x0 = x0 % 1.0
 
     def evaluate(n: int, points) -> np.ndarray:
         """phi on the n points, points(lo, hi) giving those of block [lo, hi)."""
         edges = [EVAL_BLOCK * i for i in range(max(1, n // EVAL_BLOCK))] + [n]
         out = None
         for lo, hi in zip(edges, edges[1:]):
-            vals = np.asarray(phi(*reduce_many(cfg.x0 + points(lo, hi) / cfg.q, cfg.y / cfg.q)))
+            vals = np.asarray(phi(*reduce_many(x0 + points(lo, hi) / q, y / q)))
             if hi - lo == n:  # one block: its values are the result, uncopied
                 return vals
             if out is None:
@@ -187,14 +181,14 @@ def mu_y_value(
 
     if method == "cylinder":
         lip = getattr(phi, "lipschitz", None)
-        xs, ws, width = _measures.cylinder_nodes(measure, cfg.y, cfg.q, budget, tol, lip)
+        xs, ws, width = _measures.cylinder_nodes(measure, y, q, budget, tol, lip)
         vals = evaluate(xs.size, lambda lo, hi: xs[lo:hi])
         total = np.sum(vals * ws)
         if width is None:  # Lebesgue leaf: compare against half resolution
             half = xs[::2]
             err = float(abs(total - evaluate(half.size, lambda lo, hi: half[lo:hi]).mean()))
         else:  # a point mass (width 0) is exact
-            err = lip * width / (2.0 * cfg.y) if width else 0.0
+            err = lip * width / (2.0 * y) if width else 0.0
         out = complex(total) if np.iscomplexobj(vals) else float(total)
         return out, float(err)
 

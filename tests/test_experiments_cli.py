@@ -128,8 +128,8 @@ def test_sweep_raises_the_first_failing_height(monkeypatch, threads):
     )
     ys = cfg.y_grid.tolist()
 
-    def failing(measure, phi, hc, **kwargs):
-        k = ys.index(hc.y)
+    def failing(measure, phi, y, x0, q, **kwargs):
+        k = ys.index(y)
         if k == 2:  # fails late, after height 4 has failed in the other thread
             time.sleep(0.3)
             raise ValueError("height 2")
@@ -197,11 +197,11 @@ def test_cli_stationary_raises_the_first_failing_xi(monkeypatch, capsys):
 
 def test_montecarlo_budget_below_two_is_refused(capsys):
     from horolab.measures import parse_measure
-    from horolab.modular import HorocycleConfig, mu_y_value
+    from horolab.modular import mu_y_value
     from horolab.testfunctions import EisensteinTest
 
     with pytest.raises(ValueError, match="montecarlo budget must be >= 2"):
-        mu_y_value(parse_measure("leb"), EisensteinTest(1.0), HorocycleConfig(), budget=1)
+        mu_y_value(parse_measure("leb"), EisensteinTest(1.0), 0.25, budget=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no "Degrees of freedom <= 0" on the way
         code, out, err = run_cli(
@@ -273,7 +273,7 @@ def test_series_prediction_on_an_array_equals_scalar_calls():
 
 def test_cli_cylinder_constant_test_is_exact(capsys):
     from horolab.measures import parse_measure
-    from horolab.modular import HorocycleConfig, mu_y_value
+    from horolab.modular import mu_y_value
     from horolab.testfunctions import ConstantTest
 
     code, out, err = run_cli(
@@ -287,8 +287,7 @@ def test_cli_cylinder_constant_test_is_exact(capsys):
     # lipschitz 0: one level of cylinders, mu_y = 1 with bound 0
     for literal in ("cantor:3:0,2", "cantor:3:0,2*dirac:0.25"):
         for y in (0.25, 0.03125):
-            hc = HorocycleConfig(x0=0.0, q=1, y=y)
-            value = mu_y_value(parse_measure(literal), ConstantTest(1.0), hc, method="cylinder")
+            value = mu_y_value(parse_measure(literal), ConstantTest(1.0), y, 0.0, 1, method="cylinder")
             assert value == (1.0, 0.0)
 
 
@@ -302,7 +301,7 @@ def test_basis_prediction_shrinks_with_finer_cylinders():
     # each tolerance step multiplies the enumeration depth: the measured
     # discrepancy must shrink alongside, at three sampled base points
     from horolab.measures import parse_measure
-    from horolab.modular import HorocycleConfig, mu_y_value
+    from horolab.modular import mu_y_value
     from horolab.testfunctions import EisensteinTest
 
     phi = EisensteinTest(1.0, component="complex")
@@ -312,7 +311,7 @@ def test_basis_prediction_shrinks_with_finer_cylinders():
         errs = []
         for tol in (1e-1, 1e-3, 1e-5):
             val, _ = mu_y_value(
-                measure, phi, HorocycleConfig(x0, q, 0.05),
+                measure, phi, 0.05, x0, q,
                 method="cylinder", budget=4_000_000, tol=tol,
             )
             errs.append(abs(val - pred))
@@ -327,6 +326,22 @@ def run_cli(capsys, *argv):
     code = cli_main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_takes_the_base_point_mod_1(capsys):
+    # n(x0) is 1-periodic, so an integer shift of x0 moves no byte of the rows;
+    # at x0 = 1e17 every point x0 + x/q would otherwise round to 1e17
+    def rows(*argv):  # exit code and CSV; the JSON config echoes x0
+        return run_cli(capsys, *argv)[:2]
+
+    equidist = ("equidist", "--measure", "cantor:3:0,2", "--ygrid", "0.25:0.5:4", "--budget", "20000", "--seed", "1")
+    at_0 = rows(*equidist, "--x0", "0")
+    assert len(at_0[1].splitlines()) == 5
+    assert rows(*equidist, "--x0", "1e17") == rows(*equidist, "--x0", "3") == at_0
+    basis = ("basis-check", "--measure", "cantor:3:0,2", "--q", "3", "--ygrid", "0.2:0.5:4", "--tol", "1e-5")
+    assert rows(*basis, "--x0", "3.25") == rows(*basis, "--x0", "0.25")
+    basis_at_0 = rows(*basis, "--x0", "0")
+    assert basis_at_0[0] == 0 and rows(*basis, "--x0", "1e308") == basis_at_0
 
 
 def test_cli_fourier_zero_row(capsys):
@@ -538,7 +553,15 @@ def test_cli_stationary_accepts_exact_two_decades(xigrid, tmp_path, capsys):
         (("equidist", "--measure", "leb", "--test", "indicator:ygt=-1", "--ygrid", "0.25:0.5:4"),
          "horolab: error: literal, production <test:indicator>: require c > 0"),
         (("equidist", "--measure", "leb", "--test", "eisenstein:t=0", "--ygrid", "0.25:0.5:4"),
-         "horolab: error: literal, production <test:eisenstein>: spectral parameter t"),
+         "horolab: error: literal, production <test:eisenstein>: spectral parameter t must satisfy 5e-07 <= t <= 30, got 0.0"),
+        # t past MAX_BESSEL_ORDER, or near zeta's pole at s = 1, is refused by EisensteinParams itself
+        (("equidist", "--measure", "leb", "--test", "eisenstein:t=-1", "--ygrid", "0.25:0.5:4"),
+         "horolab: error: literal, production <test:eisenstein>: spectral parameter t must satisfy 5e-07 <= t <= 30, got -1.0"),
+        (("equidist", "--measure", "leb", "--test", "eisenstein:t=30.5", "--ygrid", "0.25:0.5:4"),
+         "horolab: error: literal, production <test:eisenstein>: spectral parameter t must satisfy 5e-07 <= t <= 30, got 30.5"),
+        (("equidist", "--measure", "leb", "--test", "eisenstein:t=31.5", "--ygrid", "0.25:0.5:4"),
+         "horolab: error: literal, production <test:eisenstein>: spectral parameter t must satisfy 5e-07 <= t <= 30, got 31.5"),
+        (("spectral-gap", "--t", "1e-300"), "horolab: error: spectral parameter t must satisfy 5e-07 <= t <= 30, got 1e-300"),
     ],
 )
 def test_cli_malformed_literals_name_production(capsys, argv, needle):
@@ -670,13 +693,14 @@ def test_cli_spectral_gap_refuses_an_fft_over_budget(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, production",
+    "argv, prefix",
     [
-        (("dim", "--measure", "leb", "--xmax", "1000000000000"), "<dim>"),
+        # estimate_dim_l1 refuses the last X of the grid, --xmax itself
+        (("dim", "--measure", "leb", "--xmax", "1000000000000"), "X must be at most MAX_GRID_POINTS = 8388608"),
         (("fourier", "--measure", "leb", "--xi", "0:1e12:1"), "<xi-range>"),
     ],
 )
-def test_cli_refuses_a_grid_over_max_grid_points(monkeypatch, capsys, argv, production):
+def test_cli_refuses_a_grid_over_max_grid_points(monkeypatch, capsys, argv, prefix):
     # each grid would ask np.arange for 10^12 entries (8 TB)
     from horolab import measures
 
@@ -684,7 +708,7 @@ def test_cli_refuses_a_grid_over_max_grid_points(monkeypatch, capsys, argv, prod
     monkeypatch.setattr(np, "arange", reached)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert err.startswith(f"horolab: error: {production}") and "MAX_GRID_POINTS" in err
+    assert err.startswith(f"horolab: error: {prefix}") and "MAX_GRID_POINTS" in err
 
 
 @pytest.mark.parametrize(
@@ -811,6 +835,15 @@ def test_cli_flags_override_config_file(tmp_path, capsys):
     assert code == 0
     row = out.strip().splitlines()[2].split(",")  # xi = 1 row: |dirac hat| = 1
     assert float(row[3]) == pytest.approx(1.0)
+
+
+def test_cli_star_takes_an_optional_true_or_false(capsys):
+    dim = ("dim", "--measure", "cantor:3:0,2", "--xmax", "10000", "--theta-grid", "4")
+    assert run_cli(capsys, *dim, "--star") == run_cli(capsys, *dim, "--star=true")
+    assert run_cli(capsys, *dim) == run_cli(capsys, *dim, "--star=false")
+    code, out, err = run_cli(capsys, *dim, "--star=maybe")
+    assert code == 1 and out == ""
+    assert "horolab: error: argument --star: expected true or false, got 'maybe'" in err
 
 
 def test_cli_config_file_boolean_flags(tmp_path, capsys):

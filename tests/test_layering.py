@@ -1,8 +1,9 @@
-"""Layering: no module of horolab reaches into a sibling's private names.
+"""Layering: no module of horolab reaches into another module's private names.
 
 A name with a leading underscore is private to its module.  A sibling that
-imports one, or reads one off the module object, depends on a detail the
-owner may change without notice, so the rule is checked on the source.
+imports one, or any module that reads one off an imported module object (a
+sibling, numpy or argparse alike), depends on a detail the owner may change
+without notice, so the rule is checked on the source.
 
 A public name that nothing in src/ or bench/ calls is either a second
 implementation of something src/ already computes or code no output reads;
@@ -26,9 +27,9 @@ def is_private(name: str) -> bool:
 
 def private_reads(path: Path) -> list[str]:
     """`module:line name` for every sibling private name that path imports
-    or reads as an attribute of a sibling module."""
+    and every private attribute it reads off an imported module."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    found, modules = [], set()  # modules: local names bound to sibling modules
+    found, modules = [], set()  # modules: local names bound to imported modules
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.level == 0 and (node.module or "").split(".")[0] != "horolab":
@@ -38,10 +39,8 @@ def private_reads(path: Path) -> list[str]:
                     found.append(f"{path.name}:{node.lineno} {alias.name}")
                 if node.module in (None, "horolab"):  # from . import measures
                     modules.add(alias.asname or alias.name)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith("horolab.") and alias.asname:
-                    modules.add(alias.asname)
+        elif isinstance(node, ast.Import):  # import a.b binds a
+            modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
@@ -65,8 +64,16 @@ def test_the_rule_sees_both_kinds_of_read(tmp_path):
         "from .automorphic import _live_end, hecke_range\n"
         "r = _measures._support_radius(m) + _measures.support_radius(m)\n"
         "s = _measures.__name__\n"
+        "import argparse, os.path\n"
+        "a = isinstance(x, argparse._StoreTrueAction) or argparse.ArgumentTypeError\n"
+        "b = os._exit, os.path, x._private\n"
     )
-    assert private_reads(src) == ["mod.py:2 _live_end", "mod.py:3 _measures._support_radius"]
+    assert sorted(private_reads(src)) == [
+        "mod.py:2 _live_end",
+        "mod.py:3 _measures._support_radius",
+        "mod.py:6 argparse._StoreTrueAction",
+        "mod.py:7 os._exit",
+    ]
 
 
 # Public names with no caller in src/ or bench/, kept for what reads them

@@ -9,7 +9,6 @@ from horolab.fitting import LiteralParseError
 from horolab.measures import CylinderBudgetError, parse_measure
 from horolab.modular import (
     BOUNDARY_BAND,
-    HorocycleConfig,
     ReductionDivergedError,
     mX_integral,
     mu_y_value,
@@ -219,21 +218,22 @@ def test_reduce_rejects_nonfinite_x():
     for x in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="finite x"):
             reduce_many([0.3, x], [1.0, 1.0])
-        # HorocycleConfig leaves x0 unchecked; the reduction refuses it
-        cfg = HorocycleConfig(x0=x, q=1, y=0.25)
+        # mu_y_value leaves x0 unchecked (x0 % 1.0 is nan); the reduction refuses it
         with pytest.raises(ValueError, match="finite x"):
-            mu_y_value(parse_measure("dirac:0.3"), BumpTest(1.0, 3.0), cfg, method="cylinder")
+            mu_y_value(parse_measure("dirac:0.3"), BumpTest(1.0, 3.0), 0.25, x, 1, method="cylinder")
 
 
 # ---------------------------------------------------------------------------
-# Horocycle configurations
+# Horocycle base points
 
 
-def test_horocycle_config_validation():
-    with pytest.raises(ValueError):
-        HorocycleConfig(q=0)
-    with pytest.raises(ValueError):
-        HorocycleConfig(y=1.5)
+def test_mu_y_value_refuses_q_below_one_and_y_outside_the_unit_interval():
+    measure, phi = parse_measure("dirac:0.3"), BumpTest(1.0, 3.0)
+    with pytest.raises(ValueError, match="require q >= 1"):
+        mu_y_value(measure, phi, 0.25, 0.0, 0, method="cylinder")
+    for y in (1.5, 0.0):
+        with pytest.raises(ValueError, match="require 0 < y <= 1"):
+            mu_y_value(measure, phi, y, method="cylinder")
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +275,9 @@ def test_mx_integral_requires_minimum_samples():
 
 def test_mu_y_dirac_equals_direct_evaluation():
     phi = BumpTest(1.0, 3.0)
-    for cfg in (HorocycleConfig(0.0, 1, 0.25), HorocycleConfig(0.25, 3, 0.05)):
-        val, err = mu_y_value(parse_measure("dirac:0.3"), phi, cfg, method="cylinder", budget=10)
-        x, y = reduce_many([cfg.x0 + 0.3 / cfg.q], [cfg.y / cfg.q])
+    for y0, x0, q in ((0.25, 0.0, 1), (0.05, 0.25, 3)):
+        val, err = mu_y_value(parse_measure("dirac:0.3"), phi, y0, x0, q, method="cylinder", budget=10)
+        x, y = reduce_many([x0 + 0.3 / q], [y0 / q])
         assert val == pytest.approx(float(phi(x, y)[0]))
         assert err == 0.0
 
@@ -288,8 +288,7 @@ def test_mu_y_lebesgue_matches_constant_term():
     from horolab.automorphic import constant_term
 
     for y in (0.25, 0.05):
-        cfg = HorocycleConfig(0.0, 1, y)
-        val, err = mu_y_value(parse_measure("leb"), phi, cfg, method="cylinder", budget=10**6)
+        val, err = mu_y_value(parse_measure("leb"), phi, y, method="cylinder", budget=10**6)
         expect = constant_term(y, phi.params)
         assert abs(val - expect) < max(10 * err, 1e-9)
 
@@ -297,9 +296,8 @@ def test_mu_y_lebesgue_matches_constant_term():
 def test_mu_y_cylinder_and_montecarlo_agree():
     measure = parse_measure("cantor:3:0,2")
     phi = BumpTest(0.9, 2.5)
-    cfg = HorocycleConfig(0.0, 1, 0.05)
-    v_cyl, e_cyl = mu_y_value(measure, phi, cfg, method="cylinder", budget=10**6, tol=1e-4)
-    v_mc, e_mc = mu_y_value(measure, phi, cfg, method="montecarlo", budget=200_000, seed=17)
+    v_cyl, e_cyl = mu_y_value(measure, phi, 0.05, method="cylinder", budget=10**6, tol=1e-4)
+    v_mc, e_mc = mu_y_value(measure, phi, 0.05, method="montecarlo", budget=200_000, seed=17)
     assert abs(v_cyl - v_mc) < e_cyl + 3 * e_mc
 
 
@@ -307,7 +305,7 @@ def test_mu_y_cylinder_budget_refusal_names_fallback():
     measure = parse_measure("cantor:450:0..446")
     phi = BumpTest(0.9, 2.5)
     with pytest.raises(CylinderBudgetError, match="montecarlo"):
-        mu_y_value(measure, phi, HorocycleConfig(0.0, 1, 0.01), method="cylinder", budget=1000)
+        mu_y_value(measure, phi, 0.01, method="cylinder", budget=1000)
 
 
 def test_mu_y_cylinder_needs_lipschitz_declaration():
@@ -315,7 +313,7 @@ def test_mu_y_cylinder_needs_lipschitz_declaration():
     with pytest.raises(ValueError, match="Lipschitz"):
         mu_y_value(
             parse_measure("cantor:3:0,2"), IndicatorTest(2.0),
-            HorocycleConfig(0.0, 1, 0.25), method="cylinder", budget=10**6,
+            0.25, method="cylinder", budget=10**6,
         )
 
 
@@ -356,7 +354,10 @@ def test_test_function_literal_refuses_a_repeated_key(text, production):
     [
         ("bump:y0=2,y1=1", "<test:bump>", "require 0 < y0 < y1"),
         ("indicator:ygt=-1", "<test:indicator>", "require c > 0"),
-        ("eisenstein:t=0", "<test:eisenstein>", "spectral parameter t must be finite and nonzero"),
+        ("eisenstein:t=0", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 30, got 0.0"),
+        ("eisenstein:t=-1", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 30, got -1.0"),
+        ("eisenstein:t=30.5", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 30, got 30.5"),
+        ("eisenstein:t=31.5", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 30, got 31.5"),
     ],
 )
 def test_test_function_literal_names_its_production_on_a_refused_value(text, production, detail):
@@ -372,9 +373,8 @@ def test_mu_y_montecarlo_reads_no_lipschitz():
             raise AssertionError("Monte Carlo read the Lipschitz constant")
 
     measure = parse_measure("cantor:3:0,2")
-    cfg = HorocycleConfig(0.0, 1, 0.1)
-    got = mu_y_value(measure, NoLipschitz(0.9, 2.5), cfg, method="montecarlo", budget=5000, seed=3)
-    want = mu_y_value(measure, BumpTest(0.9, 2.5), cfg, method="montecarlo", budget=5000, seed=3)
+    got = mu_y_value(measure, NoLipschitz(0.9, 2.5), 0.1, method="montecarlo", budget=5000, seed=3)
+    want = mu_y_value(measure, BumpTest(0.9, 2.5), 0.1, method="montecarlo", budget=5000, seed=3)
     assert got == want
 
 
@@ -388,9 +388,8 @@ def test_mu_y_montecarlo_reads_no_lipschitz():
 )
 def test_mu_y_cylinder_folds_point_masses_into_shifts(convolved, shifted):
     phi = EisensteinTest(1.0, component="complex")
-    cfg = HorocycleConfig(0.1, 2, 0.05)
-    got = mu_y_value(parse_measure(convolved), phi, cfg, method="cylinder", budget=10**6, tol=1e-4)
-    want = mu_y_value(parse_measure(shifted), phi, cfg, method="cylinder", budget=10**6, tol=1e-4)
+    got = mu_y_value(parse_measure(convolved), phi, 0.05, 0.1, 2, method="cylinder", budget=10**6, tol=1e-4)
+    want = mu_y_value(parse_measure(shifted), phi, 0.05, 0.1, 2, method="cylinder", budget=10**6, tol=1e-4)
     assert got == want
 
 
@@ -410,7 +409,7 @@ def test_mu_y_general_convolution_cylinder_refused():
     measure = parse_measure("cantor:3:0,2 * leb")
     phi = BumpTest(0.9, 2.5)
     with pytest.raises(CylinderBudgetError):
-        mu_y_value(measure, phi, HorocycleConfig(0.0, 1, 0.25), method="cylinder", budget=10**6)
+        mu_y_value(measure, phi, 0.25, method="cylinder", budget=10**6)
 
 
 class Recording:
@@ -437,7 +436,7 @@ def test_mu_y_blocks_equal_one_unblocked_evaluation(monkeypatch, n):
     from horolab import measures, modular
 
     measure = parse_measure("cantor:450:0..446")
-    cfg = HorocycleConfig(0.1, 3, 0.25 * 0.5**8)
+    base = (0.25 * 0.5**8, 0.1, 3)  # y, x0, q
     nodes = measures.sample(measure, 8, n, 5)
 
     def cylinder_nodes(*args):  # exactly n nodes, checked at half resolution
@@ -452,8 +451,8 @@ def test_mu_y_blocks_equal_one_unblocked_evaluation(monkeypatch, n):
             with monkeypatch.context() as m:
                 m.setattr(modular, "EVAL_BLOCK", block)
                 results = [
-                    mu_y_value(measure, mc, cfg, method="montecarlo", budget=n, seed=7),
-                    mu_y_value(measure, cyl, cfg, method="cylinder", budget=n),
+                    mu_y_value(measure, mc, *base, method="montecarlo", budget=n, seed=7),
+                    mu_y_value(measure, cyl, *base, method="cylinder", budget=n),
                 ]
             runs.append((results, mc.joined(), cyl.joined()))
         (blocked, *blocked_values), (whole, *whole_values) = runs
@@ -467,9 +466,8 @@ def test_mu_y_blocks_equal_one_unblocked_evaluation(monkeypatch, n):
 def test_mu_y_montecarlo_deterministic_given_seed():
     measure = parse_measure("cantor:3:0,2")
     phi = BumpTest(0.9, 2.5)
-    cfg = HorocycleConfig(0.0, 1, 0.1)
-    a = mu_y_value(measure, phi, cfg, method="montecarlo", budget=5000, seed=3)
-    b = mu_y_value(measure, phi, cfg, method="montecarlo", budget=5000, seed=3)
+    a = mu_y_value(measure, phi, 0.1, method="montecarlo", budget=5000, seed=3)
+    b = mu_y_value(measure, phi, 0.1, method="montecarlo", budget=5000, seed=3)
     assert a == b
 
 
@@ -478,7 +476,6 @@ def test_mu_y_cylinder_weighted_measure_cross_check():
 
     measure = FractalMeasure(3, (0, 2), (0.25, 0.75))
     phi = BumpTest(0.9, 2.5)
-    cfg = HorocycleConfig(0.0, 1, 0.1)
-    v_cyl, e_cyl = mu_y_value(measure, phi, cfg, method="cylinder", budget=10**6, tol=1e-4)
-    v_mc, e_mc = mu_y_value(measure, phi, cfg, method="montecarlo", budget=100_000, seed=9)
+    v_cyl, e_cyl = mu_y_value(measure, phi, 0.1, method="cylinder", budget=10**6, tol=1e-4)
+    v_mc, e_mc = mu_y_value(measure, phi, 0.1, method="montecarlo", budget=100_000, seed=9)
     assert abs(v_cyl - v_mc) < e_cyl + 3 * e_mc
