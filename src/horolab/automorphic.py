@@ -434,8 +434,11 @@ def eisenstein_series_prediction(measure, params: EisensteinParams, height, x0: 
     coefficient sum runs over the live terms 2 pi m height < 46
     (_live_end, which refuses more than MAX_SERIES_TERMS); every later term
     is exactly 0 under the series K rule.  The coefficient table is built
-    once, for the smallest height, and sliced at the others.
+    once, for the smallest height, and sliced at the others.  The base
+    point's a(1/q) takes q >= 1.
     """
+    if q < 1:
+        raise ValueError("require q >= 1")
     heights = np.atleast_1d(np.asarray(height, dtype=float)).tolist()
     ends = [_live_end(h) for h in heights]
     coef = params.coef(max(ends))

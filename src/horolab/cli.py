@@ -3,9 +3,10 @@
 Subcommands: fourier, dim, equidist, basis-check, spectral-gap, khintchine,
 stationary.  Each reads flags (or a key=value config file via --config) and
 returns CSV rows and a JSON summary with the fixed key set {command, config,
-seed, exponent, stderr, r2, status}; cli_main writes both, the CSV to stdout
-or --out.  Exit codes: 0 success, 2 inconclusive fit, 1 error (usage errors
-included).  Identical config + seed produce byte-identical CSV and JSON.
+seed, exponent, stderr, r2, status}, where config echoes every other flag set;
+cli_main writes both, the CSV to stdout or --out.  Exit codes: 0 success,
+2 inconclusive fit, 1 error (usage errors included).  Identical config +
+seed produce byte-identical CSV and JSON.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _summary(args, report: DecayReport | None = None, exponent=None, stderr=None
     config = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "config", "out", "json_out") and v is not None
+        if k not in ("func", "config", "out", "json_out", "command", "seed") and v is not None
     }
     return {
         "command": args.command,

@@ -4,12 +4,12 @@ A FractalMeasure is the self-similar measure of the homogeneous IFS
 
     f_i(x) = (x + d_i)/b + x0*(1 - 1/b),        d_i in D,
 
-with digit set D inside {0, ..., b-1} and a probability weight per digit.
-Its Fourier transform (in the e(xi*x) = exp(2*pi*i*xi*x) convention) has
-the exact infinite-product form
+with digit set D inside {0, ..., b-1}, each digit drawn with probability
+1/|D|.  Its Fourier transform (in the e(xi*x) = exp(2*pi*i*xi*x)
+convention) has the exact infinite-product form
 
     mu_hat(xi) = e(xi*x0) * prod_{j>=1} g(xi / b^j),
-    g(u) = sum_i lambda_i e(d_i u),
+    g(u) = (1/|D|) sum_{d in D} e(d u),
 
 which this module evaluates with a certified truncation.  Convolutions,
 unit-interval Lebesgue, and point masses combine freely in measure
@@ -43,11 +43,10 @@ class PrecisionLossError(ValueError):
 
 @dataclass(frozen=True)
 class FractalMeasure:
-    """Self-similar measure with base b, digits D, weights, and shift x0."""
+    """Self-similar measure with base b, digits D (uniform), and shift x0."""
 
     base: int
     digits: tuple[int, ...]
-    weights: tuple[float, ...] | None = None  # None means uniform
     shift: float = 0.0
 
     def __post_init__(self):
@@ -62,28 +61,10 @@ class FractalMeasure:
             raise ValueError("digits must lie in [0, base)")
         if any(D[i] >= D[i + 1] for i in range(len(D) - 1)):
             raise ValueError("digits must be strictly increasing")
-        if self.weights is not None:
-            w = self.weights
-            if len(w) != len(D):
-                raise ValueError("one weight per digit required")
-            if any(x <= 0 for x in w):
-                raise ValueError("weights must be positive")
-            if abs(sum(w) - 1.0) > 1e-12:
-                raise ValueError("weights must sum to 1 within 1e-12")
 
     @property
     def n_digits(self) -> int:
         return len(self.digits)
-
-    @property
-    def weight_array(self) -> np.ndarray:
-        if self.weights is None:
-            return np.full(len(self.digits), 1.0 / len(self.digits))
-        return np.asarray(self.weights, dtype=float)
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.weights is None
 
     @cached_property
     def digit_progression(self) -> tuple[int, int] | None:
@@ -160,23 +141,24 @@ def _dirichlet_ratio(v: np.ndarray, l: int) -> np.ndarray:
 
 
 def symbol_g(measure: FractalMeasure, xi) -> complex | np.ndarray:
-    """g(xi) = sum_i lambda_i e(d_i xi); |g| <= 1.
+    """g(xi) = (1/l) sum_{d in D} e(d xi) over the l digits; |g| <= 1.
 
-    Uniform weights over an arithmetic progression collapse to a Dirichlet
-    kernel, evaluated in closed form; anything else sums over digits.
+    Digits in arithmetic progression collapse to a Dirichlet kernel,
+    evaluated in closed form; any other digit set sums over its digits,
+    each term times 1/l before the row sum.
     """
     xi_arr = np.asarray(xi, dtype=float)
     scalar = xi_arr.ndim == 0
     xi_arr = np.atleast_1d(xi_arr)
     prog = measure.digit_progression
-    if measure.is_uniform and prog is not None:
+    if prog is not None:
         a, step = prog
         l = measure.n_digits
         center = a + step * (l - 1) / 2.0
         out = np.exp(2j * np.pi * center * xi_arr) * _dirichlet_ratio(step * xi_arr, l)
     else:
         digits = np.asarray(measure.digits, dtype=float)
-        w = measure.weight_array
+        w = np.full(digits.size, 1.0 / digits.size)
         out = np.empty(xi_arr.size, dtype=complex)
         rows = max(1, ABS_BLOCK // digits.size)  # xi per pass of at most ABS_BLOCK terms
         for lo in range(0, xi_arr.size, rows):
@@ -189,12 +171,12 @@ def symbol_g(measure: FractalMeasure, xi) -> complex | np.ndarray:
 def _symbol_abs(measure: FractalMeasure, xi_arr: np.ndarray) -> np.ndarray:
     """|g(xi)| on an array, the factor fourier_abs multiplies.
 
-    Uniform digits in arithmetic progression give the unsigned kernel
+    Digits in arithmetic progression give the unsigned kernel
     |sin(pi*l*delta) / (l*sin(pi*delta))|: the sign (-1)^(n*(l-1)) and the
     phase e(center*xi) have modulus 1 exactly, so neither is computed.
     """
     prog = measure.digit_progression
-    if measure.is_uniform and prog is not None:
+    if prog is not None:
         _, step = prog
         _, ratio = _reduced_ratio(step * xi_arr, measure.n_digits)
         return np.abs(ratio, out=ratio)
@@ -350,10 +332,7 @@ def _(measure: FractalMeasure, depth: int, count: int, seed) -> np.ndarray:
     inv_b = 1.0 / measure.base
     for lo in range(0, count, chunk):
         hi = min(lo + chunk, count)
-        if measure.is_uniform:
-            idx = rng.integers(0, measure.n_digits, size=(hi - lo, depth))
-        else:
-            idx = rng.choice(measure.n_digits, size=(hi - lo, depth), p=measure.weight_array)
+        idx = rng.integers(0, measure.n_digits, size=(hi - lo, depth))
         x = np.zeros(hi - lo)
         for j in range(depth - 1, -1, -1):  # Horner: deterministic order
             x = (x + digits[idx[:, j]]) * inv_b
@@ -441,7 +420,7 @@ class CylinderBudgetError(ValueError):
 
 @singledispatch
 def cylinder_nodes(measure, y: float, q: int, budget: int, tol: float, lip):
-    """Nodes, weights and width for the cylinder sum of mu_y at height y under a(1/q).
+    """Nodes, masses and width for the cylinder sum of mu_y at height y under a(1/q).
 
     The width is the length of the digit cylinders whose midpoints are the
     nodes, at most y * tol / (lip * q) for lip >= y|grad phi|, so the sum errs
@@ -466,23 +445,15 @@ def _(measure: FractalMeasure, y: float, q: int, budget: int, tol: float, lip):
             "use method='montecarlo'"
         )
     digits = np.asarray(measure.digits, dtype=float)
-    w = measure.weight_array
     xs = np.zeros(count)
-    ws = np.ones(count)
     scale = 1.0
     for j in range(depth):
         scale /= b
         reps = l ** (depth - 1 - j)
         idx = (np.arange(count) // reps) % l
         xs += digits[idx] * scale
-        if not measure.is_uniform:
-            ws *= w[idx]
-    if measure.is_uniform:
-        ws = np.full(count, 1.0 / count)
-    else:
-        ws /= ws.sum()
     xs += measure.shift + 0.5 * scale  # cylinder midpoints
-    return xs, ws, scale
+    return xs, np.full(count, 1.0 / count), scale
 
 
 @cylinder_nodes.register
@@ -725,7 +696,7 @@ def _parse_term(text: str) -> MeasureExpr:
     if shift == 0.0:
         return atom
     if isinstance(atom, FractalMeasure):
-        return FractalMeasure(atom.base, atom.digits, atom.weights, atom.shift + shift)
+        return FractalMeasure(atom.base, atom.digits, atom.shift + shift)
     if isinstance(atom, DiracMass):
         return DiracMass(atom.point + shift)
     return Convolution(atom, DiracMass(shift))

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from . import measures as _measures
+from .fitting import MAX_GRID_POINTS
 
 BOUNDARY_BAND = 1e-12
 MAX_REDUCE_STEPS = 10_000
@@ -132,7 +133,9 @@ def mu_y_value(
     """integral of phi(n(x0 + x/q) a(y/q)) d mu(x) with an error estimate.
 
     The base point n(x0) a(1/q) takes q >= 1, and the height 0 < y <= 1.
-    n(x0) is 1-periodic, so x0 enters as x0 % 1.0, which is exact.
+    n(x0) is 1-periodic, so x0 enters as x0 % 1.0, which is exact.  The
+    budget, the number of Monte-Carlo points or the most cylinder nodes,
+    lies in [1, MAX_GRID_POINTS].
 
     cylinder: weighted sum over depth-L digit cylinders at their midpoints
     (midpoint rule for the Lebesgue leaf), error bounded via the declared
@@ -161,8 +164,8 @@ def mu_y_value(
         raise ValueError("require q >= 1")
     if not 0.0 < y <= 1.0:
         raise ValueError("require 0 < y <= 1")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    if not 1 <= budget <= MAX_GRID_POINTS:
+        raise ValueError(f"budget must lie in [1, MAX_GRID_POINTS = {MAX_GRID_POINTS}], got {budget}")
     x0 = x0 % 1.0
 
     def evaluate(n: int, points) -> np.ndarray:

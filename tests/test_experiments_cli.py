@@ -271,6 +271,19 @@ def test_series_prediction_on_an_array_equals_scalar_calls():
         assert sweep.tobytes() == np.array(single).tobytes()
 
 
+def test_series_prediction_refuses_q_below_one():
+    # q = 0 gave nan after numpy warnings, and q = -1 a finite number
+    from horolab.measures import LebesgueUnit
+    from horolab.testfunctions import EisensteinTest
+
+    params = EisensteinTest(1.0, component="complex").params
+    for q in (0, -1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="require q >= 1"):
+                eisenstein_series_prediction(LebesgueUnit(), params, 0.1, 0.0, q)
+
+
 def test_cli_cylinder_constant_test_is_exact(capsys):
     from horolab.measures import parse_measure
     from horolab.modular import mu_y_value
@@ -364,6 +377,7 @@ def test_cli_dim_cantor450_reports_cvy_bound(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert set(summary) == {"command", "config", "seed", "exponent", "stderr", "r2", "status"}
+    assert "command" not in summary["config"] and "seed" not in summary["config"]  # top-level keys
     assert summary["config"]["cvy_lower_bound"] > 0.609375
     assert summary["config"]["hausdorff_dimension"] < 0.9992
     assert summary["exponent"] > summary["config"]["cvy_lower_bound"] - 0.05
@@ -562,6 +576,8 @@ def test_cli_stationary_accepts_exact_two_decades(xigrid, tmp_path, capsys):
         (("equidist", "--measure", "leb", "--test", "eisenstein:t=31.5", "--ygrid", "0.25:0.5:4"),
          "horolab: error: literal, production <test:eisenstein>: spectral parameter t must satisfy 5e-07 <= t <= 30, got 31.5"),
         (("spectral-gap", "--t", "1e-300"), "horolab: error: spectral parameter t must satisfy 5e-07 <= t <= 30, got 1e-300"),
+        (("equidist", "--measure", "leb", "--q", "0", "--ygrid", "0.25:0.5:4"), "horolab: error: require q >= 1"),
+        (("basis-check", "--measure", "leb", "--q", "0", "--ygrid", "0.25:0.5:4"), "horolab: error: require q >= 1"),
     ],
 )
 def test_cli_malformed_literals_name_production(capsys, argv, needle):
@@ -733,6 +749,7 @@ ENTRIES = {
     "arange": lambda *args: max(args),
     "geomspace": lambda start, stop, num=50, *rest: num,
     "zeros": lambda shape, *rest: math.prod(shape if isinstance(shape, tuple) else (shape,)),
+    "empty": lambda shape, *rest: math.prod(shape if isinstance(shape, tuple) else (shape,)),
 }
 
 
@@ -744,11 +761,15 @@ ENTRIES = {
         (("stationary", "--phase", "poly:0,0,1", "--xigrid", "10:10000:1000000000000"), "geomspace"),
         (("khintchine", "--measure", "leb", "--psi", "const:0.4", "--Q", "1000000000000"), "arange"),
         (("khintchine", "--measure", "cantor:3:0,2", "--samples", "1000000000000"), "zeros"),
+        # Monte-Carlo values of every point, and cylinder nodes up to the budget
+        (("equidist", "--measure", "leb", "--ygrid", "0.25:0.5:2", "--budget", "10000000000"), "empty"),
+        (("equidist", "--measure", "cantor:3:0,2", "--ygrid", "0.25:0.5:2", "--method", "cylinder",
+          "--tol", "1e-12", "--budget", "10000000000"), "zeros"),
     ],
 )
 def test_cli_refuses_counts_over_max_grid_points_before_allocating(monkeypatch, capsys, argv, allocator):
-    # each count would ask numpy for 10^12 entries (8 TB); the guard lets
-    # the small allocations before the refusal through
+    # each count would ask numpy for 10^10 entries or more (80 GB); the
+    # guard lets the small allocations before the refusal through
     from horolab.fitting import MAX_GRID_POINTS
 
     real = getattr(np, allocator)
@@ -762,6 +783,22 @@ def test_cli_refuses_counts_over_max_grid_points_before_allocating(monkeypatch, 
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("horolab: error: ") and f"MAX_GRID_POINTS = {MAX_GRID_POINTS}" in err
+
+
+def test_cli_equidist_refuses_a_budget_before_the_reference_draws(monkeypatch, capsys):
+    # a test function with no closed-form mean takes a reference of ten
+    # times the budget: the sweep's refusal must come first
+    from horolab import experiments
+    from horolab.fitting import MAX_GRID_POINTS
+
+    monkeypatch.setattr(experiments, "mX_integral", reached)
+    for budget in ("0", "10000000000"):
+        code, out, err = run_cli(
+            capsys, "equidist", "--measure", "leb", "--test", "bump:y0=1,y1=2",
+            "--ygrid", "0.25:0.5:2", "--budget", budget,
+        )
+        assert code == 1 and out == ""
+        assert err == f"horolab: error: budget must lie in [1, MAX_GRID_POINTS = {MAX_GRID_POINTS}], got {budget}\n"
 
 
 def test_cli_stationary_sweep_certifies_its_phase_once(monkeypatch, tmp_path, capsys):

@@ -19,44 +19,44 @@ from horolab.cli import cli_main
 GOLDEN = {
     "fourier --measure cantor:3:0,2 --xi 0:100:1": (
         "85abaf9856a7caf5e4f456b8f8c20b932e995c6afe66e2946be663ec2e83c710",
-        "7732dd77931219d2138e1ae7faf1191e49c9e294569eeb987e768d71e6ebb058",
+        "c10cf1bced19fbdf8f698909b6bb86c6a16e87ac6ff6ba6902fd07f1a0d3343d",
     ),
     "dim --measure cantor:450:0..446 --xmax 10000": (
         "1f6a983ff08a59ca6f2d3ba3f05427f67855d7069cc043017d0153d36c37e2c1",
-        "9d6243de25f23aa8f294e759d37f83f92e9c43f04ec77cecd7f6cbb554f51a20",
+        "55e7d4306f7ad0639d3acd3230f70372ad792f3a70b4bfef8235ff768d8b9ea9",
     ),
     "dim --measure cantor:3:0,2 --xmax 10000 --star --theta-grid 8": (
         "ec715e0e2ae93a39651f1cfabc91c104f2be6074d43126622c08021f4da12c9b",
-        "773d8c4478ea47a7c5617440158a96042f731848c17634504acfa4aeda7e82ba",
+        "d8362fc4357d08347b459c6588fdc27908a3336ad7c08cae3c5a812deef5d468",
     ),
     "equidist --measure cantor:450:0..446 --test eisenstein:t=1 --ygrid 0.25:0.5:6 --budget 20000": (
         "d57c1ec1304102d9e726bb5c5fb63a36707791a226a6758f02b8d7b7180ebc8d",
-        "ee8e3ba897e0e7b8bb0cfef7ac014759f81442604b214f548abc104a57b4b761",
+        "35fe58195b1810d6742c375b05b01b1b0096686c79e8e9bcdcbccc33f9826a20",
     ),
     "equidist --measure leb --test eisenstein:t=1 --ygrid 0.25:0.5:8 --method cylinder --tol 1e-8": (
         "1ed6b7c9756775069fac1436504f90fe8bdb7ccba8cf8e3b6c3ddfbc60509097",
-        "d5c9806773302d356871ceba42dbed14d93bb0b33f70bf3c43d9ed1ae89a66ac",
+        "46b7083d78fea999036fafa6eb719c1ad50146f0d6042ef97e306f3334b0db4a",
     ),
     "basis-check --measure cantor:3:0,2 --q 2 --x0 0.25 --ygrid 0.2:0.5:4 --budget 1000000 --tol 1e-5": (
         "8fbf38f6cc24919c98c558376e585d086cefa631bec8ba072e54dabeca6e87d6",
-        "57a04c33a61f61758671b470da18fbacf03577e6de81ac680c8fd07ef7333ef6",
+        "2a5fc23e6b89c637ccbbe6f9605cbd7cc8c9940e71328d123ff3322a2cb02b17",
     ),
     "spectral-gap --t 1 --ygrid 0.125:0.5:6": (
         "f3a7a97f90548d953fd4efc9df58ff4d6261b8647e10bb3d266f78baafc6bf2a",
-        "2bc4a79df5a024670fe19afa49a7060cd6fe08e2192937121f2c5d3d45f69d7a",
+        "0770c62010df3e8441ac82b95591d86f417db7ccdd9971b12c0b3331f90d1b3e",
     ),
     "khintchine --measure cantor:450:0..446 --psi pow:1 --Q 200 --samples 2000": (
         "5de431bdf0942af0802150763f62ddb28ac2456355450eaedb7134e982d88b42",
-        "b57a964753246fcd2a29dd8ec21c669593e6d11b59ffa7fb725dc34724327f66",
+        "9523fd0efa95c7b61cec826b4e4aeef004dbf79f4acfd2b16a4dc238efaa7511",
     ),
     # 500 samples: q = 3..47 count by windows; q = 2 and q >= 48 by rows
     "khintchine --measure leb --psi pow:1 --Q 3000 --samples 500": (
         "bfd3b6ed3388d776651cfb9285972f939a90b4e4de362605ff23c8aa0c3d443a",
-        "a347a19143f6dff23551f735908d59fa57301708b378af64582eb9835ddc8fdb",
+        "0176e0aa23c30aa0417c737e816e92e592c58c247c0f8683be5cafe66fdd166e",
     ),
     "stationary --phase poly:0,0,1 --window coswin:0,1 --xigrid 10:1000:8": (
         "af452eee78d4dcc04cdca09ea498b530a912c2f6754263a3a5266474b3f16103",
-        "64b82cb34f0ff0857f73db7c5033cd17723024dd16acd63abd4e5f71d9724c70",
+        "58fad71baabf82975b71fa023b2a39d0a42df10f32af729060c89840b0ebfc2c",
     ),
 }
 

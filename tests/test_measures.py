@@ -37,11 +37,7 @@ CANTOR450 = FractalMeasure(450, tuple(range(447)))
 
 
 def direct_g(measure: FractalMeasure, xi: float) -> complex:
-    w = measure.weight_array
-    return sum(
-        wi * complex(np.exp(2j * np.pi * d * xi))
-        for wi, d in zip(w, measure.digits)
-    )
+    return sum(complex(np.exp(2j * np.pi * d * xi)) for d in measure.digits) / measure.n_digits
 
 
 @st.composite
@@ -49,17 +45,8 @@ def fractal_measures(draw):
     b = draw(st.integers(2, 16))
     n = draw(st.integers(1, b))
     digits = tuple(sorted(draw(st.permutations(range(b)))[:n]))
-    uniform = draw(st.booleans())
-    weights = None
-    if not uniform and n > 1:
-        raw = draw(
-            st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)
-        )
-        total = sum(raw)
-        weights = tuple(r / total for r in raw)
-        weights = tuple(w + (1.0 - sum(weights)) / n for w in weights)  # renormalize
     shift = draw(st.floats(-2.0, 2.0))
-    return FractalMeasure(b, digits, weights, shift)
+    return FractalMeasure(b, digits, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +133,7 @@ def test_refinement_identity_property(m, xi):
 @settings(max_examples=30, derandomize=True)
 @given(fractal_measures(), st.floats(-20, 20))
 def test_shift_leaves_modulus_invariant(m, xi):
-    unshifted = FractalMeasure(m.base, m.digits, m.weights, 0.0)
+    unshifted = FractalMeasure(m.base, m.digits)
     # the modulus path drops phases entirely: exact equality
     assert fourier_abs(m, np.array([xi]))[0] == fourier_abs(unshifted, np.array([xi]))[0]
     assert abs(fourier_transform(m, xi)) == pytest.approx(
@@ -206,7 +193,7 @@ def one_shot_abs(measure, xi, J):
     u = xi.copy()
     for _ in range(J):
         u = u / measure.base
-        if measure.is_uniform and prog is not None:
+        if prog is not None:
             factor = np.abs(measures._dirichlet_ratio(prog[1] * u, measure.n_digits))
         else:
             factor = np.abs(symbol_g(measure, u))
@@ -238,14 +225,15 @@ def test_blocked_fourier_abs_equals_one_shot_product(text):
     [
         FractalMeasure(450, (*range(446), 447)),  # 447 digits not in progression: 73 xi per pass
         FractalMeasure(10, (0, 1, 5)),  # cantor:10:0,1,5
-        FractalMeasure(3, (0, 2), (0.3, 0.7), 0.25),  # weighted, shifted
+        FractalMeasure(7, (0, 1, 5), 0.25),  # shifted, digits not in progression
     ],
 )
 def test_symbol_g_digit_sum_in_passes_keeps_its_bits(mu):
     rows = ABS_BLOCK // len(mu.digits)
     xi = np.random.default_rng(12).uniform(-5e3, 5e3, 3 * rows + 17)  # four passes, the last short
     digits = np.asarray(mu.digits, dtype=float)
-    whole = (np.exp(2j * np.pi * np.outer(xi, digits)) * mu.weight_array).sum(axis=1)
+    terms = np.exp(2j * np.pi * np.outer(xi, digits)) * np.full(digits.size, 1.0 / digits.size)
+    whole = terms.sum(axis=1)
     assert np.array_equal(symbol_g(mu, xi).view(np.int64), whole.view(np.int64))
     assert symbol_g(mu, xi[5]) == whole[5]
 
@@ -299,7 +287,7 @@ def test_fourier_transform_does_not_depend_on_array_length(text):
 @pytest.mark.parametrize(
     "mu",
     [
-        FractalMeasure(3, (0, 2), (0.3, 0.7), 0.25),  # weighted, shifted
+        FractalMeasure(7, (0, 1, 5), 0.25),  # shifted, digits not in progression
         FractalMeasure(10, (0, 1, 4, 7)),  # digits not in progression
     ],
 )
@@ -354,7 +342,7 @@ def test_sample_depth_underflow_rejected():
 @pytest.mark.parametrize(
     "mu",
     [
-        CANTOR3, FractalMeasure(3, (0, 2), (0.3, 0.7), 0.5), FractalMeasure(10, (0, 1, 5)),
+        CANTOR3, FractalMeasure(3, (0, 2), 0.5), FractalMeasure(10, (0, 1, 5)),
         parse_measure("leb"), parse_measure("dirac:0.3"),
     ],
 )
@@ -365,10 +353,7 @@ def test_sample_in_passes_equals_one_draw(mu):
         # all gathered from the digit table
         count = 3 * SAMPLE_BLOCK // 8 + 777
         rng = np.random.default_rng(11)
-        if mu.is_uniform:
-            idx = rng.integers(0, mu.n_digits, size=(count, depth))
-        else:
-            idx = rng.choice(mu.n_digits, size=(count, depth), p=mu.weight_array)
+        idx = rng.integers(0, mu.n_digits, size=(count, depth))
         vals = np.asarray(mu.digits)[idx].astype(float)
         x = np.zeros(count)
         for j in range(depth - 1, -1, -1):
@@ -498,7 +483,7 @@ def test_paired_star_sums_within_4_ulps_of_per_theta_on_grid_9(literal):
 
 
 def test_star_sum_dominates_plain():
-    for m in (CANTOR3, FractalMeasure(5, (0, 3), None, 0.3)):
+    for m in (CANTOR3, FractalMeasure(5, (0, 3), shift=0.3)):
         plain = l1_partial_sum(m, 50, star=False)
         star = l1_partial_sum(m, 50, star=True, theta_grid=64)
         assert star >= plain - 1e-12
@@ -658,26 +643,6 @@ def test_invalid_measure_construction():
         FractalMeasure(3, (0, 3))  # digit out of range
     with pytest.raises(ValueError):
         FractalMeasure(3, (2, 0))  # not increasing
-    with pytest.raises(ValueError):
-        FractalMeasure(3, (0, 2), (0.9, 0.2))  # weights off normalization
-
-
-def test_sample_weighted_digits_mean():
-    # weights (1/4, 3/4) on digits {0, 2}: E[digit] = 1.5, E[x] = 0.75
-    m = FractalMeasure(3, (0, 2), (0.25, 0.75))
-    n = 50_000
-    xs = sample(m, 30, n, seed=8)
-    # Var(x) = Var(d) * sum 9^-j = (4*3/16) / 8 = 3/32
-    assert abs(xs.mean() - 0.75) < 3 * math.sqrt(3 / 32 / n)
-
-
-def test_weighted_transform_matches_monte_carlo():
-    m = FractalMeasure(5, (0, 2, 4), (0.5, 0.25, 0.25))
-    xi = 2.3
-    n = 100_000
-    vals = np.exp(2j * np.pi * xi * sample(m, 30, n, seed=12))
-    se = math.sqrt((vals.real.var() + vals.imag.var()) / n)
-    assert abs(fourier_transform(m, xi) - vals.mean()) < 3 * se
 
 
 def test_star_estimate_reports_grid_error():

