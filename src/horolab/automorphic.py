@@ -42,7 +42,7 @@ from functools import cache
 
 import numpy as np
 
-from .fitting import DecayReport, csv_table, fit_decay_report
+from .fitting import MAX_GRID_POINTS, DecayReport, csv_table, fit_decay_report
 from .measures import fourier_transform
 from .modular import reduce_many
 
@@ -55,14 +55,9 @@ K_SPLINE_FROM = TWO_PI * SQRT3_HALF  # sqrt(3) pi, the smallest node of a reduce
 K_SPLINE_KNOTS = 8500
 K_BASE_STEP = 1.0 / 64          # v-step of the K quadrature at orders t <= 8
 MAX_BESSEL_ORDER = 30.0
-# Budgets, refused before allocation: 2**23 live series terms are 128 MiB per
-# complex table (lambda, coef, mu_hat at m/q); 2**22 FFT points are 64 MiB.
-MAX_SERIES_TERMS = 2**23
+# Budgets, refused before allocation: MAX_GRID_POINTS live series terms (128 MiB
+# per complex table: lambda, coef, mu_hat at m/q) and 2**22 FFT points (64 MiB).
 MAX_FFT_POINTS = 2**22
-
-
-class PoleProximityError(ValueError):
-    """Evaluation point too close to the pole of zeta at s = 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +130,7 @@ def zeta_1line(s: complex) -> complex:
     if s.real < 1.0 - 1e-12:
         raise ValueError("zeta_1line requires Re(s) >= 1")
     if abs(s - 1.0) < 1e-6:
-        raise PoleProximityError("s within 1e-6 of the pole at 1")
+        raise ValueError("s within 1e-6 of the pole at 1")
     if abs(s.imag) > 62.0:
         raise ValueError("zeta_1line validated only for |Im(s)| <= 62")
     N = ZETA_TERMS
@@ -432,7 +427,7 @@ def eisenstein_series_prediction(measure, params: EisensteinParams, height, x0: 
     `height` is the height at which the horocycle points actually sit
     (y/q when the base point carries a(1/q)), a scalar or an array.  The
     coefficient sum runs over the live terms 2 pi m height < 46
-    (_live_end, which refuses more than MAX_SERIES_TERMS); every later term
+    (_live_end, which refuses more than MAX_GRID_POINTS); every later term
     is exactly 0 under the series K rule.  The coefficient table is built
     once, for the smallest height, and sliced at the others.  The base
     point's a(1/q) takes q >= 1.
@@ -565,9 +560,9 @@ def _live_end(y: float) -> int:
     if not y > 0.0:
         raise ValueError("require y > 0")
     count = K_NEGLIGIBLE_X / (TWO_PI * y)
-    if not count <= MAX_SERIES_TERMS:
+    if not count <= MAX_GRID_POINTS:
         raise ValueError(f"height y = {y:g} needs {count:.3g} series terms, "
-                         f"over the budget of MAX_SERIES_TERMS = {MAX_SERIES_TERMS}")
+                         f"over the budget of MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     k = math.floor(count)
     while TWO_PI * ((k + 1) * y) < K_NEGLIGIBLE_X:
         k += 1

@@ -4,9 +4,10 @@ Subcommands: fourier, dim, equidist, basis-check, spectral-gap, khintchine,
 stationary.  Each reads flags (or a key=value config file via --config) and
 returns CSV rows and a JSON summary with the fixed key set {command, config,
 seed, exponent, stderr, r2, status}, where config echoes every other flag set;
-cli_main writes both, the CSV to stdout or --out.  Exit codes: 0 success,
-2 inconclusive fit, 1 error (usage errors included).  Identical config +
-seed produce byte-identical CSV and JSON.
+cli_main writes both, the CSV to stdout or --out.  Exit codes: 0 for the
+statuses ok, degenerate and superpolynomial, 2 for an inconclusive fit, 1 for
+an error (usage errors included).  Identical config + seed produce
+byte-identical CSV and JSON.
 """
 
 from __future__ import annotations
@@ -334,7 +335,7 @@ def cli_main(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         csv_text, summary = args.func(args)
         _emit(args, csv_text, summary)
-        return 0 if summary["status"] in ("ok", "degenerate") else 2
+        return 2 if summary["status"] == "inconclusive" else 0
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"horolab: error: {exc}\n")
         return 1

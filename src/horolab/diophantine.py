@@ -23,17 +23,8 @@ WINDOW_COST = 10
 HIT_BLOCK = 1 << 17  # entries of the _count_hits passes running at once: 1 MiB per float array
 
 
-class ApproximationFunction:
-    """Non-increasing psi: {2, 3, ...} -> (0, inf)."""
-
-    label = "psi"
-
-    def __call__(self, q):
-        raise NotImplementedError
-
-
 @dataclass
-class PowerPsi(ApproximationFunction):
+class PowerPsi:
     """psi(q) = q^-tau."""
 
     tau: float
@@ -51,7 +42,7 @@ class PowerPsi(ApproximationFunction):
 
 
 @dataclass
-class QLogQPsi(ApproximationFunction):
+class QLogQPsi:
     """psi(q) = 1/(q log q); the borderline divergent family."""
 
     @property
@@ -64,7 +55,7 @@ class QLogQPsi(ApproximationFunction):
 
 
 @dataclass
-class ConstPsi(ApproximationFunction):
+class ConstPsi:
     value: float
 
     def __post_init__(self):
@@ -79,8 +70,9 @@ class ConstPsi(ApproximationFunction):
         return np.full(np.shape(q) or (), self.value)
 
 
-def parse_psi(text: str) -> ApproximationFunction:
-    """Parse `pow:<tau>`, `qlogq`, `const:<c>`."""
+def parse_psi(text: str) -> PowerPsi | QLogQPsi | ConstPsi:
+    """Parse `pow:<tau>`, `qlogq`, `const:<c>`: a labelled psi on {2, 3, ...},
+    positive and non-increasing."""
     text = text.strip()
     if text == "qlogq":
         return QLogQPsi()
@@ -227,7 +219,7 @@ class KhintchineProfile:
 
 def khintchine_profile(
     measure,
-    psi: ApproximationFunction,
+    psi: PowerPsi | QLogQPsi | ConstPsi,
     Q: int,
     n_samples: int,
     seed,

@@ -34,8 +34,8 @@ _LOG_FLOOR = 1e-300
 # being one: peak memory is this many items' working sets.  1 where only one
 # CPU is usable.
 THREADS = 2
-# Largest grid or count a command allocates (xi, m, theta, X, y, q or
-# sample grids): 64 MiB per float array.  A larger one is refused first.
+# Largest grid or count a command allocates (xi, m, theta, X, y, q, series
+# term or sample grids): 64 MiB per float array.  A larger one is refused first.
 MAX_GRID_POINTS = 1 << 23
 
 _in_job = threading.local()  # .active: this thread runs a job of a threaded map
@@ -140,10 +140,6 @@ def parse_real(text: str, production: str) -> float:
     return value
 
 
-class DegenerateFitError(ValueError):
-    """All fitted values identical; a slope cannot be estimated."""
-
-
 @dataclass
 class FitResult:
     slope: float
@@ -163,7 +159,7 @@ def least_squares_loglog(params, values, mask=None) -> FitResult:
     E = np.log(values[mask])
     n = L.size
     if n < 2 or np.ptp(L) == 0.0:
-        raise DegenerateFitError("need at least two distinct abscissae")
+        raise ValueError("need at least two distinct abscissae")
     Lb, Eb = L.mean(), E.mean()
     sxx = np.sum((L - Lb) ** 2)
     slope = float(np.sum((L - Lb) * (E - Eb)) / sxx)

@@ -37,10 +37,6 @@ ABS_BLOCK = 1 << 15  # entries per block of the mu_hat product: 256 KiB per floa
 SAMPLE_BLOCK = 1 << 17  # digits per pass of sample: 1 MiB per index array
 
 
-class PrecisionLossError(ValueError):
-    """Requested digit depth underflows double precision."""
-
-
 @dataclass(frozen=True)
 class FractalMeasure:
     """Self-similar measure with base b, digits D (uniform), and shift x0."""
@@ -324,7 +320,7 @@ def _(measure: FractalMeasure, depth: int, count: int, seed) -> np.ndarray:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if float(measure.base) ** (-depth) == 0.0:
-        raise PrecisionLossError(f"base^-depth underflows for base={measure.base}, depth={depth}")
+        raise ValueError(f"base^-depth underflows for base={measure.base}, depth={depth}")
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     digits = np.asarray(measure.digits, dtype=float)
     out = np.zeros(count)
@@ -414,10 +410,6 @@ def _(measure: Convolution) -> float:
 # Cylinder nodes
 
 
-class CylinderBudgetError(ValueError):
-    """Cylinder enumeration exceeds the budget; use method='montecarlo'."""
-
-
 @singledispatch
 def cylinder_nodes(measure, y: float, q: int, budget: int, tol: float, lip):
     """Nodes, masses and width for the cylinder sum of mu_y at height y under a(1/q).
@@ -425,9 +417,10 @@ def cylinder_nodes(measure, y: float, q: int, budget: int, tol: float, lip):
     The width is the length of the digit cylinders whose midpoints are the
     nodes, at most y * tol / (lip * q) for lip >= y|grad phi|, so the sum errs
     by at most lip * width / (2 y); it is 0 for a point mass (one exact node)
-    and None for Lebesgue (midpoint rule, checked at half resolution).
+    and None for Lebesgue (midpoint rule, checked at half resolution, on
+    2^max(8, ceil(log2(8/y))) nodes capped at 2^floor(log2 budget)).
     """
-    raise CylinderBudgetError("cylinder method unavailable for this expression")
+    raise ValueError("cylinder method unavailable for this expression")
 
 
 @cylinder_nodes.register
@@ -440,7 +433,7 @@ def _(measure: FractalMeasure, y: float, q: int, budget: int, tol: float, lip):
     depth = max(1, math.ceil(math.log(lip * q / (y * tol)) / math.log(b))) if lip else 1
     count = l**depth
     if count > budget:
-        raise CylinderBudgetError(
+        raise ValueError(
             f"cylinder enumeration needs {l}^{depth} nodes > budget {budget}; "
             "use method='montecarlo'"
         )
@@ -458,8 +451,10 @@ def _(measure: FractalMeasure, y: float, q: int, budget: int, tol: float, lip):
 
 @cylinder_nodes.register
 def _(measure: LebesgueUnit, y: float, q: int, budget: int, tol: float, lip):
+    if budget < 2:  # the half-resolution check takes every other node
+        raise ValueError(f"cylinder budget must be >= 2 for the Lebesgue leaf, got {budget}")
     n = 1 << max(8, math.ceil(math.log2(8.0 / y)))
-    n = min(n, 1 << math.floor(math.log2(max(budget, 256))))
+    n = min(n, 1 << math.floor(math.log2(budget)))
     return (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n), None
 
 
@@ -479,7 +474,7 @@ def _(measure: Convolution, y: float, q: int, budget: int, tol: float, lip):
         elif isinstance(leaf.right, DiracMass):
             extra, leaf = extra + leaf.right.point, leaf.left
         else:
-            raise CylinderBudgetError(
+            raise ValueError(
                 "cylinder method does not enumerate general convolutions; "
                 "use method='montecarlo'"
             )
@@ -576,9 +571,7 @@ class DimensionEstimate:
     slope_full: float
     dimension: float
     stderr: float
-    mode: str  # "plain" | "star"
     degenerate: bool = False
-    theta_grid_error: float | None = None
 
 
 def estimate_dim_l1(
@@ -595,7 +588,6 @@ def estimate_dim_l1(
         raise ValueError("X_grid must span at least two decades")
 
     S = _partial_sums(measure, X_grid, star, theta_grid)
-    theta_err = TWO_PI * support_radius(measure) * int(X_grid[-1]) / theta_grid if star else None
 
     degenerate = bool(np.allclose(S, S[0], rtol=1e-12, atol=0.0))
     if degenerate:
@@ -608,9 +600,7 @@ def estimate_dim_l1(
         slope, slope_full, stderr = tail_fit.slope, full_fit.slope, tail_fit.stderr
     return DimensionEstimate(
         X_grid=X_grid, sums=S, slope=slope, slope_full=slope_full,
-        dimension=1.0 - slope, stderr=stderr,
-        mode="star" if star else "plain",
-        degenerate=degenerate, theta_grid_error=theta_err,
+        dimension=1.0 - slope, stderr=stderr, degenerate=degenerate,
     )
 
 

@@ -25,10 +25,6 @@ MAX_REDUCE_STEPS = 10_000
 EVAL_BLOCK = 1 << 15  # points per block of mu_y_value; never below 2**15 (see its docstring)
 
 
-class ReductionDivergedError(RuntimeError):
-    """Reduction failed to terminate; numerically degenerate input."""
-
-
 def reduce_many(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Translate/invert every x + iy into the closed fundamental domain.
 
@@ -79,7 +75,7 @@ def reduce_many(x, y) -> tuple[np.ndarray, np.ndarray]:
         if keep.size == 0:
             break
     else:
-        raise ReductionDivergedError(f"no convergence after {MAX_REDUCE_STEPS} steps")
+        raise ValueError(f"no convergence after {MAX_REDUCE_STEPS} steps")
     return x, y
 
 
@@ -139,7 +135,8 @@ def mu_y_value(
 
     cylinder: weighted sum over depth-L digit cylinders at their midpoints
     (midpoint rule for the Lebesgue leaf), error bounded via the declared
-    Lipschitz constant (resp. a half-resolution comparison).
+    Lipschitz constant (resp. the mean over every other node, a
+    half-resolution comparison that evaluates phi nowhere else).
     montecarlo: seeded sample mean with its standard error.
 
     The points are reduced and passed to phi in blocks of EVAL_BLOCK, the
@@ -187,9 +184,8 @@ def mu_y_value(
         xs, ws, width = _measures.cylinder_nodes(measure, y, q, budget, tol, lip)
         vals = evaluate(xs.size, lambda lo, hi: xs[lo:hi])
         total = np.sum(vals * ws)
-        if width is None:  # Lebesgue leaf: compare against half resolution
-            half = xs[::2]
-            err = float(abs(total - evaluate(half.size, lambda lo, hi: half[lo:hi]).mean()))
+        if width is None:  # Lebesgue leaf: compare against every other node
+            err = float(abs(total - vals[::2].mean()))
         else:  # a point mass (width 0) is exact
             err = lip * width / (2.0 * y) if width else 0.0
         out = complex(total) if np.iscomplexobj(vals) else float(total)

@@ -41,16 +41,8 @@ WINDOW_RESOLUTION = 2.0**-26
 MAX_PANELS = 2**24
 
 
-class QuadratureBudgetError(ValueError):
-    """|xi| beyond the configured maximum or refinement failed to settle."""
-
-
-class ToleranceNotReachedError(QuadratureBudgetError):
+class ToleranceNotReachedError(ValueError):
     """Refinement did not settle within tol; a looser tol may succeed."""
-
-
-class BoundaryStationaryPointError(ValueError):
-    """A stationary point sits at the window boundary; asymptotics invalid."""
 
 
 @dataclass(frozen=True)
@@ -109,9 +101,6 @@ class Window:
     @property
     def support(self) -> tuple[float, float]:
         return (self.center - self.radius, self.center + self.radius)
-
-    def __call__(self, x):  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 @dataclass
@@ -174,7 +163,7 @@ def find_stationary_points(f: PhasePolynomial, w: Window) -> list[StationaryPoin
         if xr <= a - BOUNDARY_TOL or xr >= b + BOUNDARY_TOL:
             continue
         if abs(xr - a) < BOUNDARY_TOL or abs(xr - b) < BOUNDARY_TOL:
-            raise BoundaryStationaryPointError(f"stationary point {xr} at the support boundary")
+            raise ValueError(f"stationary point {xr} at the support boundary")
         k = mult + 1
         points.append(StationaryPoint(xr, k, float(f(np.array(xr))), f.derivative_value(k, xr)))
     return points
@@ -312,13 +301,13 @@ def oscillatory_integral(f: PhasePolynomial, w: Window, xi: float, tol: float = 
 
     Panel count starts at NODES_PER_OSCILLATION nodes per oscillation of
     xi*f and doubles until two successive refinements agree within tol;
-    a count beyond MAX_PANELS raises QuadratureBudgetError, and twelve
+    a count beyond MAX_PANELS raises ValueError, and twelve
     doublings that do not settle raise ToleranceNotReachedError.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not abs(xi) <= MAX_XI:
-        raise QuadratureBudgetError(f"|xi| = {abs(xi)} beyond the maximum {MAX_XI}")
+        raise ValueError(f"|xi| = {abs(xi)} beyond the maximum {MAX_XI}")
     a, b = w.support
     variation = _total_variation(f, a, b)
     if not math.isfinite(variation):
@@ -328,7 +317,7 @@ def oscillatory_integral(f: PhasePolynomial, w: Window, xi: float, tol: float = 
     val = None
     for _ in range(13):  # the start count, then 12 doublings
         if panels > MAX_PANELS:
-            raise QuadratureBudgetError(
+            raise ValueError(
                 f"xi = {xi} on window support [{a}, {b}] needs {panels} panels, "
                 f"over the budget of {MAX_PANELS}"
             )

@@ -14,9 +14,9 @@ from horolab.experiments import (
     run_basis_identity_check,
     run_equidistribution,
 )
-from horolab.fitting import least_squares_loglog
+from horolab.fitting import MAX_GRID_POINTS, least_squares_loglog
 from horolab.measures import ABS_BLOCK
-from horolab.oscillatory import QuadratureBudgetError, ToleranceNotReachedError
+from horolab.oscillatory import ToleranceNotReachedError
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def test_cli_stationary_raises_the_first_failing_xi(monkeypatch, capsys):
             time.sleep(0.3)
             raise ToleranceNotReachedError("xi = 100 did not settle")
         if 500 < xi < 2000:
-            raise QuadratureBudgetError("xi = 1000 over the budget")
+            raise ValueError("xi = 1000 over the budget")
         return 1.0 + 0.0j
 
     monkeypatch.setattr(fitting, "_usable_cpus", lambda: 2)
@@ -414,6 +414,25 @@ def test_cli_equidist_inconclusive_exit_code(capsys):
     assert summary["status"] == "inconclusive"
 
 
+def test_cli_stationary_superpolynomial_exits_0(capsys):
+    # a linear phase has no stationary point: decay faster than any power is
+    # a conclusive result, not an inconclusive fit
+    code, out, err = run_cli(capsys, "stationary", "--phase", "poly:0,1", "--xigrid", "10:1000:8")
+    assert code == 0
+    assert json.loads(err.strip().splitlines()[-1])["status"] == "superpolynomial"
+
+
+def test_cli_reduction_that_does_not_converge_exits_1(monkeypatch, capsys):
+    from horolab import modular
+
+    monkeypatch.setattr(modular, "MAX_REDUCE_STEPS", 1)
+    code, out, err = run_cli(
+        capsys, "equidist", "--measure", "leb", "--ygrid", "0.25:0.5:4", "--budget", "2000",
+    )
+    assert code == 1 and out == ""
+    assert err == "horolab: error: no convergence after 1 steps\n"
+
+
 def test_cli_byte_identical_reruns(tmp_path, capsys):
     args = (
         "equidist", "--measure", "cantor:3:0,2", "--test", "eisenstein:t=1",
@@ -578,6 +597,15 @@ def test_cli_stationary_accepts_exact_two_decades(xigrid, tmp_path, capsys):
         (("spectral-gap", "--t", "1e-300"), "horolab: error: spectral parameter t must satisfy 5e-07 <= t <= 30, got 1e-300"),
         (("equidist", "--measure", "leb", "--q", "0", "--ygrid", "0.25:0.5:4"), "horolab: error: require q >= 1"),
         (("basis-check", "--measure", "leb", "--q", "0", "--ygrid", "0.25:0.5:4"), "horolab: error: require q >= 1"),
+        (("fourier", "--measure", "leb", "--xi", "0:1:0"), "horolab: error: <xi-range>: step must be positive"),
+        (("dim", "--measure", "leb", "--xmax", "5000"), "horolab: error: <dim>: --xmax must be at least 10^4"),
+        (("stationary", "--phase", "poly:0,0,1", "--xigrid", "0:100:8"),
+         "horolab: error: <xi-grid>: start must be positive, got 0.0"),
+        (("fourier", "--measure", "leb", "--xi", "0:1:1", "--config"), "horolab: error: --config needs a file path"),
+        (("basis-check", "--measure", "leb", "--test", "bump:y0=1,y1=2", "--ygrid", "0.25:0.5:4"),
+         "horolab: error: basis identity check requires an eisenstein test function"),
+        (("spectral-gap", "--ygrid", "0.125:0.5:3"), "horolab: error: y_grid needs at least 4 points"),
+        (("spectral-gap", "--ygrid", "0.125:0.9:8"), "horolab: error: y_grid must span at least 3 dyadic decades"),
     ],
 )
 def test_cli_malformed_literals_name_production(capsys, argv, needle):
@@ -683,7 +711,7 @@ def reached(*args, **kwargs):
 @pytest.mark.parametrize("ygrid", ["0.25:0.5:24", "0.25:0.5:40"])
 def test_cli_basis_check_refuses_a_series_over_budget(monkeypatch, capsys, ygrid):
     # 0.25:0.5:24 would need 2.5e8 lambda entries, 0.25:0.5:40 1.6e13; the
-    # refusal names the first height over MAX_SERIES_TERMS and comes before
+    # refusal names the first height over MAX_GRID_POINTS and comes before
     # the lambda table, mu_hat and the cylinder pass
     from horolab import automorphic, experiments
 
@@ -692,9 +720,10 @@ def test_cli_basis_check_refuses_a_series_over_budget(monkeypatch, capsys, ygrid
     monkeypatch.setattr(experiments, "mu_y_value", reached)
     code, out, err = run_cli(capsys, "basis-check", "--measure", "leb", "--ygrid", ygrid)
     y = 0.25 * 0.5**19  # 46 / (2 pi y) first exceeds 2**23 here
-    assert 46 / (2 * math.pi * y) > automorphic.MAX_SERIES_TERMS > 46 / (4 * math.pi * y)
+    assert 46 / (2 * math.pi * y) > MAX_GRID_POINTS > 46 / (4 * math.pi * y)
     assert code == 1 and out == ""
-    assert f"horolab: error: height y = {y:g} needs" in err and "MAX_SERIES_TERMS" in err
+    assert f"horolab: error: height y = {y:g} needs" in err
+    assert "over the budget of MAX_GRID_POINTS = 8388608" in err
 
 
 def test_cli_spectral_gap_refuses_an_fft_over_budget(monkeypatch, capsys):
@@ -785,6 +814,24 @@ def test_cli_refuses_counts_over_max_grid_points_before_allocating(monkeypatch, 
     assert err.startswith("horolab: error: ") and f"MAX_GRID_POINTS = {MAX_GRID_POINTS}" in err
 
 
+def test_cli_equidist_reads_a_closed_form_mean_without_reference_draws(monkeypatch, capsys):
+    # indicator:ygt=2 has the mean 3/(2 pi): the sweep takes no m_X sample
+    from horolab import experiments
+    from horolab.measures import parse_measure
+    from horolab.modular import mu_y_value
+    from horolab.testfunctions import IndicatorTest
+
+    monkeypatch.setattr(experiments, "mX_integral", reached)
+    code, out, _ = run_cli(
+        capsys, "equidist", "--measure", "leb", "--test", "indicator:ygt=2",
+        "--method", "cylinder", "--ygrid", "0.25:0.5:4",
+    )
+    assert code in (0, 2)
+    first = out.strip().split("\r\n")[1].split(",")
+    value, _ = mu_y_value(parse_measure("leb"), IndicatorTest(2.0), 0.25, method="cylinder", budget=10**6)
+    assert float(first[1]) == abs(value - 3 / (2 * math.pi))
+
+
 def test_cli_equidist_refuses_a_budget_before_the_reference_draws(monkeypatch, capsys):
     # a test function with no closed-form mean takes a reference of ten
     # times the budget: the sweep's refusal must come first
@@ -837,6 +884,14 @@ def test_cli_config_file_matches_flags(tmp_path, capsys):
     )
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_cli_config_line_without_equals_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("measure=leb\n# comment\nxi 0:1:1\n")
+    code, out, err = run_cli(capsys, "fourier", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == f"horolab: error: {cfg}:3: expected key=value, got 'xi 0:1:1'\n"
 
 
 def test_cli_config_value_may_begin_with_a_dash(tmp_path, capsys):

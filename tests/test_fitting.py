@@ -7,7 +7,6 @@ import pytest
 
 from horolab import fitting
 from horolab.fitting import (
-    DegenerateFitError,
     csv_table,
     fit_decay_report,
     geometric_grid,
@@ -49,7 +48,7 @@ def test_robust_fit_rejects_oscillation_nulls():
 
 
 def test_degenerate_on_single_abscissa():
-    with pytest.raises(DegenerateFitError):
+    with pytest.raises(ValueError, match="need at least two distinct abscissae"):
         least_squares_loglog([1.0, 1.0], [2.0, 3.0])
 
 

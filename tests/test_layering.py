@@ -11,9 +11,15 @@ the tests' own oracles live in tests/conftest.py instead.
 
 Each public name has one import path, from the module that defines it: the
 package root binds the layer modules and __version__, and re-exports nothing.
+
+Every exception class is named by some `except` clause, since a refusal that no
+handler tells apart is a ValueError with its message; and every annotated field
+of a public class is read somewhere, since a field nothing reads is an output
+no command prints.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import horolab
@@ -124,13 +130,18 @@ def without_caller(defining: list[Path], reading: list[Path]) -> list[str]:
     return found
 
 
+def readers() -> list[Path]:
+    """The files whose reads count: src/horolab and bench/*.py."""
+    bench = PACKAGE.parents[1] / "bench"
+    assert bench.is_dir()
+    return [*PACKAGE.glob("*.py"), *sorted(bench.glob("*.py"))]
+
+
 def test_every_public_function_has_a_caller():
     # a public name that only tests call is a second implementation or dead
     # code; imports are not calls and do not count
-    bench = PACKAGE.parents[1] / "bench"
-    assert bench.is_dir()
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    found = without_caller(modules, [*PACKAGE.glob("*.py"), *sorted(bench.glob("*.py"))])
+    found = without_caller(modules, readers())
     assert [f for f in found if f.split(".", 1)[1] not in KEPT_WITHOUT_CALLER] == []
     assert sorted(f.split(".", 1)[1] for f in found) == sorted(KEPT_WITHOUT_CALLER)  # none stale
 
@@ -180,3 +191,113 @@ def test_package_root_binds_only_the_layer_modules(tmp_path):
         '"""doc"""\nfrom . import measures\nfrom .measures import sample\nfrom . import cli\n__version__ = "1"\n'
     )
     assert root_extras(facade) == ["3: from .measures import sample", "4: from . import cli"]
+
+
+# Exception classes nothing in src/ or bench/ catches, kept for what reads them
+KEPT_WITHOUT_HANDLER = {
+    "LiteralParseError": "owns the `literal, production <p>:` format of every malformed literal",
+}
+
+
+def is_builtin_exception(name: str) -> bool:
+    value = getattr(builtins, name, None)
+    return isinstance(value, type) and issubclass(value, BaseException)
+
+
+def exception_classes(path: Path) -> list[str]:
+    """Names of the top-level classes of path derived from a builtin
+    exception or from an exception class defined earlier in path."""
+    found = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and (base.id in found or is_builtin_exception(base.id))
+            for base in node.bases
+        ):
+            found.append(node.name)
+    return found
+
+
+def names_caught(path: Path) -> set[str]:
+    """Every name in the type of an `except` clause of path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for node in ast.walk(handler.type)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def without_handler(defining: list[Path], reading: list[Path]) -> list[str]:
+    """`module.Class` of every exception class of `defining` that no `except`
+    clause of `reading` names."""
+    caught = set().union(*(names_caught(path) for path in reading))
+    return [f"{path.stem}.{name}" for path in defining for name in exception_classes(path) if name not in caught]
+
+
+def test_every_exception_class_is_caught():
+    found = without_handler(sorted(PACKAGE.glob("*.py")), readers())
+    assert [f for f in found if f.split(".", 1)[1] not in KEPT_WITHOUT_HANDLER] == []
+    assert sorted(f.split(".", 1)[1] for f in found) == sorted(KEPT_WITHOUT_HANDLER)  # none stale
+
+
+def test_the_handler_rule_sees_every_form_of_except(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text(
+        "class A(ValueError):\n    pass\n\n\nclass B(A):\n    pass\n\n\n"
+        "class C(RuntimeError):\n    pass\n\n\nclass D(KeyError):\n    pass\n\n\n"
+        "class Plain:\n    pass\n\n\nclass NotAnError(Plain):\n    pass\n"
+    )
+    user.write_text(
+        "import lib\n\ntry:\n    pass\nexcept (lib.A, KeyError):\n    pass\n"
+        "except B as exc:\n    raise C from exc\nexcept:\n    pass\n"
+    )
+    assert without_handler([lib], [user]) == ["lib.C", "lib.D"]
+    assert without_handler([lib], [lib]) == ["lib.A", "lib.B", "lib.C", "lib.D"]
+
+
+def annotated_fields(path: Path) -> list[tuple[str, str]]:
+    """(Class, field) of every annotated name in the body of a public
+    top-level class of path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        (node.name, item.target.id)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def attributes_loaded(path: Path) -> set[str]:
+    """Every attribute name path reads (`x.name` in a Load context)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def fields_without_reader(defining: list[Path], reading: list[Path]) -> list[str]:
+    """`module.Class.field` of every annotated field of `defining` that no
+    file of `reading` reads as an attribute."""
+    loaded = set().union(*(attributes_loaded(path) for path in reading))
+    return [
+        f"{path.stem}.{cls}.{name}"
+        for path in defining
+        for cls, name in annotated_fields(path)
+        if name not in loaded
+    ]
+
+
+def test_every_field_of_a_public_class_is_read():
+    # a field only a constructor keyword sets, or only an assignment stores, is unread
+    assert fields_without_reader(sorted(PACKAGE.glob("*.py")), readers()) == []
+
+
+def test_the_field_rule_counts_only_attribute_loads(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "class Result:\n    read: int\n    stored: int\n    keyword: int = 0\n    plain = 1\n\n\n"
+        "class _Private:\n    hidden: int\n\n\n"
+        "def make(r):\n    r.stored = r.read\n    return Result(keyword=1, read=r.plain)\n"
+    )
+    assert fields_without_reader([lib], [lib]) == ["lib.Result.stored", "lib.Result.keyword"]

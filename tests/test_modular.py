@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from horolab.automorphic import horocycle_fourier_coeff
 from horolab.fitting import LiteralParseError
-from horolab.measures import CylinderBudgetError, parse_measure
+from horolab.measures import parse_measure
 from horolab.modular import (
     BOUNDARY_BAND,
-    ReductionDivergedError,
     mX_integral,
     mu_y_value,
     reduce_many,
@@ -189,7 +188,7 @@ def test_reduce_many_returns_empty_input_after_one_step(monkeypatch):
     monkeypatch.setattr(modular, "MAX_REDUCE_STEPS", 1)
     xr, yr = reduce_many(np.array([]), 0.5)
     assert xr.shape == yr.shape == (0,)
-    with pytest.raises(ReductionDivergedError):
+    with pytest.raises(ValueError, match="no convergence after 1 steps"):
         reduce_many([0.1], [0.01])  # needs a second step
 
 
@@ -314,7 +313,7 @@ def test_mu_y_cylinder_and_montecarlo_agree():
 def test_mu_y_cylinder_budget_refusal_names_fallback():
     measure = parse_measure("cantor:450:0..446")
     phi = BumpTest(0.9, 2.5)
-    with pytest.raises(CylinderBudgetError, match="montecarlo"):
+    with pytest.raises(ValueError, match="nodes > budget 1000; use method='montecarlo'"):
         mu_y_value(measure, phi, 0.01, method="cylinder", budget=1000)
 
 
@@ -368,6 +367,8 @@ def test_test_function_literal_refuses_a_repeated_key(text, production):
         ("eisenstein:t=-1", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 30, got -1.0"),
         ("eisenstein:t=30.5", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 30, got 30.5"),
         ("eisenstein:t=31.5", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 30, got 31.5"),
+        ("eisenstein:s=1", "<test:eisenstein>", "expected t=<real>, got 's=1'"),
+        ("eisenstein:1", "<test:eisenstein>", "expected key=value, got '1'"),
     ],
 )
 def test_test_function_literal_names_its_production_on_a_refused_value(text, production, detail):
@@ -394,6 +395,7 @@ def test_mu_y_montecarlo_reads_no_lipschitz():
         ("cantor:3:0,2*dirac:0.25", "cantor:3:0,2+0.25"),
         ("dirac:0.25*cantor:3:0,2+0.5", "cantor:3:0,2+0.75"),
         ("dirac:0.1*leb", "leb+0.1"),
+        ("dirac:0.1*dirac:0.2", "dirac:0.1+0.2"),  # the literal folds its shift into the point
     ],
 )
 def test_mu_y_cylinder_folds_point_masses_into_shifts(convolved, shifted):
@@ -418,7 +420,7 @@ def test_cylinder_node_widths():
 def test_mu_y_general_convolution_cylinder_refused():
     measure = parse_measure("cantor:3:0,2 * leb")
     phi = BumpTest(0.9, 2.5)
-    with pytest.raises(CylinderBudgetError):
+    with pytest.raises(ValueError, match="does not enumerate general convolutions"):
         mu_y_value(measure, phi, 0.25, method="cylinder", budget=10**6)
 
 
@@ -436,6 +438,32 @@ class Recording:
         return np.concatenate(self.values)
 
 
+@pytest.mark.parametrize(
+    "y, budget, points",
+    [
+        (0.25, 10**6, 256),
+        (0.25, 10, 8),  # 2^floor(log2 budget) nodes
+        (0.25, 2, 2),
+        (0.25 * 2**-10, 10**6, 1 << 15),
+    ],
+)
+def test_lebesgue_cylinder_evaluates_phi_once_per_node_within_budget(y, budget, points):
+    # the half-resolution check reads every other value instead of a second pass
+    phi = Recording(BumpTest(0.9, 2.5))
+    value, err = mu_y_value(parse_measure("leb"), phi, y, method="cylinder", budget=budget)
+    values = phi.joined()
+    assert values.size == points
+    assert value == np.sum(values * (1.0 / points))
+    assert err == abs(value - values[::2].mean())
+
+
+def test_lebesgue_cylinder_refuses_a_budget_below_two():
+    phi = Recording(BumpTest(0.9, 2.5))
+    with pytest.raises(ValueError, match="cylinder budget must be >= 2 for the Lebesgue leaf, got 1"):
+        mu_y_value(parse_measure("leb"), phi, 0.25, method="cylinder", budget=1)
+    assert phi.values == []
+
+
 BLOCKING_SIZES = [16_383, 16_384, 1 << 15, (1 << 15) + 1, 3 * (1 << 15) - 1, 200_000]
 
 
@@ -449,7 +477,7 @@ def test_mu_y_blocks_equal_one_unblocked_evaluation(monkeypatch, n):
     base = (0.25 * 0.5**8, 0.1, 3)  # y, x0, q
     nodes = measures.sample(measure, 8, n, 5)
 
-    def cylinder_nodes(*args):  # exactly n nodes, checked at half resolution
+    def cylinder_nodes(*args):  # exactly n nodes, checked at half resolution from their values
         return nodes, np.full(n, 1.0 / n), None
 
     monkeypatch.setattr(measures, "cylinder_nodes", cylinder_nodes)
@@ -466,7 +494,7 @@ def test_mu_y_blocks_equal_one_unblocked_evaluation(monkeypatch, n):
                 ]
             runs.append((results, mc.joined(), cyl.joined()))
         (blocked, *blocked_values), (whole, *whole_values) = runs
-        assert len(mc.values) == 1 and len(cyl.values) == 2  # unblocked: one call per pass
+        assert len(mc.values) == 1 and len(cyl.values) == 1  # unblocked: one call per pass
         for v, w in zip(blocked_values, whole_values):
             assert bit_equal(v, w)
         for (v, e), (w, f) in zip(blocked, whole):
