@@ -1,14 +1,8 @@
-"""Geometry of the modular surface: reduction, horocycles, integration.
+"""Geometry of the modular surface: reduction and horocycle averages.
 
 Points x + iy of the upper half-plane reduce to the standard fundamental
 domain {|x| <= 1/2, x^2 + y^2 >= 1} by alternating integer translations
 and inversions z -> -1/z.
-
-The normalized hyperbolic probability measure on the fundamental domain is
-(3/pi) y^-2 dx dy.  Its x-marginal is (3/pi)(1-x^2)^(-1/2), so the exact
-sampler draws x = sin(pi(2u-1)/6) and then y = sqrt(1-x^2)/(1-v) for
-independent uniforms u, v; this makes the constant function integrate to
-exactly 1 for every sample size.
 """
 
 from __future__ import annotations
@@ -79,16 +73,6 @@ def reduce_many(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def sample_fundamental_domain(n: int, rng: np.random.Generator):
-    """Exact draws from (3/pi) y^-2 dx dy on the fundamental domain."""
-    u = rng.random(n)
-    v = rng.random(n)
-    x = np.sin(np.pi * (2.0 * u - 1.0) / 6.0)
-    ymin = np.sqrt(1.0 - x * x)
-    y = ymin / (1.0 - v)
-    return x, y
-
-
 def _mean_stderr(values: np.ndarray) -> tuple[float | complex, float]:
     n = values.size
     mean = values.mean()
@@ -96,19 +80,6 @@ def _mean_stderr(values: np.ndarray) -> tuple[float | complex, float]:
         var = values.real.var(ddof=1) + values.imag.var(ddof=1)
         return complex(mean), math.sqrt(var / n)
     return float(mean), float(values.std(ddof=1) / math.sqrt(n))
-
-
-def mX_integral(phi, n_samples: int, seed) -> tuple[float | complex, float]:
-    """Monte-Carlo mean of phi against the hyperbolic probability measure.
-
-    phi is called with arrays (x, y) of reduced coordinates.  Returns
-    (estimate, standard error); a constant integrand returns its value
-    exactly with zero standard error.
-    """
-    if n_samples < 1000:
-        raise ValueError("require at least 10^3 samples")
-    x, y = sample_fundamental_domain(n_samples, np.random.default_rng(seed))
-    return _mean_stderr(np.asarray(phi(x, y)))
 
 
 # ---------------------------------------------------------------------------

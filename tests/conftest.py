@@ -13,6 +13,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def sample_fundamental_domain(n: int, rng: np.random.Generator):
+    """n exact draws from (3/pi) y^-2 dx dy on the fundamental domain.
+
+    The x-marginal is (3/pi)(1 - x^2)^(-1/2), so x = sin(pi(2u - 1)/6), and
+    then y = sqrt(1 - x^2)/(1 - v), for independent uniforms u, v: an oracle
+    for the means m_X the test functions declare.
+    """
+    u = rng.random(n)
+    v = rng.random(n)
+    x = np.sin(np.pi * (2.0 * u - 1.0) / 6.0)
+    return x, np.sqrt(1.0 - x * x) / (1.0 - v)
+
+
 def divisor_tau(m: int, z) -> complex | int:
     """tau_z(m) = sum over divisors d of m of d^z (exact finite sum).
 

@@ -637,6 +637,12 @@ def test_cli_malformed_literals_name_production(capsys, argv, needle):
          "tail_tol must be positive and finite, got inf"),
         (("fourier", "--measure", "cantor:3:0,2", "--xi", "0:2:1", "--tail-tol", "1e-310"),
          "horolab: error: 2 pi b max(|xi|, 1) / tail_tol is not finite"),
+        # each sum of 1e308 overflows: the first height's row is refused, not printed
+        (("equidist", "--measure", "leb", "--test", "const:1e308", "--ygrid", "0.25:0.5:4", "--budget", "2000"),
+         "horolab: error: mu_y at y = 0.25 is not finite: value inf, error inf"),
+        (("equidist", "--measure", "leb", "--test", "const:1e308", "--ygrid", "0.25:0.5:4", "--budget", "2000",
+          "--method", "cylinder"),
+         "horolab: error: mu_y at y = 0.25 is not finite: value 1e+308, error inf"),
     ],
 )
 def test_cli_non_finite_inputs_exit_1(capsys, argv, needle):
@@ -814,14 +820,12 @@ def test_cli_refuses_counts_over_max_grid_points_before_allocating(monkeypatch, 
     assert err.startswith("horolab: error: ") and f"MAX_GRID_POINTS = {MAX_GRID_POINTS}" in err
 
 
-def test_cli_equidist_reads_a_closed_form_mean_without_reference_draws(monkeypatch, capsys):
-    # indicator:ygt=2 has the mean 3/(2 pi): the sweep takes no m_X sample
-    from horolab import experiments
+def test_cli_equidist_reads_a_closed_form_mean_without_reference_draws(capsys):
+    # indicator:ygt=2 has the mean 3/(2 pi)
     from horolab.measures import parse_measure
     from horolab.modular import mu_y_value
     from horolab.testfunctions import IndicatorTest
 
-    monkeypatch.setattr(experiments, "mX_integral", reached)
     code, out, _ = run_cli(
         capsys, "equidist", "--measure", "leb", "--test", "indicator:ygt=2",
         "--method", "cylinder", "--ygrid", "0.25:0.5:4",
@@ -832,13 +836,9 @@ def test_cli_equidist_reads_a_closed_form_mean_without_reference_draws(monkeypat
     assert float(first[1]) == abs(value - 3 / (2 * math.pi))
 
 
-def test_cli_equidist_refuses_a_budget_before_the_reference_draws(monkeypatch, capsys):
-    # a test function with no closed-form mean takes a reference of ten
-    # times the budget: the sweep's refusal must come first
-    from horolab import experiments
+def test_cli_equidist_refuses_a_budget_before_the_reference_draws(capsys):
     from horolab.fitting import MAX_GRID_POINTS
 
-    monkeypatch.setattr(experiments, "mX_integral", reached)
     for budget in ("0", "10000000000"):
         code, out, err = run_cli(
             capsys, "equidist", "--measure", "leb", "--test", "bump:y0=1,y1=2",
@@ -846,6 +846,39 @@ def test_cli_equidist_refuses_a_budget_before_the_reference_draws(monkeypatch, c
         )
         assert code == 1 and out == ""
         assert err == f"horolab: error: budget must lie in [1, MAX_GRID_POINTS = {MAX_GRID_POINTS}], got {budget}\n"
+
+
+def test_cli_equidist_subtracts_the_exact_mean_of_a_bump_no_sample_reaches(capsys):
+    # the support (1, 1 + 1e-10) has m_X = 5.76e-11: no point lands in it, so
+    # every row is exactly that mean with bar 0, and the decay is inconclusive
+    from horolab.testfunctions import BumpTest
+
+    code, out, err = run_cli(
+        capsys, "equidist", "--measure", "cantor:3:0,2", "--test", "bump:y0=1,y1=1.0000000001",
+        "--ygrid", "0.25:0.5:4", "--budget", "2000",
+    )
+    assert code == 2 and json.loads(err.strip().splitlines()[-1])["status"] == "inconclusive"
+    mean = BumpTest(1.0, 1.0000000001).mean
+    assert mean == pytest.approx(5.7625e-11, rel=1e-4)
+    assert [line.split(",")[1:3] for line in out.strip().split("\r\n")[1:]] == [[repr(mean), "0.0"]] * 4
+
+
+def test_bump_sweep_holds_no_more_memory_than_a_closed_form_one():
+    # m_X of a bump is a quadrature on 1024 nodes a piece, not a draw of 10 budget points
+    import tracemalloc
+
+    def peak(test):
+        cfg = ExperimentConfig(measure="cantor:3:0,2", test=test, y_count=4, budget=10**5, seed=1)
+        tracemalloc.start()
+        try:
+            run_equidistribution(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("bump:y0=1.5,y1=3")  # first-call allocations are not counted
+    bump, indicator = peak("bump:y0=1.5,y1=3"), peak("indicator:ygt=2")
+    assert abs(bump - indicator) <= 0.1 * indicator
 
 
 def test_cli_stationary_sweep_certifies_its_phase_once(monkeypatch, tmp_path, capsys):

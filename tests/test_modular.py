@@ -7,14 +7,11 @@ from hypothesis import given, settings, strategies as st
 from horolab.automorphic import horocycle_fourier_coeff
 from horolab.fitting import LiteralParseError
 from horolab.measures import parse_measure
-from horolab.modular import (
-    BOUNDARY_BAND,
-    mX_integral,
-    mu_y_value,
-    reduce_many,
-    sample_fundamental_domain,
-)
+from horolab import testfunctions
+from horolab.modular import BOUNDARY_BAND, mu_y_value, reduce_many
 from horolab.testfunctions import BumpTest, ConstantTest, EisensteinTest, IndicatorTest, parse_test_function
+
+from conftest import sample_fundamental_domain
 
 GENERATORS = {
     "T": (1, 1, 0, 1),
@@ -246,36 +243,81 @@ def test_mu_y_value_refuses_a_budget_outside_one_to_max_grid_points():
 
 
 # ---------------------------------------------------------------------------
-# Hyperbolic-measure integration
+# Means m_X against the hyperbolic probability measure
 
 
-def test_mx_sampler_lands_in_domain():
-    x, y = sample_fundamental_domain(10_000, np.random.default_rng(0))
-    assert (np.abs(x) <= 0.5).all()
-    assert (x * x + y * y >= 1 - 1e-12).all()
+def bump_oracle(y0, y1, y):
+    u = (2.0 * y - y0 - y1) / (y1 - y0)
+    return math.exp(1.0 - 1.0 / (1.0 - u * u)) if abs(u) < 1.0 else 0.0
 
 
-def test_mx_integral_constant_is_exact():
-    for n in (1000, 4096):
-        for seed in (0, 99):
-            val, err = mX_integral(ConstantTest(1.0), n, seed)
-            assert val == 1.0 and err == 0.0
+def mean_oracle(weight, lo, hi):
+    """(3/pi) int weight(y) width(y) y^-2 dy over [lo, hi] by scipy quad, the
+    fundamental domain being 1 - 2 sqrt(1 - y^2) wide below 1 and 1 above."""
+    from scipy.integrate import quad
+
+    def piece(f, a, b):
+        return quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0] if a < b else 0.0
+
+    arc = piece(
+        lambda y: weight(y) * (1.0 - 2.0 * math.sqrt(1.0 - y * y)) / y**2, max(lo, math.sqrt(3) / 2), min(hi, 1.0)
+    )
+    return 3.0 / math.pi * (arc + piece(lambda y: weight(y) / y**2, max(lo, 1.0), hi))
 
 
-def test_mx_integral_indicator_closed_form():
-    # mass of {y > 2} is 3/(2 pi)
-    val, err = mX_integral(IndicatorTest(2.0), 200_000, seed=5)
-    assert abs(val - 3 / (2 * math.pi)) < 3 * err
+BUMP_SUPPORTS = [
+    (1.5, 3.0), (0.9, 2.5), (1.0, 2.0), (0.87, 0.99), (0.2, 50.0), (3.0, 1000.0),
+    (1.0, 1e6), (0.9, 1e8), (1e-3, 0.9), (0.5, 0.8), (0.8, 0.95), (0.86, 0.87),
+    (0.999, 1.001), (1.0, 1.0 + 1e-6), (1.0, 1.0 + 1e-10), (0.87, 0.87 + 1e-9),
+]
+
+
+ORACLE_MEANS = [
+    *[(f"bump:y0={y0!r},y1={y1!r}", lambda y0=y0, y1=y1: mean_oracle(lambda y: bump_oracle(y0, y1, y), y0, y1))
+      for y0, y1 in BUMP_SUPPORTS],
+    *[(f"indicator:ygt={c!r}", lambda c=c: mean_oracle(lambda y: 1.0, c, math.inf))
+      for c in (0.5, 0.86, 0.87, 0.95, 0.999, 1.0, 2.0, 1e6)],
+    ("indicator:ygt=2", lambda: 3 / (2 * math.pi)),  # the mass of {y > 2}
+]
+
+
+@pytest.mark.parametrize("literal, want", ORACLE_MEANS, ids=[literal for literal, _ in ORACLE_MEANS])
+def test_mean_matches_quad_oracle(literal, want):
+    import warnings
+
+    with warnings.catch_warnings():  # quad warns of roundoff on the supports of width 1e-10 and 1e-9
+        warnings.simplefilter("ignore")
+        assert abs(parse_test_function(literal).mean - want()) < 1e-13
+
+
+@pytest.mark.parametrize("y0, y1", BUMP_SUPPORTS)
+def test_bump_mean_settles_at_its_panel_count(monkeypatch, y0, y1):
+    mean = BumpTest(y0, y1).mean
+    monkeypatch.setattr(testfunctions, "MEAN_PANELS", 2 * testfunctions.MEAN_PANELS)
+    assert abs(BumpTest(y0, y1).mean - mean) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("eisenstein:t="), st.floats(5e-7, 30.0)),
+    st.tuples(st.just("bump:"), st.tuples(st.floats(0.0, allow_infinity=False), st.floats(0.0, allow_infinity=False))),
+    st.tuples(st.just("indicator:ygt="), st.floats(allow_nan=False, allow_infinity=False)),
+    st.tuples(st.just("const:"), st.floats(allow_nan=False, allow_infinity=False)),
+))
+def test_every_test_literal_has_a_finite_mean(case):
+    head, value = case
+    body = f"y0={min(value)!r},y1={max(value)!r}" if head == "bump:" else repr(value)
+    try:
+        phi = parse_test_function(head + body)
+    except LiteralParseError:
+        return  # e.g. y0 = y1 or c <= 0: refused, so no mean to check
+    assert np.isfinite(phi.mean)
 
 
 def test_mx_integral_eisenstein_mean_zero():
-    val, err = mX_integral(EisensteinTest(1.0), 100_000, seed=8)
-    assert abs(val) < 3 * err
-
-
-def test_mx_integral_requires_minimum_samples():
-    with pytest.raises(ValueError):
-        mX_integral(ConstantTest(), 10, seed=0)
+    x, y = sample_fundamental_domain(100_000, np.random.default_rng(8))
+    vals = EisensteinTest(1.0)(x, y)
+    assert abs(vals.mean()) < 3 * vals.std(ddof=1) / math.sqrt(vals.size)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +381,20 @@ def test_lipschitz_is_computed_once(monkeypatch):
     assert len(calls) == 4 and phi.lipschitz == first and len(calls) == 4
 
     bump = BumpTest(0.9, 2.5)
-    first = bump.lipschitz
+    first, mean = bump.lipschitz, bump.mean
     monkeypatch.setattr(BumpTest, "__call__", lambda *a: pytest.fail("grid rebuilt"))
-    assert bump.lipschitz == first
+    assert bump.lipschitz == first and bump.mean == mean
+
+
+@pytest.mark.parametrize("width", [1.0, 1e-2, 1e-4, 1e-6, 1e-8, 2e-9, 1e-9, 1e-10])
+def test_bump_lipschitz_bounds_the_gradient_on_narrow_supports(width):
+    # sup y |w'(y)| on a dense grid of the bump's own coordinate u, from the
+    # derivative of w(u) = exp(1 - 1/(1 - u^2)) with du/dy = 2 / (y1 - y0)
+    bump = BumpTest(1.0, 1.0 + width)
+    u = np.linspace(-1.0, 1.0, 2_000_001)[1:-1]
+    y = 1.0 + 0.5 * width * (1.0 + u)
+    dense = float((y * np.exp(1.0 - 1.0 / (1.0 - u**2)) * 4.0 * np.abs(u) / (1.0 - u**2) ** 2 / width).max())
+    assert dense <= bump.lipschitz <= 1.2 * dense
 
 
 @pytest.mark.parametrize(
