@@ -11,9 +11,11 @@ convention) has the exact infinite-product form
     mu_hat(xi) = e(xi*x0) * prod_{j>=1} g(xi / b^j),
     g(u) = (1/|D|) sum_{d in D} e(d u),
 
-which this module evaluates with a certified truncation.  Convolutions,
-unit-interval Lebesgue, and point masses combine freely in measure
-expressions; transforms multiply across convolution, samples add.
+which this module evaluates with a certified truncation: product_depth
+for mu_hat bounds its tail linearly in xi/b^J, modulus_depth for |mu_hat|
+quadratically, at about half the depth.  Convolutions, unit-interval
+Lebesgue, and point masses combine freely in measure expressions;
+transforms multiply across convolution, samples add.
 
 The partial sums S(X) = sum_{|m|<=X} |mu_hat(m)| and their sup-over-shift
 variant drive the Fourier l^1-dimension estimate 1 - slope(log S / log X).
@@ -21,6 +23,7 @@ variant drive the Fourier l^1-dimension estimate 1 - slope(log S / log X).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, singledispatch
@@ -116,12 +119,16 @@ def _reduced_ratio(v: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
     """
     n = np.round(v)
     delta = v - n
-    num = np.sin(np.pi * l * delta)
-    den = np.sin(np.pi * delta)
+    ratio = np.multiply(np.pi * l, delta)
+    np.sin(ratio, out=ratio)
+    den = np.multiply(np.pi, delta)
+    np.sin(den, out=den)
     den *= l
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at delta = 0, overwritten below
+        ratio /= den
     # below 1e-100 the ratio is 1 to within (pi l delta)^2/6, and subnormal
     # arithmetic would corrupt the quotient
-    ratio = np.divide(num, den, out=np.ones_like(delta), where=np.abs(delta) > 1e-100)
+    ratio[np.abs(delta) <= 1e-100] = 1.0
     return n, ratio
 
 
@@ -179,20 +186,35 @@ def _symbol_abs(measure: FractalMeasure, xi_arr: np.ndarray) -> np.ndarray:
     return np.abs(symbol_g(measure, xi_arr))
 
 
-def product_depth(measure: FractalMeasure, xi_max: float, tail_tol: float) -> int:
-    """Truncation depth J for the infinite product at |xi| <= xi_max.
+def _check_bound(formula: str, arg: float, b: int, xi_max: float, tail_tol: float) -> None:
+    if not arg < math.inf:  # a tiny tail_tol or a huge xi overflows the bound of either depth
+        raise ValueError(f"{formula} is not finite for b = {b}, |xi| <= {xi_max:g}, tail_tol = {tail_tol:g}")
 
-    Beyond J the factors satisfy |g(xi/b^j) - 1| <= 2*pi*max(D)*|xi|/b^j,
-    so the omitted tail's relative error telescopes below tail_tol.
+
+def product_depth(measure: FractalMeasure, xi_max: float, tail_tol: float) -> int:
+    """Truncation depth J of mu_hat at |xi| <= xi_max, fourier_transform's.
+
+    Beyond J the factors satisfy |g(xi/b^j) - 1| <= 2*pi*max(D)*|xi|/b^j, a
+    bound linear in xi/b^j, so the omitted tail's relative error telescopes below tail_tol.
     """
     b = measure.base
     arg = TWO_PI * b * max(abs(xi_max), 1.0) / tail_tol
-    if not arg < math.inf:  # a tiny tail_tol or a huge xi overflows the product
-        raise ValueError(
-            f"2 pi b max(|xi|, 1) / tail_tol is not finite for b = {b}, "
-            f"|xi| <= {xi_max:g}, tail_tol = {tail_tol:g}"
-        )
+    _check_bound("2 pi b max(|xi|, 1) / tail_tol", arg, b, xi_max, tail_tol)
     return max(1, math.ceil(math.log(arg) / math.log(b)) + 1)
+
+
+def modulus_depth(measure: FractalMeasure, xi_max: float, tail_tol: float) -> int:
+    """Truncation depth J of |mu_hat| at |xi| <= xi_max, fourier_abs's: the
+    smallest J >= 1 with 4 pi^2 Var(D) max(|xi|, 1)^2 b^(-2J) / (b^2 - 1) <= tail_tol.
+
+    |g(u)|^2 is the mean of cos(2 pi (d - d') u), so 1 - |g| <= 1 - |g|^2 <= 4 pi^2 Var(D) u^2
+    for every digit set D, and the left side bounds the relative error of the omitted
+    factors: quadratic in xi/b^J, about half product_depth.  A one-digit leaf takes J = 1.
+    """
+    b, xi = measure.base, max(abs(xi_max), 1.0)
+    arg = 4.0 * math.pi**2 * float(np.var(measure.digits)) * xi * xi / ((b * b - 1) * tail_tol)
+    _check_bound("4 pi^2 Var(D) max(|xi|, 1)^2 / ((b^2 - 1) tail_tol)", arg, b, xi_max, tail_tol)
+    return next(J for J in itertools.count(1) if arg <= b ** (2 * J))  # float <= int: exact
 
 
 def fourier_transform(measure, xi, tail_tol: float = DEFAULT_TAIL_TOL):
@@ -221,25 +243,21 @@ def _check_tail_tol(tail_tol: float) -> None:
         raise ValueError(f"tail_tol must be positive and finite, got {tail_tol}")
 
 
-def _product_walk(measure: FractalMeasure, xi: np.ndarray, tail_tol: float, factor, start):
-    """start(xi) * prod_{j<=J} factor(measure, xi/b^j), J from the max |xi|:
-    the one product loop of mu_hat and |mu_hat|, in blocks of ABS_BLOCK
-    entries so the temporaries stay cache-sized.  g is named because numpy
-    multiplies a temporary of 256 KiB or more in place, operands swapped,
-    which rounds complex products differently; so no bit depends on len(xi).
-    Blocks write disjoint slices of the result, so map_in_order runs them
-    two at a time with the same bits.  xi is only read.
+def _product_walk(measure: FractalMeasure, xi: np.ndarray, J: int, factor, start):
+    """start(xi) * prod_{j<=J} factor(measure, xi/b^j), J from the max |xi| by
+    product_depth for mu_hat or modulus_depth for |mu_hat|: the one product loop,
+    in blocks of ABS_BLOCK entries so the temporaries stay cache-sized.  A block
+    multiplies its slice of the result in place, block times factor in that order,
+    so no bit depends on len(xi).  Blocks write disjoint slices, so map_in_order
+    runs them two at a time with the same bits.  xi is only read.
     """
-    J = product_depth(measure, float(np.max(np.abs(xi), initial=0.0)), tail_tol)
-    out = start(xi)  # after |xi| is freed, so the two never coexist
+    out = start(xi)
 
     def walk(lo: int) -> None:
-        u, block = xi[lo : lo + ABS_BLOCK], out[lo : lo + ABS_BLOCK]
+        u, block = xi[lo : lo + ABS_BLOCK].copy(), out[lo : lo + ABS_BLOCK]
         for _ in range(J):
-            u = u / measure.base
-            g = factor(measure, u)
-            block = block * g
-        out[lo : lo + ABS_BLOCK] = block
+            u /= measure.base
+            block *= factor(measure, u)
 
     map_in_order(walk, range(0, xi.size, ABS_BLOCK))
     return out
@@ -254,7 +272,8 @@ def _transform(measure, xi: np.ndarray, tail_tol: float) -> np.ndarray:
 @_transform.register
 def _(measure: FractalMeasure, xi, tail_tol):
     phase = lambda v: np.exp(2j * np.pi * measure.shift * v)  # noqa: E731
-    return _product_walk(measure, xi, tail_tol, symbol_g, phase)
+    J = product_depth(measure, float(np.max(np.abs(xi), initial=0.0)), tail_tol)
+    return _product_walk(measure, xi, J, symbol_g, phase)
 
 
 @_transform.register
@@ -286,7 +305,8 @@ def _modulus(measure, xi: np.ndarray, tail_tol: float) -> np.ndarray:
 
 @_modulus.register
 def _(measure: FractalMeasure, xi, tail_tol):
-    return _product_walk(measure, xi, tail_tol, _symbol_abs, np.ones_like)
+    J = modulus_depth(measure, float(np.max(np.abs(xi), initial=0.0)), tail_tol)
+    return _product_walk(measure, xi, J, _symbol_abs, np.ones_like)
 
 
 @_modulus.register
@@ -517,7 +537,7 @@ def _partial_sums(measure, X_grid: np.ndarray, star: bool, theta_grid: int):
     m - k/G, which the job reads at (m - 1) + (G - k)/G, and symmetrically;
     theta = 1/2 is its own partner.  On a power-of-two grid the two
     arguments are the same float, so every sum has the bits of evaluating
-    m + theta and -m + theta directly, unless the product depth J differs
+    m + theta and -m + theta directly, unless the modulus depth J differs
     between X_max - theta and X_max + 1 - theta; on other grids they may
     round apart and a sum may move in its last bits.  The centre
     |mu_hat(theta)| takes its own J(theta).  The pairs run two at a time
@@ -584,6 +604,8 @@ def estimate_dim_l1(
     X_grid = np.asarray(sorted(int(x) for x in X_grid))
     if X_grid.size < 4:
         raise ValueError("X_grid needs at least 4 points")
+    if X_grid[0] < 1:  # X = 0 would read S(X_max) from the cumulative sum
+        raise ValueError("X must be >= 1")
     if math.log10(X_grid[-1] / X_grid[0]) < 2.0 - 1e-9:
         raise ValueError("X_grid must span at least two decades")
 

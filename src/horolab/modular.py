@@ -75,11 +75,12 @@ def reduce_many(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 def _mean_stderr(values: np.ndarray) -> tuple[float | complex, float]:
     n = values.size
-    mean = values.mean()
-    if np.iscomplexobj(values):
-        var = values.real.var(ddof=1) + values.imag.var(ddof=1)
-        return complex(mean), math.sqrt(var / n)
-    return float(mean), float(values.std(ddof=1) / math.sqrt(n))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused by the caller
+        mean = values.mean()
+        if np.iscomplexobj(values):
+            var = values.real.var(ddof=1) + values.imag.var(ddof=1)
+            return complex(mean), math.sqrt(var / n)
+        return float(mean), float(values.std(ddof=1) / math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------

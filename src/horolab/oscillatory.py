@@ -275,8 +275,9 @@ def _composite_gl(f: PhasePolynomial, w: Window, xi: float, panels: int) -> comp
 
     Each chunk of up to 125 000 panels fills one complex terms array,
     GL_BLOCK panels at a time, and sums it with one np.sum: 16 B per node
-    plus one block's temporaries, and the summation order, hence every bit,
-    of summing the chunk's terms computed at once.
+    plus two blocks' temporaries, and the summation order, hence every bit, of
+    summing the chunk's terms computed at once.  The blocks write disjoint rows,
+    so map_in_order runs two at a time (serially inside a sweep's job).
     """
     a, b = w.support
     edges = np.linspace(a, b, panels + 1)
@@ -287,11 +288,14 @@ def _composite_gl(f: PhasePolynomial, w: Window, xi: float, panels: int) -> comp
     for lo in range(0, panels, chunk):
         hi = min(lo + chunk, panels)
         terms = np.empty((hi - lo, GL_NODES.size), dtype=complex)
-        for p in range(lo, hi, GL_BLOCK):
+
+        def block(p: int) -> None:
             q = min(p + GL_BLOCK, hi)
             xs = mid[p:q, None] + half[p:q, None] * GL_NODES[None, :]
             vals = np.exp(2j * np.pi * xi * f(xs)) * w(xs)
             np.multiply(vals, half[p:q, None] * GL_WEIGHTS[None, :], out=terms[p - lo : q - lo])
+
+        map_in_order(block, range(lo, hi, GL_BLOCK))
         total += complex(np.sum(terms))
     return total
 
@@ -355,11 +359,24 @@ def stationary_phase_leading(f: PhasePolynomial, w: Window, xi: float) -> comple
 def oscillatory_integrals(f: PhasePolynomial, w: Window, xi_grid, tol: float = 1e-8) -> list[complex]:
     """oscillatory_integral at each xi of xi_grid, in grid order.
 
-    map_in_order runs two xi at a time; an error is that of the first
-    failing xi in grid order, as in a serial loop.
+    map_in_order runs two xi at a time, largest |xi| first so it does not run last
+    and alone; every xi runs, and the first failing xi in grid order raises.
     """
     f.critical_points  # certified once here, not by two threads at once
-    return map_in_order(lambda xi: oscillatory_integral(f, w, float(xi), tol=tol), xi_grid)
+    xis = [float(xi) for xi in xi_grid]
+
+    def attempt(k: int) -> complex | ValueError:
+        try:
+            return oscillatory_integral(f, w, xis[k], tol=tol)
+        except ValueError as exc:  # raised below, in grid order
+            return exc
+
+    order = sorted(range(len(xis)), key=lambda k: -abs(xis[k]))
+    results = [value for _, value in sorted(zip(order, map_in_order(attempt, order)))]  # grid order
+    for value in results:
+        if isinstance(value, ValueError):
+            raise value
+    return results
 
 
 def exponent_fit_oscillatory(

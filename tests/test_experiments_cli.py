@@ -652,6 +652,19 @@ def test_cli_non_finite_inputs_exit_1(capsys, argv, needle):
     assert "nan" not in out.lower() and "inf" not in out.lower()
 
 
+def test_cli_refuses_an_overflowing_mean_with_one_stderr_line(capsys):
+    # the sums of 1e308 in the mean and the stderr overflow; that used to
+    # print two RuntimeWarnings before the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "equidist", "--measure", "leb", "--test", "const:1e308", "--ygrid", "0.25:0.5:4",
+            "--budget", "2000",
+        )
+    assert (code, out) == (1, "")
+    assert err == "horolab: error: mu_y at y = 0.25 is not finite: value inf, error inf\n"
+
+
 @pytest.mark.parametrize(
     "window, needle",
     [

@@ -22,12 +22,12 @@ GOLDEN = {
         "c10cf1bced19fbdf8f698909b6bb86c6a16e87ac6ff6ba6902fd07f1a0d3343d",
     ),
     "dim --measure cantor:450:0..446 --xmax 10000": (
-        "1f6a983ff08a59ca6f2d3ba3f05427f67855d7069cc043017d0153d36c37e2c1",
-        "55e7d4306f7ad0639d3acd3230f70372ad792f3a70b4bfef8235ff768d8b9ea9",
+        "9e3f479878b824d36f082de1e9984a2ca6018e556093390609a3ca1afd5e2950",
+        "e3b4fcb0d1c54da101ee560314a3136d3e9ebe21f75a7f22ff09424a5898c472",
     ),
     "dim --measure cantor:3:0,2 --xmax 10000 --star --theta-grid 8": (
-        "ec715e0e2ae93a39651f1cfabc91c104f2be6074d43126622c08021f4da12c9b",
-        "d8362fc4357d08347b459c6588fdc27908a3336ad7c08cae3c5a812deef5d468",
+        "c76201c5e090fb2a54e98bd6abdf98acbc53c9a72549798b8597bd78fd6f25e1",
+        "ef0c4e88d5c1c923aaabd60a29bbf8116a48661b8715d69416b2018a1bce1f86",
     ),
     "equidist --measure cantor:450:0..446 --test eisenstein:t=1 --ygrid 0.25:0.5:6 --budget 20000": (
         "d57c1ec1304102d9e726bb5c5fb63a36707791a226a6758f02b8d7b7180ebc8d",

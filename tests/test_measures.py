@@ -23,6 +23,7 @@ from horolab.measures import (
     fourier_abs,
     fourier_transform,
     l1_partial_sum,
+    modulus_depth,
     parse_measure,
     product_depth,
     sample,
@@ -209,12 +210,12 @@ def test_blocked_fourier_abs_equals_one_shot_product(text):
     xi = np.concatenate([small, [0.0], ints, rest])
     assert xi.size > 3 * ABS_BLOCK and xi.size % ABS_BLOCK != 0
     for tol in (DEFAULT_TAIL_TOL, 0.5):
-        J = product_depth(mu, float(np.abs(xi).max()), tol)
+        J = modulus_depth(mu, float(np.abs(xi).max()), tol)
         got = fourier_abs(mu, xi, tol)
         assert np.array_equal(got.view(np.int64), one_shot_abs(mu, xi, J).view(np.int64))
     # J comes from the whole array: the first block's own max would give
     # fewer factors, visible at tail_tol 0.5
-    J_block = product_depth(mu, 0.5, 0.5)
+    J_block = modulus_depth(mu, 0.5, 0.5)
     assert J_block < J
     assert not np.array_equal(got[:ABS_BLOCK], one_shot_abs(mu, small, J_block))
 
@@ -262,6 +263,54 @@ def test_product_depth_refuses_an_overflowing_argument():
             transform(CANTOR3, np.array([0.0, 2.0]), 1e-310)
 
 
+def deep_abs(measure, xi):
+    """|mu_hat| with every fractal leaf at product_depth(..., 1e-16) + 5
+    factors, far past both depth rules; other leaves as fourier_abs."""
+    if isinstance(measure, Convolution):
+        return deep_abs(measure.left, xi) * deep_abs(measure.right, xi)
+    if isinstance(measure, FractalMeasure):
+        return one_shot_abs(measure, xi, product_depth(measure, float(np.abs(xi).max()), 1e-16) + 5)
+    return fourier_abs(measure, xi)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "cantor:3:0,2", "cantor:450:0..446", "cantor:10:0,1,4,7", "cantor:5:0,3+0.3",
+        "cantor:10:0,1,4,7*leb", "cantor:7:3",  # one convolution, one one-digit leaf
+    ],
+)
+def test_fourier_abs_within_tail_tol_of_a_deep_product(text):
+    # modulus_depth certifies the omitted factors' relative error; the first
+    # J factors of the deep product are those of fourier_abs, bit for bit
+    mu = parse_measure(text)
+    rng = np.random.default_rng(27)
+    xi = np.concatenate([np.arange(0.0, 2001.0), rng.uniform(-1e6, 1e6, 4000), [1e6, -1e6 + 0.5]])
+    want = deep_abs(mu, xi)
+    for tol in (1e-12, 1e-6, 0.5):
+        got = fourier_abs(mu, xi, tol)
+        assert np.all(np.abs(got - want) <= tol * want)
+    if isinstance(mu, FractalMeasure) and mu.n_digits == 1:
+        assert modulus_depth(mu, 1e6, 1e-300) == 1  # Var(D) = 0: every |g| is 1
+
+
+def test_modulus_depth_is_the_smallest_certified_depth():
+    def bound(mu, xi_max, J):
+        var = np.var(mu.digits)
+        return 4 * math.pi**2 * var * max(xi_max, 1.0) ** 2 * float(mu.base) ** (-2 * J) / (mu.base**2 - 1)
+
+    for mu in (CANTOR3, CANTOR10, CANTOR450, FractalMeasure(10, (0, 1, 4, 7))):
+        for xi_max in (0.0, 0.3, 57.0, 1e4, 1e6):
+            for tol in (1e-12, 1e-6, 0.5):
+                J = modulus_depth(mu, xi_max, tol)
+                assert bound(mu, xi_max, J) <= tol
+                assert J == 1 or bound(mu, xi_max, J - 1) > tol
+                assert J <= product_depth(mu, xi_max, tol)
+    # the dim workload's depths on the base-450 measure: half of product_depth
+    assert [modulus_depth(CANTOR450, x, DEFAULT_TAIL_TOL) for x in (1e4, 1e6)] == [4, 5]
+    assert [product_depth(CANTOR450, x, DEFAULT_TAIL_TOL) for x in (1e4, 1e6)] == [9, 10]
+
+
 @pytest.mark.parametrize("tail_tol", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("text", ["leb", "dirac:0.3", "cantor:3:0,2", "cantor:3:0,2*leb"])
 def test_transforms_refuse_a_tail_tol_not_positive_and_finite(text, tail_tol):
@@ -293,12 +342,15 @@ def test_fourier_transform_does_not_depend_on_array_length(text):
 def test_product_walk_across_blocks_equals_one_shot_product(mu):
     xi = np.random.default_rng(8).uniform(-5e3, 5e3, 2 * ABS_BLOCK + 155)
     J = product_depth(mu, float(np.abs(xi).max()), DEFAULT_TAIL_TOL)
+    J_abs = modulus_depth(mu, float(np.abs(xi).max()), DEFAULT_TAIL_TOL)
+    assert J_abs < J
     value, modulus, u = np.exp(2j * np.pi * mu.shift * xi), np.ones(xi.size), xi
-    for _ in range(J):
+    for j in range(J):
         u = u / mu.base
         g = symbol_g(mu, u)
         value = value * g
-        modulus = modulus * np.abs(g)
+        if j < J_abs:
+            modulus = modulus * np.abs(g)
     assert np.array_equal(fourier_transform(mu, xi).view(np.int64), value.view(np.int64))
     assert np.array_equal(fourier_abs(mu, xi).view(np.int64), modulus.view(np.int64))
 
@@ -418,7 +470,7 @@ def test_plain_partial_sum_evaluates_each_m_once(monkeypatch):
     sizes = count_symbol_abs(monkeypatch)
     X = 1000
     l1_partial_sum(CANTOR3, X)
-    J, J0 = product_depth(CANTOR3, X, DEFAULT_TAIL_TOL), product_depth(CANTOR3, 0.0, DEFAULT_TAIL_TOL)
+    J, J0 = modulus_depth(CANTOR3, X, DEFAULT_TAIL_TOL), modulus_depth(CANTOR3, 0.0, DEFAULT_TAIL_TOL)
     assert sum(sizes) == J * X + J0
 
 
@@ -429,7 +481,7 @@ def test_star_partial_sum_evaluates_each_shift_pair_once(monkeypatch):
     X = 100
 
     def depth(xi_max):
-        return product_depth(CANTOR3, xi_max, DEFAULT_TAIL_TOL)
+        return modulus_depth(CANTOR3, xi_max, DEFAULT_TAIL_TOL)
 
     for grid in (4, 5):
         sizes = count_symbol_abs(monkeypatch)
@@ -465,7 +517,7 @@ def test_paired_star_sums_bit_equal_to_per_theta_on_dyadic_grid(literal):
     # the pairing reads -m + theta at depth J(X + 1 - theta), not J(X - theta)
     for f in (mu, getattr(mu, "left", None)):
         if isinstance(f, FractalMeasure):
-            assert len({product_depth(f, x, DEFAULT_TAIL_TOL) for x in (1998, 2000)}) == 1
+            assert len({modulus_depth(f, x, DEFAULT_TAIL_TOL) for x in (1998, 2000)}) == 1
     for grid in (2, 8, 64):
         got = measures._partial_sums(mu, X_grid, True, grid)
         assert got.tobytes() == per_theta_star_sums(mu, X_grid, grid).tobytes()
@@ -517,6 +569,10 @@ def test_dimension_grid_validation():
         estimate_dim_l1(CANTOR3, [100, 1000, 5000, 10**4], star=True, theta_grid=0)
     with pytest.raises(ValueError, match="theta_grid"):
         l1_partial_sum(CANTOR3, 100, star=True, theta_grid=0)
+    # X = 0 read S(X_max) from the cumulative sum, a negative X reached math.log10
+    for below_one in ([0, 10, 100, 1000], [-5, 10, 100, 1000]):
+        with pytest.raises(ValueError, match="X must be >= 1"):
+            estimate_dim_l1(CANTOR3, below_one)
 
 
 def test_star_sums_refuse_a_theta_grid_over_max_grid_points(monkeypatch):

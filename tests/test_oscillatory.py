@@ -269,6 +269,45 @@ def test_integrals_raise_the_first_failing_xi(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_integrals_start_the_largest_xi_first(monkeypatch):
+    started = []
+
+    def recording(f, w, xi, tol):
+        started.append(xi)
+        if xi == 1000.0:
+            raise ValueError("xi = 1000")
+        return complex(xi)
+
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: 1)  # serial: calls in start order
+    monkeypatch.setattr(oscillatory, "oscillatory_integral", recording)
+    grid = [10.0, -300.0, 20.0, 50.0]
+    assert oscillatory_integrals(X2, W1, grid) == [complex(x) for x in grid]
+    assert started == [-300.0, 50.0, 20.0, 10.0]
+    # the largest xi fails first, and every other xi still runs
+    started.clear()
+    with pytest.raises(ValueError, match="xi = 1000"):
+        oscillatory_integrals(X2, W1, [*grid, 1000.0])
+    assert started == [1000.0, -300.0, 50.0, 20.0, 10.0]
+
+
+def test_lone_integral_runs_panel_blocks_on_two_threads(monkeypatch):
+    idents = set()
+
+    class RecordingWindow(RaisedCosineWindow):
+        def __call__(self, x):
+            idents.add(threading.get_ident())
+            return super().__call__(x)
+
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    two = oscillatory_integral(X2, RecordingWindow(0.0, 1.0), 1e4, tol=1e-9)
+    assert len(idents) == 2  # the calling thread and one helper
+    assert threading.active_count() == before
+    monkeypatch.setattr(fitting, "THREADS", 1)
+    one = oscillatory_integral(X2, W1, 1e4, tol=1e-9)
+    assert np.array([two]).view(np.int64).tolist() == np.array([one]).view(np.int64).tolist()
+
+
 def test_integral_conjugate_symmetry():
     v_pos = oscillatory_integral(X2, W1, 37.0, tol=1e-10)
     v_neg = oscillatory_integral(X2, W1, -37.0, tol=1e-10)
