@@ -114,6 +114,8 @@ def _cmd_fourier(args) -> tuple[str, dict]:
         raise ValueError(f"<xi-range>: {args.xi!r} is not finite")
     if step <= 0:
         raise ValueError("<xi-range>: step must be positive")
+    if stop < start:
+        raise ValueError("<xi-range>: stop must be >= start")
     if (stop + 0.5 * step - start) / step > MAX_GRID_POINTS:
         raise ValueError(f"<xi-range>: {args.xi!r} has more than MAX_GRID_POINTS = {MAX_GRID_POINTS} points")
     xs = np.arange(start, stop + 0.5 * step, step)

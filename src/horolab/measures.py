@@ -11,9 +11,9 @@ convention) has the exact infinite-product form
     mu_hat(xi) = e(xi*x0) * prod_{j>=1} g(xi / b^j),
     g(u) = (1/|D|) sum_{d in D} e(d u),
 
-which this module evaluates with a certified truncation: product_depth
-for mu_hat bounds its tail linearly in xi/b^J, modulus_depth for |mu_hat|
-quadratically, at about half the depth.  Convolutions, unit-interval
+which this module evaluates with one certified truncation, product_depth,
+quadratic in xi/b^J; mu_hat takes the omitted factors' phase in closed
+form, e(c*xi/(b^J (b - 1))) with c the mean digit.  Convolutions, unit-interval
 Lebesgue, and point masses combine freely in measure expressions;
 transforms multiply across convolution, samples add.
 
@@ -186,34 +186,24 @@ def _symbol_abs(measure: FractalMeasure, xi_arr: np.ndarray) -> np.ndarray:
     return np.abs(symbol_g(measure, xi_arr))
 
 
-def _check_bound(formula: str, arg: float, b: int, xi_max: float, tail_tol: float) -> None:
-    if not arg < math.inf:  # a tiny tail_tol or a huge xi overflows the bound of either depth
-        raise ValueError(f"{formula} is not finite for b = {b}, |xi| <= {xi_max:g}, tail_tol = {tail_tol:g}")
-
-
 def product_depth(measure: FractalMeasure, xi_max: float, tail_tol: float) -> int:
-    """Truncation depth J of mu_hat at |xi| <= xi_max, fourier_transform's.
+    """Truncation depth J of mu_hat and |mu_hat| at |xi| <= xi_max: the smallest
+    J >= 1 with A = 4 pi^2 Var(D) max(|xi|, 1)^2 b^(-2J) / (b^2 - 1) <= tail_tol.
 
-    Beyond J the factors satisfy |g(xi/b^j) - 1| <= 2*pi*max(D)*|xi|/b^j, a
-    bound linear in xi/b^j, so the omitted tail's relative error telescopes below tail_tol.
-    """
-    b = measure.base
-    arg = TWO_PI * b * max(abs(xi_max), 1.0) / tail_tol
-    _check_bound("2 pi b max(|xi|, 1) / tail_tol", arg, b, xi_max, tail_tol)
-    return max(1, math.ceil(math.log(arg) / math.log(b)) + 1)
-
-
-def modulus_depth(measure: FractalMeasure, xi_max: float, tail_tol: float) -> int:
-    """Truncation depth J of |mu_hat| at |xi| <= xi_max, fourier_abs's: the
-    smallest J >= 1 with 4 pi^2 Var(D) max(|xi|, 1)^2 b^(-2J) / (b^2 - 1) <= tail_tol.
-
-    |g(u)|^2 is the mean of cos(2 pi (d - d') u), so 1 - |g| <= 1 - |g|^2 <= 4 pi^2 Var(D) u^2
-    for every digit set D, and the left side bounds the relative error of the omitted
-    factors: quadratic in xi/b^J, about half product_depth.  A one-digit leaf takes J = 1.
+    Write g(u) = e(c u) h(u), c the mean digit.  The d - c sum to 0 and
+    |e(t) - 1 - 2 pi i t| <= 2 pi^2 t^2, so |h(u) - 1| <= 2 pi^2 Var(D) u^2 for
+    every digit set D, and the omitted factors prod_{j>J} g(xi/b^j) are
+    e(c xi / (b^J (b - 1))) times a product within exp(A/2) - 1 <= A of 1,
+    for tail_tol <= 1.  _transform multiplies that phase in, so mu_hat errs
+    by at most tail_tol relative.  |h| = |g| <= 1, so |mu_hat| drops a
+    product in [1 - A/2, 1], for every tail_tol.  A one-digit leaf takes
+    J = 1 and its phase is exact.
     """
     b, xi = measure.base, max(abs(xi_max), 1.0)
     arg = 4.0 * math.pi**2 * float(np.var(measure.digits)) * xi * xi / ((b * b - 1) * tail_tol)
-    _check_bound("4 pi^2 Var(D) max(|xi|, 1)^2 / ((b^2 - 1) tail_tol)", arg, b, xi_max, tail_tol)
+    if not arg < math.inf:  # a tiny tail_tol or a huge xi overflows the bound
+        raise ValueError(f"4 pi^2 Var(D) max(|xi|, 1)^2 / ((b^2 - 1) tail_tol) is not finite for b = {b}, "
+                         f"|xi| <= {xi_max:g}, tail_tol = {tail_tol:g}")
     return next(J for J in itertools.count(1) if arg <= b ** (2 * J))  # float <= int: exact
 
 
@@ -243,15 +233,16 @@ def _check_tail_tol(tail_tol: float) -> None:
         raise ValueError(f"tail_tol must be positive and finite, got {tail_tol}")
 
 
-def _product_walk(measure: FractalMeasure, xi: np.ndarray, J: int, factor, start):
-    """start(xi) * prod_{j<=J} factor(measure, xi/b^j), J from the max |xi| by
-    product_depth for mu_hat or modulus_depth for |mu_hat|: the one product loop,
-    in blocks of ABS_BLOCK entries so the temporaries stay cache-sized.  A block
-    multiplies its slice of the result in place, block times factor in that order,
-    so no bit depends on len(xi).  Blocks write disjoint slices, so map_in_order
-    runs them two at a time with the same bits.  xi is only read.
+def _product_walk(measure: FractalMeasure, xi: np.ndarray, tail_tol: float, factor, start):
+    """start(xi, J) * prod_{j<=J} factor(measure, xi/b^j), J = product_depth at
+    the max |xi|: the one product loop, in blocks of ABS_BLOCK entries so the
+    temporaries stay cache-sized.  A block multiplies its slice of the result
+    in place, block times factor in that order, so no bit depends on len(xi).
+    Blocks write disjoint slices, so map_in_order runs them two at a time with
+    the same bits.  xi is only read.
     """
-    out = start(xi)
+    J = product_depth(measure, float(np.max(np.abs(xi), initial=0.0)), tail_tol)
+    out = start(xi, J)
 
     def walk(lo: int) -> None:
         u, block = xi[lo : lo + ABS_BLOCK].copy(), out[lo : lo + ABS_BLOCK]
@@ -271,9 +262,10 @@ def _transform(measure, xi: np.ndarray, tail_tol: float) -> np.ndarray:
 
 @_transform.register
 def _(measure: FractalMeasure, xi, tail_tol):
-    phase = lambda v: np.exp(2j * np.pi * measure.shift * v)  # noqa: E731
-    J = product_depth(measure, float(np.max(np.abs(xi), initial=0.0)), tail_tol)
-    return _product_walk(measure, xi, J, symbol_g, phase)
+    b, c = measure.base, float(np.mean(measure.digits))
+    # e(x0 xi) times the omitted factors' phase, a term of its own: folded into x0 it rounds worse at large xi
+    phase = lambda v, J: np.exp(2j * np.pi * (measure.shift * v + c / ((b - 1) * b**J) * v))  # noqa: E731
+    return _product_walk(measure, xi, tail_tol, symbol_g, phase)
 
 
 @_transform.register
@@ -305,8 +297,7 @@ def _modulus(measure, xi: np.ndarray, tail_tol: float) -> np.ndarray:
 
 @_modulus.register
 def _(measure: FractalMeasure, xi, tail_tol):
-    J = modulus_depth(measure, float(np.max(np.abs(xi), initial=0.0)), tail_tol)
-    return _product_walk(measure, xi, J, _symbol_abs, np.ones_like)
+    return _product_walk(measure, xi, tail_tol, _symbol_abs, lambda v, J: np.ones_like(v))
 
 
 @_modulus.register
@@ -432,7 +423,7 @@ def _(measure: Convolution) -> float:
 
 @singledispatch
 def cylinder_nodes(measure, y: float, q: int, budget: int, tol: float, lip):
-    """Nodes, masses and width for the cylinder sum of mu_y at height y under a(1/q).
+    """Nodes, each of mass 1/len(nodes), and width for the cylinder sum of mu_y at height y under a(1/q).
 
     The width is the length of the digit cylinders whose midpoints are the
     nodes, at most y * tol / (lip * q) for lip >= y|grad phi|, so the sum errs
@@ -466,7 +457,7 @@ def _(measure: FractalMeasure, y: float, q: int, budget: int, tol: float, lip):
         idx = (np.arange(count) // reps) % l
         xs += digits[idx] * scale
     xs += measure.shift + 0.5 * scale  # cylinder midpoints
-    return xs, np.full(count, 1.0 / count), scale
+    return xs, scale
 
 
 @cylinder_nodes.register
@@ -475,12 +466,12 @@ def _(measure: LebesgueUnit, y: float, q: int, budget: int, tol: float, lip):
         raise ValueError(f"cylinder budget must be >= 2 for the Lebesgue leaf, got {budget}")
     n = 1 << max(8, math.ceil(math.log2(8.0 / y)))
     n = min(n, 1 << math.floor(math.log2(budget)))
-    return (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n), None
+    return (np.arange(n) + 0.5) / n, None
 
 
 @cylinder_nodes.register
 def _(measure: DiracMass, y: float, q: int, budget: int, tol: float, lip):
-    return np.array([measure.point]), np.array([1.0]), 0.0
+    return np.array([measure.point]), 0.0
 
 
 @cylinder_nodes.register
@@ -500,8 +491,8 @@ def _(measure: Convolution, y: float, q: int, budget: int, tol: float, lip):
             )
     if isinstance(leaf, FractalMeasure):
         return cylinder_nodes(replace(leaf, shift=leaf.shift + extra), y, q, budget, tol, lip)
-    xs, ws, width = cylinder_nodes(leaf, y, q, budget, tol, lip)
-    return xs + extra, ws, width
+    xs, width = cylinder_nodes(leaf, y, q, budget, tol, lip)
+    return xs + extra, width
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +528,7 @@ def _partial_sums(measure, X_grid: np.ndarray, star: bool, theta_grid: int):
     m - k/G, which the job reads at (m - 1) + (G - k)/G, and symmetrically;
     theta = 1/2 is its own partner.  On a power-of-two grid the two
     arguments are the same float, so every sum has the bits of evaluating
-    m + theta and -m + theta directly, unless the modulus depth J differs
+    m + theta and -m + theta directly, unless the depth J differs
     between X_max - theta and X_max + 1 - theta; on other grids they may
     round apart and a sum may move in its last bits.  The centre
     |mu_hat(theta)| takes its own J(theta).  The pairs run two at a time

@@ -153,13 +153,14 @@ def mu_y_value(
 
     if method == "cylinder":
         lip = getattr(phi, "lipschitz", None)
-        xs, ws, width = _measures.cylinder_nodes(measure, y, q, budget, tol, lip)
+        xs, width = _measures.cylinder_nodes(measure, y, q, budget, tol, lip)
         vals = evaluate(xs.size, lambda lo, hi: xs[lo:hi])
-        total = np.sum(vals * ws)
-        if width is None:  # Lebesgue leaf: compare against every other node
-            err = float(abs(total - vals[::2].mean()))
-        else:  # a point mass (width 0) is exact
-            err = lip * width / (2.0 * y) if width else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused by the caller
+            total = np.sum(vals * (1.0 / vals.size))
+            if width is None:  # Lebesgue leaf: compare against every other node
+                err = float(abs(total - vals[::2].mean()))
+            else:  # a point mass (width 0) is exact
+                err = lip * width / (2.0 * y) if width else 0.0
         out = complex(total) if np.iscomplexobj(vals) else float(total)
         return out, float(err)
 

@@ -606,6 +606,7 @@ def test_cli_stationary_accepts_exact_two_decades(xigrid, tmp_path, capsys):
          "horolab: error: basis identity check requires an eisenstein test function"),
         (("spectral-gap", "--ygrid", "0.125:0.5:3"), "horolab: error: y_grid needs at least 4 points"),
         (("spectral-gap", "--ygrid", "0.125:0.9:8"), "horolab: error: y_grid must span at least 3 dyadic decades"),
+        (("fourier", "--measure", "cantor:3:0,2", "--xi", "5:0:1"), "horolab: error: <xi-range>: stop must be >= start"),
     ],
 )
 def test_cli_malformed_literals_name_production(capsys, argv, needle):
@@ -636,7 +637,7 @@ def test_cli_malformed_literals_name_production(capsys, argv, needle):
         (("fourier", "--measure", "dirac:0.3", "--xi", "0:2:1", "--tail-tol", "inf"),
          "tail_tol must be positive and finite, got inf"),
         (("fourier", "--measure", "cantor:3:0,2", "--xi", "0:2:1", "--tail-tol", "1e-310"),
-         "horolab: error: 2 pi b max(|xi|, 1) / tail_tol is not finite"),
+         "horolab: error: 4 pi^2 Var(D) max(|xi|, 1)^2 / ((b^2 - 1) tail_tol) is not finite"),
         # each sum of 1e308 overflows: the first height's row is refused, not printed
         (("equidist", "--measure", "leb", "--test", "const:1e308", "--ygrid", "0.25:0.5:4", "--budget", "2000"),
          "horolab: error: mu_y at y = 0.25 is not finite: value inf, error inf"),
@@ -653,16 +654,18 @@ def test_cli_non_finite_inputs_exit_1(capsys, argv, needle):
 
 
 def test_cli_refuses_an_overflowing_mean_with_one_stderr_line(capsys):
-    # the sums of 1e308 in the mean and the stderr overflow; that used to
-    # print two RuntimeWarnings before the refusal
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run_cli(
-            capsys, "equidist", "--measure", "leb", "--test", "const:1e308", "--ygrid", "0.25:0.5:4",
-            "--budget", "2000",
-        )
-    assert (code, out) == (1, "")
-    assert err == "horolab: error: mu_y at y = 0.25 is not finite: value inf, error inf\n"
+    # the sums of 1e308 in the mean and the stderr overflow, and so does the
+    # cylinder's half-resolution mean; that used to print RuntimeWarnings
+    # before the refusal
+    for method, value in (("montecarlo", "inf"), ("cylinder", "1e+308")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "equidist", "--measure", "leb", "--test", "const:1e308", "--ygrid", "0.25:0.5:4",
+                "--budget", "2000", "--method", method,
+            )
+        assert (code, out) == (1, "")
+        assert err == f"horolab: error: mu_y at y = 0.25 is not finite: value {value}, error inf\n"
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from horolab.cli import cli_main
 
 GOLDEN = {
     "fourier --measure cantor:3:0,2 --xi 0:100:1": (
-        "85abaf9856a7caf5e4f456b8f8c20b932e995c6afe66e2946be663ec2e83c710",
+        "b6652e0b2c71c67f296b0d093b53481c382dd35ba9e9145c0bd185695bbdda1a",
         "c10cf1bced19fbdf8f698909b6bb86c6a16e87ac6ff6ba6902fd07f1a0d3343d",
     ),
     "dim --measure cantor:450:0..446 --xmax 10000": (
@@ -38,8 +38,8 @@ GOLDEN = {
         "46b7083d78fea999036fafa6eb719c1ad50146f0d6042ef97e306f3334b0db4a",
     ),
     "basis-check --measure cantor:3:0,2 --q 2 --x0 0.25 --ygrid 0.2:0.5:4 --budget 1000000 --tol 1e-5": (
-        "8fbf38f6cc24919c98c558376e585d086cefa631bec8ba072e54dabeca6e87d6",
-        "2a5fc23e6b89c637ccbbe6f9605cbd7cc8c9940e71328d123ff3322a2cb02b17",
+        "847df0973dff6ca63a84ef08d74be6548d5cea2aba513bbba3b47b5e6722e365",
+        "dae8400e5c939445fc9bea080afd75bc36ad954b99f58b2418caa8965b634c0c",
     ),
     "spectral-gap --t 1 --ygrid 0.125:0.5:6": (
         "f3a7a97f90548d953fd4efc9df58ff4d6261b8647e10bb3d266f78baafc6bf2a",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -23,7 +24,6 @@ from horolab.measures import (
     fourier_abs,
     fourier_transform,
     l1_partial_sum,
-    modulus_depth,
     parse_measure,
     product_depth,
     sample,
@@ -210,12 +210,12 @@ def test_blocked_fourier_abs_equals_one_shot_product(text):
     xi = np.concatenate([small, [0.0], ints, rest])
     assert xi.size > 3 * ABS_BLOCK and xi.size % ABS_BLOCK != 0
     for tol in (DEFAULT_TAIL_TOL, 0.5):
-        J = modulus_depth(mu, float(np.abs(xi).max()), tol)
+        J = product_depth(mu, float(np.abs(xi).max()), tol)
         got = fourier_abs(mu, xi, tol)
         assert np.array_equal(got.view(np.int64), one_shot_abs(mu, xi, J).view(np.int64))
     # J comes from the whole array: the first block's own max would give
     # fewer factors, visible at tail_tol 0.5
-    J_block = modulus_depth(mu, 0.5, 0.5)
+    J_block = product_depth(mu, 0.5, 0.5)
     assert J_block < J
     assert not np.array_equal(got[:ABS_BLOCK], one_shot_abs(mu, small, J_block))
 
@@ -253,8 +253,8 @@ def test_fourier_abs_digit_sum_memory_is_bounded():
 
 
 def test_product_depth_refuses_an_overflowing_argument():
-    # 2 pi b max(|xi|, 1) / tail_tol is inf here; math.log(inf) used to
-    # reach math.ceil and raise OverflowError
+    # 4 pi^2 Var(D) max(|xi|, 1)^2 / ((b^2 - 1) tail_tol) is inf or nan here;
+    # a depth search on it would never end
     for xi_max, tail_tol in ((2.0, 1e-310), (1e308, 1e-12), (math.nan, 1e-12)):
         with pytest.raises(ValueError, match="tail_tol"):
             product_depth(CANTOR3, xi_max, tail_tol)
@@ -263,14 +263,35 @@ def test_product_depth_refuses_an_overflowing_argument():
             transform(CANTOR3, np.array([0.0, 2.0]), 1e-310)
 
 
+def deep_depth(measure, xi):
+    """A depth J far past product_depth, by a bound of its own: |g(u) - 1| <=
+    2 pi max(D) |u|, so at 2 pi max(D) max(|xi|, 1) / (b^J (b - 1)) <= 1e-20
+    the omitted factors, phase and all, are within about 1e-20 of 1."""
+    b, reach = measure.base, 2 * math.pi * max(measure.digits) * max(float(np.abs(xi).max()), 1.0)
+    return next(J for J in itertools.count(1) if reach <= 1e-20 * b**J * (b - 1))
+
+
 def deep_abs(measure, xi):
-    """|mu_hat| with every fractal leaf at product_depth(..., 1e-16) + 5
-    factors, far past both depth rules; other leaves as fourier_abs."""
+    """|mu_hat| with every fractal leaf at deep_depth; other leaves as fourier_abs."""
     if isinstance(measure, Convolution):
         return deep_abs(measure.left, xi) * deep_abs(measure.right, xi)
     if isinstance(measure, FractalMeasure):
-        return one_shot_abs(measure, xi, product_depth(measure, float(np.abs(xi).max()), 1e-16) + 5)
+        return one_shot_abs(measure, xi, deep_depth(measure, xi))
     return fourier_abs(measure, xi)
+
+
+def deep_transform(measure, xi):
+    """mu_hat with every fractal leaf at deep_depth factors and no tail phase;
+    other leaves as fourier_transform."""
+    if isinstance(measure, Convolution):
+        return deep_transform(measure.left, xi) * deep_transform(measure.right, xi)
+    if isinstance(measure, FractalMeasure):
+        value, u = np.exp(2j * np.pi * measure.shift * xi), xi
+        for _ in range(deep_depth(measure, xi)):
+            u = u / measure.base
+            value = value * symbol_g(measure, u)
+        return value
+    return fourier_transform(measure, xi)
 
 
 @pytest.mark.parametrize(
@@ -281,20 +302,26 @@ def deep_abs(measure, xi):
     ],
 )
 def test_fourier_abs_within_tail_tol_of_a_deep_product(text):
-    # modulus_depth certifies the omitted factors' relative error; the first
-    # J factors of the deep product are those of fourier_abs, bit for bit
+    # product_depth certifies the omitted factors' relative error, for mu_hat
+    # once their closed-form phase is multiplied in; the first J factors of
+    # the deep |mu_hat| product are those of fourier_abs, bit for bit, while
+    # mu_hat also meets the rounding of its phases, 2 pi |xi| R ulps with R =
+    # support_radius, which is |x0| + 1 on a fractal leaf
     mu = parse_measure(text)
     rng = np.random.default_rng(27)
     xi = np.concatenate([np.arange(0.0, 2001.0), rng.uniform(-1e6, 1e6, 4000), [1e6, -1e6 + 0.5]])
-    want = deep_abs(mu, xi)
+    want, want_abs = deep_transform(mu, xi), deep_abs(mu, xi)
+    rounding = np.finfo(float).eps * (1.0 + 2 * math.pi * np.abs(xi) * support_radius(mu))
     for tol in (1e-12, 1e-6, 0.5):
         got = fourier_abs(mu, xi, tol)
-        assert np.all(np.abs(got - want) <= tol * want)
+        assert np.all(np.abs(got - want_abs) <= tol * want_abs)
+        got = fourier_transform(mu, xi, tol)
+        assert np.all(np.abs(got - want) <= tol * np.abs(want) + rounding)
     if isinstance(mu, FractalMeasure) and mu.n_digits == 1:
-        assert modulus_depth(mu, 1e6, 1e-300) == 1  # Var(D) = 0: every |g| is 1
+        assert product_depth(mu, 1e6, 1e-300) == 1  # Var(D) = 0: every |g| is 1
 
 
-def test_modulus_depth_is_the_smallest_certified_depth():
+def test_product_depth_is_the_smallest_certified_depth():
     def bound(mu, xi_max, J):
         var = np.var(mu.digits)
         return 4 * math.pi**2 * var * max(xi_max, 1.0) ** 2 * float(mu.base) ** (-2 * J) / (mu.base**2 - 1)
@@ -302,13 +329,11 @@ def test_modulus_depth_is_the_smallest_certified_depth():
     for mu in (CANTOR3, CANTOR10, CANTOR450, FractalMeasure(10, (0, 1, 4, 7))):
         for xi_max in (0.0, 0.3, 57.0, 1e4, 1e6):
             for tol in (1e-12, 1e-6, 0.5):
-                J = modulus_depth(mu, xi_max, tol)
+                J = product_depth(mu, xi_max, tol)
                 assert bound(mu, xi_max, J) <= tol
                 assert J == 1 or bound(mu, xi_max, J - 1) > tol
-                assert J <= product_depth(mu, xi_max, tol)
-    # the dim workload's depths on the base-450 measure: half of product_depth
-    assert [modulus_depth(CANTOR450, x, DEFAULT_TAIL_TOL) for x in (1e4, 1e6)] == [4, 5]
-    assert [product_depth(CANTOR450, x, DEFAULT_TAIL_TOL) for x in (1e4, 1e6)] == [9, 10]
+    # the dim workload's depths on the base-450 measure
+    assert [product_depth(CANTOR450, x, DEFAULT_TAIL_TOL) for x in (1e4, 1e6)] == [4, 5]
 
 
 @pytest.mark.parametrize("tail_tol", [0.0, -1.0, math.nan, math.inf])
@@ -342,15 +367,13 @@ def test_fourier_transform_does_not_depend_on_array_length(text):
 def test_product_walk_across_blocks_equals_one_shot_product(mu):
     xi = np.random.default_rng(8).uniform(-5e3, 5e3, 2 * ABS_BLOCK + 155)
     J = product_depth(mu, float(np.abs(xi).max()), DEFAULT_TAIL_TOL)
-    J_abs = modulus_depth(mu, float(np.abs(xi).max()), DEFAULT_TAIL_TOL)
-    assert J_abs < J
-    value, modulus, u = np.exp(2j * np.pi * mu.shift * xi), np.ones(xi.size), xi
-    for j in range(J):
+    tail = np.mean(mu.digits) / ((mu.base - 1) * mu.base**J)  # the omitted factors' phase
+    value, modulus, u = np.exp(2j * np.pi * (mu.shift * xi + tail * xi)), np.ones(xi.size), xi
+    for _ in range(J):
         u = u / mu.base
         g = symbol_g(mu, u)
         value = value * g
-        if j < J_abs:
-            modulus = modulus * np.abs(g)
+        modulus = modulus * np.abs(g)
     assert np.array_equal(fourier_transform(mu, xi).view(np.int64), value.view(np.int64))
     assert np.array_equal(fourier_abs(mu, xi).view(np.int64), modulus.view(np.int64))
 
@@ -470,7 +493,7 @@ def test_plain_partial_sum_evaluates_each_m_once(monkeypatch):
     sizes = count_symbol_abs(monkeypatch)
     X = 1000
     l1_partial_sum(CANTOR3, X)
-    J, J0 = modulus_depth(CANTOR3, X, DEFAULT_TAIL_TOL), modulus_depth(CANTOR3, 0.0, DEFAULT_TAIL_TOL)
+    J, J0 = product_depth(CANTOR3, X, DEFAULT_TAIL_TOL), product_depth(CANTOR3, 0.0, DEFAULT_TAIL_TOL)
     assert sum(sizes) == J * X + J0
 
 
@@ -481,7 +504,7 @@ def test_star_partial_sum_evaluates_each_shift_pair_once(monkeypatch):
     X = 100
 
     def depth(xi_max):
-        return modulus_depth(CANTOR3, xi_max, DEFAULT_TAIL_TOL)
+        return product_depth(CANTOR3, xi_max, DEFAULT_TAIL_TOL)
 
     for grid in (4, 5):
         sizes = count_symbol_abs(monkeypatch)
@@ -517,7 +540,7 @@ def test_paired_star_sums_bit_equal_to_per_theta_on_dyadic_grid(literal):
     # the pairing reads -m + theta at depth J(X + 1 - theta), not J(X - theta)
     for f in (mu, getattr(mu, "left", None)):
         if isinstance(f, FractalMeasure):
-            assert len({modulus_depth(f, x, DEFAULT_TAIL_TOL) for x in (1998, 2000)}) == 1
+            assert len({product_depth(f, x, DEFAULT_TAIL_TOL) for x in (1998, 2000)}) == 1
     for grid in (2, 8, 64):
         got = measures._partial_sums(mu, X_grid, True, grid)
         assert got.tobytes() == per_theta_star_sums(mu, X_grid, grid).tobytes()
