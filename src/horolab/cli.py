@@ -137,11 +137,12 @@ def _cmd_dim(args) -> tuple[str, dict]:
     summary = _summary(args, exponent=est.dimension, stderr=est.stderr, status=status)
     summary["config"]["slope"] = est.slope
     summary["config"]["slope_full"] = est.slope_full
-    if isinstance(measure, _measures.FractalMeasure):
-        bound = _measures.cvy_bound_for_measure(measure)
-        if bound is not None:  # certified for digits in progression only
+    leaf, _ = _measures.split_translate(measure)  # a translate keeps both dimensions
+    if isinstance(leaf, _measures.FractalMeasure):
+        bound = _measures.cvy_bound_for_measure(leaf)
+        if bound is not None:  # certified for two or more digits in progression only
             summary["config"]["cvy_lower_bound"] = bound
-        summary["config"]["hausdorff_dimension"] = measure.hausdorff_dimension()
+        summary["config"]["hausdorff_dimension"] = leaf.hausdorff_dimension()
     return csv_table("X,partial_sum", est.X_grid, est.sums), summary
 
 

@@ -2,20 +2,21 @@
 
 A FractalMeasure is the self-similar measure of the homogeneous IFS
 
-    f_i(x) = (x + d_i)/b + x0*(1 - 1/b),        d_i in D,
+    f_i(x) = (x + d_i)/b,        d_i in D,
 
 with digit set D inside {0, ..., b-1}, each digit drawn with probability
 1/|D|.  Its Fourier transform (in the e(xi*x) = exp(2*pi*i*xi*x)
 convention) has the exact infinite-product form
 
-    mu_hat(xi) = e(xi*x0) * prod_{j>=1} g(xi / b^j),
+    mu_hat(xi) = prod_{j>=1} g(xi / b^j),
     g(u) = (1/|D|) sum_{d in D} e(d u),
 
 which this module evaluates with one certified truncation, product_depth,
 quadratic in xi/b^J; mu_hat takes the omitted factors' phase in closed
 form, e(c*xi/(b^J (b - 1))) with c the mean digit.  Convolutions, unit-interval
 Lebesgue, and point masses combine freely in measure expressions;
-transforms multiply across convolution, samples add.
+transforms multiply across convolution, samples add.  A translate by x0 is
+the convolution with the point mass at x0, however the literal spells it.
 
 The partial sums S(X) = sum_{|m|<=X} |mu_hat(m)| and their sup-over-shift
 variant drive the Fourier l^1-dimension estimate 1 - slope(log S / log X).
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, singledispatch
 
 import numpy as np
@@ -42,18 +43,15 @@ SAMPLE_BLOCK = 1 << 17  # digits per pass of sample: 1 MiB per index array
 
 @dataclass(frozen=True)
 class FractalMeasure:
-    """Self-similar measure with base b, digits D (uniform), and shift x0."""
+    """Self-similar measure with base b and digits D (uniform), on [0, 1]."""
 
     base: int
     digits: tuple[int, ...]
-    shift: float = 0.0
 
     def __post_init__(self):
         b, D = self.base, self.digits
         if b < 2:
             raise ValueError("base must be >= 2")
-        if not math.isfinite(self.shift):
-            raise ValueError(f"shift must be finite, got {self.shift}")
         if len(D) < 1:
             raise ValueError("need at least one digit")
         if any(d < 0 or d >= b for d in D):
@@ -105,6 +103,21 @@ class Convolution:
 
 
 MeasureExpr = FractalMeasure | LebesgueUnit | DiracMass | Convolution
+
+
+def split_translate(measure: MeasureExpr) -> tuple[MeasureExpr, float]:
+    """(rest, x0) with measure the translate of rest by x0: the point masses
+    of a chain of convolutions, peeled off from either side while there is
+    one, their points summed in that order.  x0 is 0.0 when there is none."""
+    rest, x0 = measure, 0.0
+    while isinstance(rest, Convolution):
+        if isinstance(rest.left, DiracMass):
+            x0, rest = x0 + rest.left.point, rest.right
+        elif isinstance(rest.right, DiracMass):
+            x0, rest = x0 + rest.right.point, rest.left
+        else:
+            break
+    return rest, x0
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +276,8 @@ def _transform(measure, xi: np.ndarray, tail_tol: float) -> np.ndarray:
 @_transform.register
 def _(measure: FractalMeasure, xi, tail_tol):
     b, c = measure.base, float(np.mean(measure.digits))
-    # e(x0 xi) times the omitted factors' phase, a term of its own: folded into x0 it rounds worse at large xi
-    phase = lambda v, J: np.exp(2j * np.pi * (measure.shift * v + c / ((b - 1) * b**J) * v))  # noqa: E731
+    # the omitted factors' phase, e(c xi / ((b - 1) b^J))
+    phase = lambda v, J: np.exp(2j * np.pi * (c / ((b - 1) * b**J) * v))  # noqa: E731
     return _product_walk(measure, xi, tail_tol, symbol_g, phase)
 
 
@@ -343,7 +356,7 @@ def _(measure: FractalMeasure, depth: int, count: int, seed) -> np.ndarray:
         x = np.zeros(hi - lo)
         for j in range(depth - 1, -1, -1):  # Horner: deterministic order
             x = (x + digits[idx[:, j]]) * inv_b
-        out[lo:hi] = x + measure.shift
+        out[lo:hi] = x
         del idx  # before the next pass draws its own
     return out
 
@@ -393,17 +406,13 @@ def _(measure: Convolution) -> int:
 @singledispatch
 def support_radius(measure) -> float:
     """R with supp(mu) in [-R, R]: radii add across convolution factors; a
-    fractal leaf lives in [shift, shift + 1], Lebesgue in [0, 1]."""
+    fractal leaf and Lebesgue live in [0, 1]."""
     raise TypeError(f"not a measure expression: {measure!r}")
 
 
-@support_radius.register
-def _(measure: FractalMeasure) -> float:
-    return abs(measure.shift) + 1.0
-
-
-@support_radius.register
-def _(measure: LebesgueUnit) -> float:
+@support_radius.register(FractalMeasure)
+@support_radius.register(LebesgueUnit)
+def _(measure) -> float:
     return 1.0
 
 
@@ -456,7 +465,7 @@ def _(measure: FractalMeasure, y: float, q: int, budget: int, tol: float, lip):
         reps = l ** (depth - 1 - j)
         idx = (np.arange(count) // reps) % l
         xs += digits[idx] * scale
-    xs += measure.shift + 0.5 * scale  # cylinder midpoints
+    xs += 0.5 * scale  # cylinder midpoints
     return xs, scale
 
 
@@ -476,23 +485,16 @@ def _(measure: DiracMass, y: float, q: int, budget: int, tol: float, lip):
 
 @cylinder_nodes.register
 def _(measure: Convolution, y: float, q: int, budget: int, tol: float, lip):
-    # fold point masses into a plain shift; anything else has no cylinder
-    # structure worth enumerating
-    leaf, extra = measure, 0.0
-    while isinstance(leaf, Convolution):
-        if isinstance(leaf.left, DiracMass):
-            extra, leaf = extra + leaf.left.point, leaf.right
-        elif isinstance(leaf.right, DiracMass):
-            extra, leaf = extra + leaf.right.point, leaf.left
-        else:
-            raise ValueError(
-                "cylinder method does not enumerate general convolutions; "
-                "use method='montecarlo'"
-            )
-    if isinstance(leaf, FractalMeasure):
-        return cylinder_nodes(replace(leaf, shift=leaf.shift + extra), y, q, budget, tol, lip)
+    # a translate moves the nodes of what it translates; anything else has
+    # no cylinder structure worth enumerating
+    leaf, x0 = split_translate(measure)
+    if isinstance(leaf, Convolution):
+        raise ValueError(
+            "cylinder method does not enumerate general convolutions; "
+            "use method='montecarlo'"
+        )
     xs, width = cylinder_nodes(leaf, y, q, budget, tol, lip)
-    return xs + extra, width
+    return xs + x0, width
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +636,8 @@ def cvy_lower_bound(b: int, l: int) -> float:
 
 def cvy_bound_for_measure(measure: FractalMeasure) -> float | None:
     """cvy_lower_bound for a concrete measure, or None: the bound is only
-    certified for digits in arithmetic progression."""
-    if measure.digit_progression is None:
+    certified for two or more digits in arithmetic progression."""
+    if measure.n_digits < 2 or measure.digit_progression is None:
         return None
     return cvy_lower_bound(measure.base, measure.n_digits)
 
@@ -678,7 +680,8 @@ def b_of_s(s: float) -> int:
 # Measure literals
 
 def parse_measure(text: str) -> MeasureExpr:
-    """Parse `cantor:<b>:<digits>`, `leb`, `dirac:<x>`, `*`, `+<x0>`."""
+    """Parse `cantor:<b>:<digits>`, `leb`, `dirac:<x>`, `*`, `+<x0>`; a
+    term `<atom>+<x0>` is `<atom>*dirac:<x0>`, the same object."""
     parts = [p.strip() for p in text.strip().split("*")]
     if any(not p for p in parts):
         raise LiteralParseError("<measure>", f"empty convolution factor in {text!r}")
@@ -689,20 +692,10 @@ def parse_measure(text: str) -> MeasureExpr:
 
 
 def _parse_term(text: str) -> MeasureExpr:
-    shift = 0.0
-    if "+" in text:
-        base_text, shift_text = text.split("+", 1)
-        shift = parse_real(shift_text, "<shift>")
-    else:
-        base_text = text
+    base_text, plus, shift_text = text.partition("+")
+    shift = parse_real(shift_text, "<shift>") if plus else 0.0
     atom = _parse_atom(base_text.strip())
-    if shift == 0.0:
-        return atom
-    if isinstance(atom, FractalMeasure):
-        return FractalMeasure(atom.base, atom.digits, atom.shift + shift)
-    if isinstance(atom, DiracMass):
-        return DiracMass(atom.point + shift)
-    return Convolution(atom, DiracMass(shift))
+    return atom if shift == 0.0 else Convolution(atom, DiracMass(shift))
 
 
 def _parse_atom(text: str) -> MeasureExpr:

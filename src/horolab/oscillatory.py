@@ -82,11 +82,14 @@ class PhasePolynomial:
         return float(sum(c * x**k for k, c in enumerate(coeffs)))
 
 
+@dataclass
 class Window:
-    """Smooth nonnegative window with unit mass; see concrete subclasses."""
+    """Smooth nonnegative window of unit mass on [center - radius, center + radius]:
+    w(x) = profile(u) / (mass * radius) at u = (x - center) / radius, |u| < 1,
+    where a subclass gives the profile and its integral over (-1, 1), mass."""
 
-    center: float
-    radius: float
+    center: float = 0.0
+    radius: float = 1.0
 
     def __post_init__(self):
         a, b = self.support  # _real_roots searches (-2**1023, 2**1023]
@@ -102,21 +105,22 @@ class Window:
     def support(self) -> tuple[float, float]:
         return (self.center - self.radius, self.center + self.radius)
 
+    def __call__(self, x):
+        u = (np.asarray(x, dtype=float) - self.center) / self.radius
+        out = np.zeros_like(u)
+        inside = np.abs(u) < 1.0
+        out[inside] = self.profile(u[inside]) / (self.mass * self.radius)
+        return out
 
-@dataclass
+
 class RaisedCosineWindow(Window):
     """w(x) = (1 + cos(pi (x-c)/r)) / (2r) on [c-r, c+r]; exact unit mass."""
 
-    center: float = 0.0
-    radius: float = 1.0
+    mass = 2.0
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        u = (x - self.center) / self.radius
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        out[inside] = (1.0 + np.cos(np.pi * u[inside])) / (2.0 * self.radius)
-        return out
+    @staticmethod
+    def profile(u):
+        return 1.0 + np.cos(np.pi * u)
 
 
 # int_{-1}^{1} exp(-1/(1-u^2)) du: the bits of 200-node Gauss-Legendre, which
@@ -124,22 +128,14 @@ class RaisedCosineWindow(Window):
 _BUMP_MASS = 0.443993816168082
 
 
-@dataclass
 class SmoothBumpWindow(Window):
     """Classical bump exp(-1/(1-u^2)), normalized to unit mass."""
 
-    center: float = 0.0
-    radius: float = 1.0
+    mass = _BUMP_MASS
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        u = (x - self.center) / self.radius
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2)) / (
-            _BUMP_MASS * self.radius
-        )
-        return out
+    @staticmethod
+    def profile(u):
+        return np.exp(-1.0 / (1.0 - u**2))
 
 
 @dataclass(frozen=True)

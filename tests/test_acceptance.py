@@ -26,7 +26,7 @@ from horolab.automorphic import (
 )
 from horolab.diophantine import PowerPsi, khintchine_profile
 from horolab.experiments import ExperimentConfig, run_basis_identity_check, run_equidistribution
-from horolab.measures import FractalMeasure, fourier_transform, sample, symbol_g
+from horolab.measures import Convolution, DiracMass, FractalMeasure, fourier_transform, sample, symbol_g
 from horolab.oscillatory import (
     PhasePolynomial,
     RaisedCosineWindow,
@@ -114,7 +114,7 @@ def test_criterion_3_refinement_and_shift_identities():
     worst = 0.0
     for base, digits in ((3, (0, 2)), (10, tuple(range(9))), (450, tuple(range(447)))):
         m0 = FractalMeasure(base, digits)
-        ms = FractalMeasure(base, digits, shift=0.37)
+        ms = Convolution(m0, DiracMass(0.37))  # the translate by 0.37
         lhs = fourier_transform(m0, xi)
         rhs = symbol_g(m0, xi / base) * fourier_transform(m0, xi / base)
         worst = max(worst, float(np.abs(lhs - rhs).max()))

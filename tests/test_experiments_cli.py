@@ -393,6 +393,43 @@ def test_cli_dim_omits_bound_for_non_progression_digits(capsys):
     assert config["hausdorff_dimension"] == pytest.approx(math.log(3) / math.log(10))
 
 
+def test_cli_dim_one_digit_leaf_reports_dimension_zero(capsys):
+    # one digit is no progression for cvy_lower_bound, which needs 2 <= l <= b
+    code, _, err = run_cli(capsys, "dim", "--measure", "cantor:3:1", "--xmax", "10000")
+    assert code == 0
+    config = json.loads(err.strip().splitlines()[-1])["config"]
+    assert "cvy_lower_bound" not in config
+    assert config["hausdorff_dimension"] == 0.0
+
+
+TRANSLATE_COMMANDS = {
+    "fourier": ["fourier", "--xi=-40:40:0.25"],
+    "dim": ["dim", "--xmax", "10000"],
+    "dim-star": ["dim", "--xmax", "10000", "--star", "--theta-grid", "8"],
+    "equidist-montecarlo": ["equidist", "--ygrid", "0.25:0.5:4", "--method", "montecarlo",
+                            "--budget", "20000", "--seed", "5"],
+    "equidist-cylinder": ["equidist", "--ygrid", "0.25:0.5:4", "--method", "cylinder",
+                          "--budget", "70000", "--tol", "1e-4"],
+    "basis-check": ["basis-check", "--ygrid", "0.25:0.5:4", "--budget", "70000", "--tol", "1e-4"],
+    "khintchine": ["khintchine", "--Q", "300", "--samples", "500", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSLATE_COMMANDS))
+def test_both_spellings_of_a_translate_give_the_same_bytes(tmp_path, name):
+    # `+0.3` and `*dirac:0.3` are one measure: the same rows, and the same
+    # JSON keys (the config echoes the literal as it was spelled)
+    argv = TRANSLATE_COMMANDS[name]
+    plus_csv, plus_json = _command_outputs(tmp_path, [*argv, "--measure", "cantor:3:0,2+0.3"])
+    conv_csv, conv_json = _command_outputs(tmp_path, [*argv, "--measure", "cantor:3:0,2*dirac:0.3"])
+    assert plus_csv == conv_csv
+    plus, conv = json.loads(plus_json), json.loads(conv_json)
+    assert set(plus) == set(conv) and set(plus["config"]) == set(conv["config"])
+    if name.startswith("dim"):  # a translate keeps the dimensions of its leaf
+        assert conv["config"]["hausdorff_dimension"] == math.log(2) / math.log(3)
+        assert "cvy_lower_bound" in conv["config"]
+
+
 def test_cli_equidist_lebesgue_classical_rate(capsys):
     code, out, err = run_cli(
         capsys, "equidist", "--measure", "leb", "--test", "eisenstein:t=1",
@@ -693,10 +730,11 @@ def test_cli_stationary_names_tol_only_when_tol_can_cure(capsys, monkeypatch):
         "--xigrid", "10:1000:6",
     )
     assert code == 1 and "over the budget" in err and "--tol:" not in err
-    # so does |xi| beyond MAX_XI, here past a grid check that is patched out
+    # so does |xi| beyond MAX_XI, here past a grid check that is patched out;
+    # every xi lies past it, so none is integrated before the refusal
     from horolab import cli
 
-    monkeypatch.setattr(cli, "check_xi_grid", lambda grid: grid[::-1] * 1e4)  # largest xi first
+    monkeypatch.setattr(cli, "check_xi_grid", lambda grid: grid[::-1] * 1e6)  # largest xi first
     code, _, err = run_cli(capsys, "stationary", "--phase", "poly:0,0,1", "--xigrid", "10:1000:6")
     assert code == 1 and "beyond the maximum" in err and "--tol:" not in err
     # a refinement that does not settle is a --tol problem

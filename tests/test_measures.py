@@ -45,8 +45,13 @@ def fractal_measures(draw):
     b = draw(st.integers(2, 16))
     n = draw(st.integers(1, b))
     digits = tuple(sorted(draw(st.permutations(range(b)))[:n]))
-    shift = draw(st.floats(-2.0, 2.0))
-    return FractalMeasure(b, digits, shift)
+    return FractalMeasure(b, digits)
+
+
+@st.composite
+def translates(draw):
+    """A fractal leaf convolved with the point mass at x0, the one form of a translate."""
+    return Convolution(draw(fractal_measures()), DiracMass(draw(st.floats(-2.0, 2.0))))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +119,7 @@ def test_convolution_transform_is_product():
 
 
 @settings(max_examples=40, derandomize=True)
-@given(fractal_measures(), st.floats(-30, 30))
+@given(translates(), st.floats(-30, 30))
 def test_transform_bounds_and_hermitian_symmetry(m, xi):
     val = fourier_transform(m, xi)
     assert abs(val) <= 1.0 + 1e-11
@@ -122,21 +127,23 @@ def test_transform_bounds_and_hermitian_symmetry(m, xi):
 
 
 @settings(max_examples=30, derandomize=True)
-@given(fractal_measures(), st.floats(-20, 20))
-def test_refinement_identity_property(m, xi):
-    lhs = fourier_transform(m, xi) * np.exp(-2j * np.pi * xi * m.shift)
+@given(translates(), st.floats(-20, 20))
+def test_refinement_identity_property(t, xi):
+    # mu_hat of the leaf is that of its translate t times e(-x0 xi)
+    m, x0 = t.left, t.right.point
+    lhs = fourier_transform(t, xi) * np.exp(-2j * np.pi * xi * x0)
     sub = xi / m.base
-    rhs = symbol_g(m, sub) * fourier_transform(m, sub) * np.exp(-2j * np.pi * sub * m.shift)
+    rhs = symbol_g(m, sub) * fourier_transform(t, sub) * np.exp(-2j * np.pi * sub * x0)
     assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
 @settings(max_examples=30, derandomize=True)
-@given(fractal_measures(), st.floats(-20, 20))
-def test_shift_leaves_modulus_invariant(m, xi):
-    unshifted = FractalMeasure(m.base, m.digits)
+@given(translates(), st.floats(-20, 20))
+def test_shift_leaves_modulus_invariant(t, xi):
+    unshifted = t.left
     # the modulus path drops phases entirely: exact equality
-    assert fourier_abs(m, np.array([xi]))[0] == fourier_abs(unshifted, np.array([xi]))[0]
-    assert abs(fourier_transform(m, xi)) == pytest.approx(
+    assert fourier_abs(t, np.array([xi]))[0] == fourier_abs(unshifted, np.array([xi]))[0]
+    assert abs(fourier_transform(t, xi)) == pytest.approx(
         abs(fourier_transform(unshifted, xi)), abs=1e-13
     )
 
@@ -171,7 +178,7 @@ def test_abs_fallback_is_modulus_of_transform_bytes():
         "dirac:0.37",
         "cantor:450:0..446",  # digits in progression: unsigned Dirichlet kernel
         "cantor:10:0,1,4,7",  # no progression: modulus of the digit sum
-        "cantor:3:0,2+0.3",  # shifted leaf
+        "cantor:3:0,2+0.3",  # translated leaf
         "cantor:5:0,3+0.25*leb",  # convolution
     ],
 )
@@ -225,7 +232,7 @@ def test_blocked_fourier_abs_equals_one_shot_product(text):
     [
         FractalMeasure(450, (*range(446), 447)),  # 447 digits not in progression: 73 xi per pass
         FractalMeasure(10, (0, 1, 5)),  # cantor:10:0,1,5
-        FractalMeasure(7, (0, 1, 5), 0.25),  # shifted, digits not in progression
+        FractalMeasure(7, (0, 1, 5)),  # cantor:7:0,1,5
     ],
 )
 def test_symbol_g_digit_sum_in_passes_keeps_its_bits(mu):
@@ -286,7 +293,7 @@ def deep_transform(measure, xi):
     if isinstance(measure, Convolution):
         return deep_transform(measure.left, xi) * deep_transform(measure.right, xi)
     if isinstance(measure, FractalMeasure):
-        value, u = np.exp(2j * np.pi * measure.shift * xi), xi
+        value, u = 1.0, xi
         for _ in range(deep_depth(measure, xi)):
             u = u / measure.base
             value = value * symbol_g(measure, u)
@@ -306,7 +313,7 @@ def test_fourier_abs_within_tail_tol_of_a_deep_product(text):
     # once their closed-form phase is multiplied in; the first J factors of
     # the deep |mu_hat| product are those of fourier_abs, bit for bit, while
     # mu_hat also meets the rounding of its phases, 2 pi |xi| R ulps with R =
-    # support_radius, which is |x0| + 1 on a fractal leaf
+    # support_radius, which is |x0| + 1 on a leaf translated by x0
     mu = parse_measure(text)
     rng = np.random.default_rng(27)
     xi = np.concatenate([np.arange(0.0, 2001.0), rng.uniform(-1e6, 1e6, 4000), [1e6, -1e6 + 0.5]])
@@ -360,20 +367,25 @@ def test_fourier_transform_does_not_depend_on_array_length(text):
 @pytest.mark.parametrize(
     "mu",
     [
-        FractalMeasure(7, (0, 1, 5), 0.25),  # shifted, digits not in progression
+        parse_measure("cantor:7:0,1,5+0.25"),  # translated, digits not in progression
         FractalMeasure(10, (0, 1, 4, 7)),  # digits not in progression
     ],
 )
 def test_product_walk_across_blocks_equals_one_shot_product(mu):
     xi = np.random.default_rng(8).uniform(-5e3, 5e3, 2 * ABS_BLOCK + 155)
-    J = product_depth(mu, float(np.abs(xi).max()), DEFAULT_TAIL_TOL)
-    tail = np.mean(mu.digits) / ((mu.base - 1) * mu.base**J)  # the omitted factors' phase
-    value, modulus, u = np.exp(2j * np.pi * (mu.shift * xi + tail * xi)), np.ones(xi.size), xi
+    leaf, x0 = measures.split_translate(mu)
+    J = product_depth(leaf, float(np.abs(xi).max()), DEFAULT_TAIL_TOL)
+    tail = np.mean(leaf.digits) / ((leaf.base - 1) * leaf.base**J)  # the omitted factors' phase
+    value, modulus, u = np.exp(2j * np.pi * (tail * xi)), np.ones(xi.size), xi
     for _ in range(J):
-        u = u / mu.base
-        g = symbol_g(mu, u)
+        u = u / leaf.base
+        g = symbol_g(leaf, u)
         value = value * g
         modulus = modulus * np.abs(g)
+    if leaf is not mu:
+        # times the point mass's factor e(x0 xi), leaf first as in _transform;
+        # np.multiply, since `*` may run in place in the large temporary, operands swapped
+        value = np.multiply(value, np.exp(2j * np.pi * x0 * xi))
     assert np.array_equal(fourier_transform(mu, xi).view(np.int64), value.view(np.int64))
     assert np.array_equal(fourier_abs(mu, xi).view(np.int64), modulus.view(np.int64))
 
@@ -416,24 +428,25 @@ def test_sample_depth_underflow_rejected():
 @pytest.mark.parametrize(
     "mu",
     [
-        CANTOR3, FractalMeasure(3, (0, 2), 0.5), FractalMeasure(10, (0, 1, 5)),
+        CANTOR3, parse_measure("cantor:3:0,2+0.5"), FractalMeasure(10, (0, 1, 5)),
         parse_measure("leb"), parse_measure("dirac:0.3"),
     ],
 )
 def test_sample_in_passes_equals_one_draw(mu):
     depth = 8
-    if isinstance(mu, FractalMeasure):
+    leaf, x0 = measures.split_translate(mu)
+    if isinstance(leaf, FractalMeasure):
         # more than three passes of SAMPLE_BLOCK digits, against one draw of
-        # all gathered from the digit table
+        # all gathered from the digit table; a translate adds its point after
         count = 3 * SAMPLE_BLOCK // 8 + 777
         rng = np.random.default_rng(11)
-        idx = rng.integers(0, mu.n_digits, size=(count, depth))
-        vals = np.asarray(mu.digits)[idx].astype(float)
+        idx = rng.integers(0, leaf.n_digits, size=(count, depth))
+        vals = np.asarray(leaf.digits)[idx].astype(float)
         x = np.zeros(count)
         for j in range(depth - 1, -1, -1):
-            x = (x + vals[:, j]) * (1.0 / mu.base)
+            x = (x + vals[:, j]) * (1.0 / leaf.base)
         got = sample(mu, depth, count, 11)
-        assert np.array_equal(got.view(np.int64), (x + mu.shift).view(np.int64))
+        assert np.array_equal(got.view(np.int64), (x + x0).view(np.int64))
     # blocks of 2**15 and 2**15 + 777 from one Generator, as mu_y_value draws
     # them, against one call
     count = (1 << 16) + 777
@@ -557,7 +570,7 @@ def test_paired_star_sums_within_4_ulps_of_per_theta_on_grid_9(literal):
 
 
 def test_star_sum_dominates_plain():
-    for m in (CANTOR3, FractalMeasure(5, (0, 3), shift=0.3)):
+    for m in (CANTOR3, parse_measure("cantor:5:0,3+0.3")):
         plain = l1_partial_sum(m, 50, star=False)
         star = l1_partial_sum(m, 50, star=True, theta_grid=64)
         assert star >= plain - 1e-12
@@ -691,12 +704,22 @@ def test_parse_round_trip_variants():
     m = parse_measure("cantor:450:0..446")
     assert isinstance(m, FractalMeasure) and m.base == 450 and m.n_digits == 447
     m = parse_measure("cantor:3:0,2+0.5")
-    assert m.shift == 0.5
+    assert m == Convolution(CANTOR3, DiracMass(0.5))
     m = parse_measure("leb * dirac:0.3")
     assert isinstance(m, Convolution)
     m = parse_measure("leb+-0.25")
     assert isinstance(m, Convolution) and m.right.point == -0.25
     assert isinstance(parse_measure("dirac:2.5"), DiracMass)
+
+
+def test_both_spellings_of_a_translate_parse_to_one_object():
+    assert parse_measure("cantor:3:0,2+0.3") == parse_measure("cantor:3:0,2*dirac:0.3")
+    assert parse_measure("dirac:0.1+0.2") == parse_measure("dirac:0.1*dirac:0.2")
+    assert parse_measure("leb+0") == LebesgueUnit()
+    # the point masses of a chain, peeled off from either side
+    assert measures.split_translate(parse_measure("dirac:0.25*cantor:3:0,2+0.5")) == (CANTOR3, 0.75)
+    general = parse_measure("cantor:3:0,2*leb")
+    assert measures.split_translate(general) == (general, 0.0)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from horolab.automorphic import horocycle_fourier_coeff
 from horolab.fitting import LiteralParseError
-from horolab.measures import parse_measure
+from horolab.measures import parse_measure, split_translate
 from horolab import testfunctions
 from horolab.modular import BOUNDARY_BAND, mu_y_value, reduce_many
 from horolab.testfunctions import BumpTest, ConstantTest, EisensteinTest, IndicatorTest, parse_test_function
@@ -448,14 +448,19 @@ def test_mu_y_montecarlo_reads_no_lipschitz():
         ("cantor:3:0,2*dirac:0.25", "cantor:3:0,2+0.25"),
         ("dirac:0.25*cantor:3:0,2+0.5", "cantor:3:0,2+0.75"),
         ("dirac:0.1*leb", "leb+0.1"),
-        ("dirac:0.1*dirac:0.2", "dirac:0.1+0.2"),  # the literal folds its shift into the point
+        ("dirac:0.1*dirac:0.2", "dirac:0.1+0.2"),
     ],
 )
 def test_mu_y_cylinder_folds_point_masses_into_shifts(convolved, shifted):
+    # both spellings of a translate give the same sum, and the translate by
+    # x0 of the rest moves its base point from 0.1 to 0.1 + x0/q, q = 2
     phi = EisensteinTest(1.0, component="complex")
     got = mu_y_value(parse_measure(convolved), phi, 0.05, 0.1, 2, method="cylinder", budget=10**6, tol=1e-4)
     want = mu_y_value(parse_measure(shifted), phi, 0.05, 0.1, 2, method="cylinder", budget=10**6, tol=1e-4)
     assert got == want
+    rest, x0 = split_translate(parse_measure(shifted))
+    moved = mu_y_value(rest, phi, 0.05, 0.1 + x0 / 2, 2, method="cylinder", budget=10**6, tol=1e-4)
+    assert got == pytest.approx(moved, abs=1e-12)
 
 
 def test_cylinder_node_widths():
