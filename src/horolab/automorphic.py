@@ -339,20 +339,23 @@ class EisensteinParams:
     def coef(self, m_max: int) -> np.ndarray:
         """whittaker_norm * lambda(m), m = 1..m_max: e(m x) has the coefficient
         coef[|m|-1] sqrt(y) K_it(2 pi |m| y).  coef(N)[:k] is coef(k) bit for
-        bit; lam is named because numpy scales a temporary of 256 KiB or more
-        in place, operands swapped, which rounds complex products differently.
+        bit (see constant_term for why the product is one np.multiply).
         """
-        lam = hecke_range(self, m_max)
-        return self.whittaker_norm * lam
+        return np.multiply(self.whittaker_norm, hecke_range(self, m_max))
 
 
 def constant_term(y, p: EisensteinParams):
-    """y^(1/2+it) + c(t) y^(1/2-it); modulus at most 2 sqrt(y)."""
+    """y^(1/2+it) + c(t) y^(1/2-it); modulus at most 2 sqrt(y).
+
+    A value's bits do not depend on the array's length: numpy runs `*` on a
+    temporary of 256 KiB or more in place, operands swapped, and its complex
+    product is not bit-commutative, so c(t) * conj(e) is one np.multiply.
+    """
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any(y_arr <= 0):
         raise ValueError("require y > 0")
     e = np.exp(1j * p.t * np.log(y_arr))
-    out = np.sqrt(y_arr) * (e + p.c * np.conj(e))
+    out = np.sqrt(y_arr) * (e + np.multiply(p.c, np.conj(e)))
     return complex(out[0]) if np.asarray(y).ndim == 0 else out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as _measures
-from .fitting import MAX_GRID_POINTS, THREADS, LiteralParseError, csv_table, map_in_order
+from .fitting import MAX_GRID_POINTS, THREADS, LiteralParseError, csv_table, map_in_order, parse_real
 
 # A window's two binary searches cost about ten row tests of one sample
 # (measured for 10^3 to 10^5 sorted samples).
@@ -78,8 +78,9 @@ def parse_psi(text: str) -> PowerPsi | QLogQPsi | ConstPsi:
         return QLogQPsi()
     for prefix, cls in (("pow:", PowerPsi), ("const:", ConstPsi)):
         if text.startswith(prefix):
+            value = parse_real(text[len(prefix):], "<psi>")
             try:
-                return cls(float(text[len(prefix):]))
+                return cls(value)
             except ValueError as exc:
                 raise LiteralParseError("<psi>", str(exc)) from None
     raise LiteralParseError("<psi>", f"unknown psi literal {text!r}")

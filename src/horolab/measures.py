@@ -431,46 +431,46 @@ def _(measure: Convolution) -> float:
 
 
 @singledispatch
-def cylinder_nodes(measure, y: float, q: int, budget: int, tol: float, lip):
-    """Nodes, each of mass 1/len(nodes), and width for the cylinder sum of mu_y at height y under a(1/q).
+def cylinder_nodes(measure, y: float, budget: int, tol: float, lip):
+    """Nodes, each of mass 1/len(nodes), and the error bound of their mean as mu_y at height y.
 
-    The width is the length of the digit cylinders whose midpoints are the
-    nodes, at most y * tol / (lip * q) for lip >= y|grad phi|, so the sum errs
-    by at most lip * width / (2 y); it is 0 for a point mass (one exact node)
-    and None for Lebesgue (midpoint rule, checked at half resolution, on
-    2^max(8, ceil(log2(8/y))) nodes capped at 2^floor(log2 budget)).
+    A `cantor:` leaf takes its digit cylinders' midpoints at the shallowest
+    depth whose width w gives lip * w / (2y) <= tol, for lip >= y|grad phi|;
+    q cancels, since at height y/q a cylinder spans w/q, a hyperbolic length
+    of w/y.  A point mass is one exact node, bound 0.0.  Lebesgue reports
+    None: the midpoint rule on 2^max(8, ceil(log2(8/y))) nodes capped at
+    2^floor(log2 budget), checked at half resolution by the caller.
     """
     raise ValueError("cylinder method unavailable for this expression")
 
 
 @cylinder_nodes.register
-def _(measure: FractalMeasure, y: float, q: int, budget: int, tol: float, lip):
+def _(measure: FractalMeasure, y: float, budget: int, tol: float, lip):
     if lip is None:
         raise ValueError("cylinder method needs a test function with a "
                          "declared Lipschitz constant")
+    if not tol > 0:  # else the depth search below would not end
+        raise ValueError(f"cylinder tol must be > 0, got {tol}")
     b, l = measure.base, measure.n_digits
-    # a constant (lip 0) is exact on one level of cylinders, with bound 0
-    depth = max(1, math.ceil(math.log(lip * q / (y * tol)) / math.log(b))) if lip else 1
-    count = l**depth
-    if count > budget:
+    depth, scale = 1, 1.0 / b  # a constant (lip 0) is exact on one level
+    while (bound := lip * scale / (2.0 * y)) > tol:
+        depth, scale = depth + 1, scale / b
+    if l**depth > budget:
         raise ValueError(
             f"cylinder enumeration needs {l}^{depth} nodes > budget {budget}; "
             "use method='montecarlo'"
         )
     digits = np.asarray(measure.digits, dtype=float)
-    xs = np.zeros(count)
-    scale = 1.0
-    for j in range(depth):
+    xs, scale = np.zeros(1), 1.0
+    for _ in range(depth):  # digit prefixes in lexicographic order
         scale /= b
-        reps = l ** (depth - 1 - j)
-        idx = (np.arange(count) // reps) % l
-        xs += digits[idx] * scale
+        xs = (xs[:, None] + digits * scale).ravel()
     xs += 0.5 * scale  # cylinder midpoints
-    return xs, scale
+    return xs, bound
 
 
 @cylinder_nodes.register
-def _(measure: LebesgueUnit, y: float, q: int, budget: int, tol: float, lip):
+def _(measure: LebesgueUnit, y: float, budget: int, tol: float, lip):
     if budget < 2:  # the half-resolution check takes every other node
         raise ValueError(f"cylinder budget must be >= 2 for the Lebesgue leaf, got {budget}")
     n = 1 << max(8, math.ceil(math.log2(8.0 / y)))
@@ -479,12 +479,12 @@ def _(measure: LebesgueUnit, y: float, q: int, budget: int, tol: float, lip):
 
 
 @cylinder_nodes.register
-def _(measure: DiracMass, y: float, q: int, budget: int, tol: float, lip):
+def _(measure: DiracMass, y: float, budget: int, tol: float, lip):
     return np.array([measure.point]), 0.0
 
 
 @cylinder_nodes.register
-def _(measure: Convolution, y: float, q: int, budget: int, tol: float, lip):
+def _(measure: Convolution, y: float, budget: int, tol: float, lip):
     # a translate moves the nodes of what it translates; anything else has
     # no cylinder structure worth enumerating
     leaf, x0 = split_translate(measure)
@@ -493,8 +493,8 @@ def _(measure: Convolution, y: float, q: int, budget: int, tol: float, lip):
             "cylinder method does not enumerate general convolutions; "
             "use method='montecarlo'"
         )
-    xs, width = cylinder_nodes(leaf, y, q, budget, tol, lip)
-    return xs + x0, width
+    xs, bound = cylinder_nodes(leaf, y, budget, tol, lip)
+    return xs + x0, bound
 
 
 # ---------------------------------------------------------------------------

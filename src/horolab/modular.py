@@ -16,7 +16,7 @@ from .fitting import MAX_GRID_POINTS
 
 BOUNDARY_BAND = 1e-12
 MAX_REDUCE_STEPS = 10_000
-EVAL_BLOCK = 1 << 15  # points per block of mu_y_value; never below 2**15 (see its docstring)
+EVAL_BLOCK = 1 << 15  # most points per block of mu_y_value
 
 
 def reduce_many(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -105,29 +105,22 @@ def mu_y_value(
     budget, the number of Monte-Carlo points or the most cylinder nodes,
     lies in [1, MAX_GRID_POINTS].
 
-    cylinder: weighted sum over depth-L digit cylinders at their midpoints
-    (midpoint rule for the Lebesgue leaf), error bounded via the declared
-    Lipschitz constant (resp. the mean over every other node, a
-    half-resolution comparison that evaluates phi nowhere else).
+    cylinder: the mean of phi over measures.cylinder_nodes, erring by at
+    most the bound they report (lip * width / (2y) <= tol on a `cantor:`
+    leaf, whatever q; 0 for a point mass).  The Lebesgue leaf reports none;
+    its error is the distance to the mean over every other node, a
+    half-resolution check that evaluates phi nowhere else.
     montecarlo: seeded sample mean with its standard error.
 
-    The points are reduced and passed to phi in blocks of EVAL_BLOCK, the
-    remainder joining the last block, into one array; the mean, its error
-    and the cylinder sum run on the whole array.  So every block holds
-    EVAL_BLOCK to 2*EVAL_BLOCK - 1 points, or all of them when there are
-    fewer.  Cylinder nodes are enumerated at once.  Monte-Carlo points are
-    drawn block by block from one Generator, so no whole sample is held; for
-    a leaf measure the draws are bit for bit those of one call (numpy's draws
+    The points are reduced and passed to phi in slices of at most
+    EVAL_BLOCK, into one array; each value depends only on its own point,
+    so the result is bit for bit that of one unblocked evaluation.
+    Cylinder nodes are enumerated at once.  Monte-Carlo points are drawn
+    block by block from one Generator, so no whole sample is held; for a
+    leaf measure the draws are bit for bit those of one call (numpy's draws
     do not depend on how the calls are split), while a Convolution
     alternates its left and right draws per block.  A budget below 2 is
     refused: the standard error needs two samples.
-
-    The floor matters: numpy runs an arithmetic operation in place in a
-    temporary of 256 KiB or more, operands swapped, and a swapped complex
-    product rounds differently (constant_term's c(t) * conj(e) from 16 384
-    complex entries on).  A block of 2**15 points or more takes that branch
-    wherever the whole array would, so the result is bit for bit that of one
-    unblocked evaluation.
     """
     if q < 1:
         raise ValueError("require q >= 1")
@@ -139,9 +132,9 @@ def mu_y_value(
 
     def evaluate(n: int, points) -> np.ndarray:
         """phi on the n points, points(lo, hi) giving those of block [lo, hi)."""
-        edges = [EVAL_BLOCK * i for i in range(max(1, n // EVAL_BLOCK))] + [n]
         out = None
-        for lo, hi in zip(edges, edges[1:]):
+        for lo in range(0, n, EVAL_BLOCK):
+            hi = min(lo + EVAL_BLOCK, n)
             vals = np.asarray(phi(*reduce_many(x0 + points(lo, hi) / q, y / q)))
             if hi - lo == n:  # one block: its values are the result, uncopied
                 return vals
@@ -153,14 +146,12 @@ def mu_y_value(
 
     if method == "cylinder":
         lip = getattr(phi, "lipschitz", None)
-        xs, width = _measures.cylinder_nodes(measure, y, q, budget, tol, lip)
+        xs, err = _measures.cylinder_nodes(measure, y, budget, tol, lip)
         vals = evaluate(xs.size, lambda lo, hi: xs[lo:hi])
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused by the caller
             total = np.sum(vals * (1.0 / vals.size))
-            if width is None:  # Lebesgue leaf: compare against every other node
-                err = float(abs(total - vals[::2].mean()))
-            else:  # a point mass (width 0) is exact
-                err = lip * width / (2.0 * y) if width else 0.0
+            if err is None:  # Lebesgue leaf: compare against every other node
+                err = abs(total - vals[::2].mean())
         out = complex(total) if np.iscomplexobj(vals) else float(total)
         return out, float(err)
 

@@ -445,8 +445,9 @@ def parse_window(text: str) -> Window:
             parts = text[len(prefix):].split(",")
             if len(parts) != 2:
                 raise LiteralParseError("<window>", f"expected {prefix}center,radius")
+            center, radius = (parse_real(v, "<window>") for v in parts)
             try:
-                return cls(float(parts[0]), float(parts[1]))
+                return cls(center, radius)
             except ValueError as exc:
                 raise LiteralParseError("<window>", str(exc)) from None
     raise LiteralParseError("<window>", f"unknown window literal {text!r}")

@@ -436,6 +436,18 @@ def test_eisenstein_values_empty_and_shape(params_t1):
     assert np.array_equal(eisenstein_values(x.T, y.T, params_t1), got.T)  # Fortran order
 
 
+@pytest.mark.parametrize("real", [False, True])
+def test_eisenstein_values_do_not_depend_on_how_points_are_split(params_t1, real):
+    # no product of complex arrays may depend on the array's length: numpy
+    # runs an operator on a large temporary in place, operands swapped
+    n = 200_000
+    x, y = reduce_many(np.random.default_rng(31).random(n), 0.25 * 2.0**-14)
+    whole = eisenstein_values(x, y, params_t1, real=real)
+    for size in (1000, 16_383, 40_000):
+        parts = [eisenstein_values(x[i:i + size], y[i:i + size], params_t1, real=real) for i in range(0, n, size)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
 def test_import_loads_no_scipy():
     # scipy, sympy and mpmath are test-only oracles; the package must not
     # need them at run time

@@ -644,6 +644,15 @@ def test_cli_stationary_accepts_exact_two_decades(xigrid, tmp_path, capsys):
         (("spectral-gap", "--ygrid", "0.125:0.5:3"), "horolab: error: y_grid needs at least 4 points"),
         (("spectral-gap", "--ygrid", "0.125:0.9:8"), "horolab: error: y_grid must span at least 3 dyadic decades"),
         (("fourier", "--measure", "cantor:3:0,2", "--xi", "5:0:1"), "horolab: error: <xi-range>: stop must be >= start"),
+        # numbers in <psi> and <window> are read by parse_real, as in every other literal
+        (("khintchine", "--measure", "leb", "--psi", "pow:abc", "--Q", "20"),
+         "horolab: error: literal, production <psi>: bad number 'abc'"),
+        (("khintchine", "--measure", "leb", "--psi", "const:", "--Q", "20"),
+         "horolab: error: literal, production <psi>: bad number ''"),
+        (("stationary", "--phase", "poly:0,0,1", "--window", "coswin:a,1"),
+         "horolab: error: literal, production <window>: bad number 'a'"),
+        (("stationary", "--phase", "poly:0,0,1", "--window", "bumpwin:0,"),
+         "horolab: error: literal, production <window>: bad number ''"),
     ],
 )
 def test_cli_malformed_literals_name_production(capsys, argv, needle):

@@ -38,8 +38,8 @@ GOLDEN = {
         "46b7083d78fea999036fafa6eb719c1ad50146f0d6042ef97e306f3334b0db4a",
     ),
     "basis-check --measure cantor:3:0,2 --q 2 --x0 0.25 --ygrid 0.2:0.5:4 --budget 1000000 --tol 1e-5": (
-        "847df0973dff6ca63a84ef08d74be6548d5cea2aba513bbba3b47b5e6722e365",
-        "dae8400e5c939445fc9bea080afd75bc36ad954b99f58b2418caa8965b634c0c",
+        "cd1a419fce12c1f5951e1e8ba62bd2c52b1fd6fdf2efd1c6097b10c4984a883a",
+        "808420a95b2ece9e97e0e178a96f939ee1b1922638f19a4fc221ba63a72222c5",
     ),
     "spectral-gap --t 1 --ygrid 0.125:0.5:6": (
         "f3a7a97f90548d953fd4efc9df58ff4d6261b8647e10bb3d266f78baafc6bf2a",

@@ -466,12 +466,35 @@ def test_mu_y_cylinder_folds_point_masses_into_shifts(convolved, shifted):
 def test_cylinder_node_widths():
     from horolab.measures import cylinder_nodes
 
-    xs, width = cylinder_nodes(parse_measure("dirac:0.3"), 0.1, 1, 10, 1e-6, None)
-    assert xs.tolist() == [0.3] and width == 0.0
-    assert cylinder_nodes(parse_measure("leb"), 0.1, 1, 10**6, 1e-6, None)[1] is None
-    xs, width = cylinder_nodes(parse_measure("cantor:3:0,2"), 0.1, 1, 10**6, 1e-3, 2.0)
-    assert width <= 0.1 * 1e-3 / 2.0 < 3 * width  # the shallowest depth that is fine enough
-    assert xs.size == 2 ** round(math.log(1 / width, 3)) == 2**10
+    xs, bound = cylinder_nodes(parse_measure("dirac:0.3"), 0.1, 10, 1e-6, None)
+    assert xs.tolist() == [0.3] and bound == 0.0
+    assert cylinder_nodes(parse_measure("leb"), 0.1, 10**6, 1e-6, None)[1] is None
+    xs, bound = cylinder_nodes(parse_measure("cantor:3:0,2"), 0.1, 10**6, 1e-3, 2.0)
+    # lip * 3^-J / (2y) <= tol at the shallowest J: 3^-9 <= 1e-4 < 3^-8
+    assert bound == pytest.approx(2.0 * 3.0**-9 / 0.2, rel=1e-15) and bound <= 1e-3 < 3 * bound
+    assert xs.size == 2**9 and np.diff(xs).min() == pytest.approx(2 * 3.0**-9)
+
+
+def test_cylinder_refuses_a_tol_that_is_not_positive():
+    from horolab.measures import cylinder_nodes
+
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="cylinder tol must be > 0"):
+            cylinder_nodes(parse_measure("cantor:3:1"), 0.1, 10**6, tol, 2.0)
+
+
+@pytest.mark.parametrize("literal", ["cantor:3:0,2", "cantor:10:0,1,5"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_cylinder_bound_covers_the_series(literal, q):
+    # the reported bound is at most tol, one level shallower would exceed it,
+    # and it covers the distance to the Fourier series, whatever q
+    from horolab.automorphic import eisenstein_series_prediction
+
+    measure, phi, tol = parse_measure(literal), EisensteinTest(1.0, component="complex"), 1e-4
+    for y in (0.2, 0.05, 0.0125):
+        value, err = mu_y_value(measure, phi, y, 0.25, q, method="cylinder", budget=10**6, tol=tol)
+        assert err <= tol < measure.base * err
+        assert abs(value - eisenstein_series_prediction(measure, phi.params, y / q, 0.25, q)) <= err
 
 
 def test_mu_y_general_convolution_cylinder_refused():
@@ -522,17 +545,19 @@ def test_lebesgue_cylinder_refuses_a_budget_below_two():
 
 
 BLOCKING_SIZES = [16_383, 16_384, 1 << 15, (1 << 15) + 1, 3 * (1 << 15) - 1, 200_000]
+BLOCKING_CASES = [pytest.param("cantor:450:0..446", None, 0.25 * 0.5**8, n, id=str(n)) for n in BLOCKING_SIZES] + [
+    pytest.param(literal, 1000, 0.25 * 0.5**14, 200_000, id=f"{literal}-block1000")
+    for literal in ("leb", "cantor:450:0..446")
+]
 
 
-@pytest.mark.parametrize("n", BLOCKING_SIZES)
-def test_mu_y_blocks_equal_one_unblocked_evaluation(monkeypatch, n):
-    # constant_term's c(t) * conj(e) rounds differently below 16 384 complex
-    # entries, so a block split that leaves a smaller tail moves the values
+@pytest.mark.parametrize("literal, block, y, n", BLOCKING_CASES)
+def test_mu_y_blocks_equal_one_unblocked_evaluation(monkeypatch, literal, block, y, n):
     from horolab import measures, modular
 
-    measure = parse_measure("cantor:450:0..446")
-    base = (0.25 * 0.5**8, 0.1, 3)  # y, x0, q
-    nodes = measures.sample(measure, 8, n, 5)
+    measure = parse_measure(literal)
+    base = (y, 0.1, 3)  # y, x0, q
+    nodes = measures.sample(measure, measures.default_sample_depth(measure), n, 5)
 
     def cylinder_nodes(*args):  # exactly n nodes, checked at half resolution from their values
         return nodes, None
@@ -540,11 +565,11 @@ def test_mu_y_blocks_equal_one_unblocked_evaluation(monkeypatch, n):
     monkeypatch.setattr(measures, "cylinder_nodes", cylinder_nodes)
     for component in ("re", "complex"):
         runs = []
-        for block in (modular.EVAL_BLOCK, n):  # n: one block of every point
+        for size in (block or modular.EVAL_BLOCK, n):  # n: one block of every point
             mc = Recording(EisensteinTest(1.0, component=component))
             cyl = Recording(mc.phi)
             with monkeypatch.context() as m:
-                m.setattr(modular, "EVAL_BLOCK", block)
+                m.setattr(modular, "EVAL_BLOCK", size)
                 results = [
                     mu_y_value(measure, mc, *base, method="montecarlo", budget=n, seed=7),
                     mu_y_value(measure, cyl, *base, method="cylinder", budget=n),
