@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as _measures
-from .fitting import MAX_GRID_POINTS, THREADS, LiteralParseError, csv_table, map_in_order, parse_real
+from .fitting import MAX_GRID_POINTS, THREADS, csv_table, map_in_order, parse_literal
 
 # A window's two binary searches cost about ten row tests of one sample
 # (measured for 10^3 to 10^5 sorted samples).
@@ -73,17 +73,7 @@ class ConstPsi:
 def parse_psi(text: str) -> PowerPsi | QLogQPsi | ConstPsi:
     """Parse `pow:<tau>`, `qlogq`, `const:<c>`: a labelled psi on {2, 3, ...},
     positive and non-increasing."""
-    text = text.strip()
-    if text == "qlogq":
-        return QLogQPsi()
-    for prefix, cls in (("pow:", PowerPsi), ("const:", ConstPsi)):
-        if text.startswith(prefix):
-            value = parse_real(text[len(prefix):], "<psi>")
-            try:
-                return cls(value)
-            except ValueError as exc:
-                raise LiteralParseError("<psi>", str(exc)) from None
-    raise LiteralParseError("<psi>", f"unknown psi literal {text!r}")
+    return parse_literal(text, "<psi>", {"pow:<tau>": PowerPsi, "qlogq": QLogQPsi, "const:<c>": ConstPsi})
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ is repeated until stable.  On non-oscillatory data no row is rejected and
 the robust fit coincides with the plain one.
 
 The shared base every layer may use lives here too: csv_table (the one CSV
-writer), LiteralParseError, map_in_order (the one thread map) and
-MAX_GRID_POINTS (the one cap on an allocated grid).
+writer), parse_literal (the one literal reader), map_in_order (the one
+thread map) and MAX_GRID_POINTS (the one cap on an allocated grid).
 """
 
 from __future__ import annotations
@@ -138,6 +138,59 @@ def parse_real(text: str, production: str) -> float:
     if not math.isfinite(value):
         raise LiteralParseError(production, f"bad number {text!r}")
     return value
+
+
+def parse_literal(text: str, production: str, forms: dict, named: bool = False):
+    """build(*values) for the form of forms that text takes; every refusal
+    is a LiteralParseError.
+
+    forms maps each form to its build.  A form is a bare name (`leb`), which
+    text must equal, or `name:` and its body: `key=<real>` items, each key
+    once in any order, passed in the form's order (`bump:y0=<real>,y1=<real>`);
+    comma-separated reals, as many as the form names (`coswin:<center>,<radius>`)
+    or one or more after `,...` (`poly:<c>,...`); or a grammar of its own when
+    build is a pair (read, build), read(body) giving the arguments.  Numbers
+    are read by parse_real.  A name no form takes names production; a
+    malformed body, or a ValueError of build, names the form's production:
+    production itself or, if named, `<p:name>` for production `<p>`.
+    """
+    text = text.strip()
+    name, colon, body = text.partition(":")
+    for form, build in forms.items():
+        head, form_colon, fields = form.partition(":")
+        if (head, form_colon) == (name, colon):
+            break
+    else:
+        raise LiteralParseError(production, f"expected {' | '.join(forms)}, got {text!r}")
+    if named:
+        production = f"{production[:-1]}:{name}>"
+    if isinstance(build, tuple):
+        read, build = build
+        args = read(body)
+    elif "=" in fields:
+        keys, values = [item.partition("=")[0] for item in fields.split(",")], {}
+        for item in body.split(","):
+            key, equals, value = item.partition("=")
+            key = key.strip()
+            if not equals:
+                raise LiteralParseError(production, f"expected key=value, got {item!r}")
+            if key in values:
+                raise LiteralParseError(production, f"repeated key {key!r} in {body!r}")
+            values[key] = parse_real(value, production)
+        if set(values) != set(keys):
+            raise LiteralParseError(production, f"expected {fields}, got {body!r}")
+        args = [values[key] for key in keys]
+    elif colon:
+        items = body.split(",")
+        if not fields.endswith(",...") and len(items) != fields.count(",") + 1:
+            raise LiteralParseError(production, f"expected {fields}, got {body!r}")
+        args = [parse_real(item, production) for item in items]
+    else:
+        args = []
+    try:  # the constructor's own refusal, e.g. y0 >= y1, names the production too
+        return build(*args)
+    except ValueError as exc:
+        raise LiteralParseError(production, str(exc)) from None
 
 
 @dataclass

@@ -31,7 +31,8 @@ from functools import cached_property, singledispatch
 
 import numpy as np
 
-from .fitting import MAX_GRID_POINTS, LiteralParseError, least_squares_loglog, map_in_order, parse_real
+from .fitting import MAX_GRID_POINTS, LiteralParseError, least_squares_loglog, map_in_order
+from .fitting import parse_literal, parse_real
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_TAIL_TOL = 1e-12
@@ -439,7 +440,8 @@ def cylinder_nodes(measure, y: float, budget: int, tol: float, lip):
     q cancels, since at height y/q a cylinder spans w/q, a hyperbolic length
     of w/y.  A point mass is one exact node, bound 0.0.  Lebesgue reports
     None: the midpoint rule on 2^max(8, ceil(log2(8/y))) nodes capped at
-    2^floor(log2 budget), checked at half resolution by the caller.
+    2^floor(log2 budget), which the caller checks at half resolution: an
+    estimate, not a bound, blind on an integrand even about the grid.
     """
     raise ValueError("cylinder method unavailable for this expression")
 
@@ -694,39 +696,32 @@ def parse_measure(text: str) -> MeasureExpr:
 def _parse_term(text: str) -> MeasureExpr:
     base_text, plus, shift_text = text.partition("+")
     shift = parse_real(shift_text, "<shift>") if plus else 0.0
-    atom = _parse_atom(base_text.strip())
+    atom = parse_literal(base_text, "<atom>", {
+        "cantor:<b>:<digits>": (_cantor_fields, FractalMeasure),
+        "leb": LebesgueUnit,
+        "dirac:<x>": DiracMass,
+    })
     return atom if shift == 0.0 else Convolution(atom, DiracMass(shift))
 
 
-def _parse_atom(text: str) -> MeasureExpr:
-    if text == "leb":
-        return LebesgueUnit()
-    if text.startswith("dirac:"):
-        return DiracMass(parse_real(text[len("dirac:"):], "<atom>"))
-    if text.startswith("cantor:"):
-        fields = text.split(":")
-        if len(fields) != 3:
-            raise LiteralParseError("<atom>", f"expected cantor:<b>:<digits>, got {text!r}")
-        try:
-            b = int(fields[1])
-        except ValueError:
-            raise LiteralParseError("<atom>", f"bad base in {text!r}") from None
-        digits = _parse_digits(fields[2])
-        try:
-            return FractalMeasure(b, digits)
-        except ValueError as exc:
-            raise LiteralParseError("<atom>", str(exc)) from None
-    raise LiteralParseError("<atom>", f"unknown measure atom {text!r}")
-
-
-def _parse_digits(text: str) -> tuple[int, ...]:
+def _cantor_fields(body: str) -> tuple[int, tuple[int, ...]]:
+    """The base and digits of a `cantor:<b>:<digits>` body, the digits
+    `<d1>,<d2>,...` or `<lo>..<hi>`."""
+    fields = body.split(":")
+    if len(fields) != 2:
+        raise LiteralParseError("<atom>", f"expected <b>:<digits>, got {body!r}")
+    base, digits = fields
     try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
+        b = int(base)
+    except ValueError:
+        raise LiteralParseError("<atom>", f"bad base {base!r}") from None
+    try:
+        if ".." in digits:
+            lo_text, hi_text = digits.split("..", 1)
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError
-            return tuple(range(lo, hi + 1))
-        return tuple(int(d) for d in text.split(","))
+            return b, tuple(range(lo, hi + 1))
+        return b, tuple(int(d) for d in digits.split(","))
     except ValueError:
-        raise LiteralParseError("<digits>", f"bad digit list {text!r}") from None
+        raise LiteralParseError("<digits>", f"bad digit list {digits!r}") from None

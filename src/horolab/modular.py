@@ -108,8 +108,10 @@ def mu_y_value(
     cylinder: the mean of phi over measures.cylinder_nodes, erring by at
     most the bound they report (lip * width / (2y) <= tol on a `cantor:`
     leaf, whatever q; 0 for a point mass).  The Lebesgue leaf reports none;
-    its error is the distance to the mean over every other node, a
-    half-resolution check that evaluates phi nowhere else.
+    its error, the distance to the mean over every other node, is a
+    half-resolution estimate, not a bound, that evaluates phi nowhere else:
+    on an integrand even about the grid (phi even in x at x0 = 0 or 0.25,
+    q = 1) both means alias the same frequencies and it reads 0.
     montecarlo: seeded sample mean with its standard error.
 
     The points are reduced and passed to phi in slices of at most

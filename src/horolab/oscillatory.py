@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fitting import DecayReport, LiteralParseError, map_in_order, parse_real, robust_loglog
+from .fitting import DecayReport, map_in_order, parse_literal, robust_loglog
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 GL_BLOCK = 2048  # panels evaluated at a time: 32 768 nodes, about 2.4 MB of temporaries
@@ -427,27 +427,12 @@ def envelope_fit(xi_grid, values) -> DecayReport:
 
 def parse_phase(text: str) -> PhasePolynomial:
     """Parse `poly:c0,c1,c2,...` (coefficients by increasing degree)."""
-    text = text.strip()
-    if not text.startswith("poly:"):
-        raise LiteralParseError("<phase>", f"expected poly:c0,c1,..., got {text!r}")
-    coeffs = tuple(parse_real(c, "<phase>") for c in text[len("poly:"):].split(","))
-    try:
-        return PhasePolynomial(coeffs)
-    except ValueError as exc:
-        raise LiteralParseError("<phase>", str(exc)) from None
+    return parse_literal(text, "<phase>", {"poly:<c>,...": lambda *coeffs: PhasePolynomial(coeffs)})
 
 
 def parse_window(text: str) -> Window:
     """Parse `coswin:center,radius` or `bumpwin:center,radius`."""
-    text = text.strip()
-    for prefix, cls in (("coswin:", RaisedCosineWindow), ("bumpwin:", SmoothBumpWindow)):
-        if text.startswith(prefix):
-            parts = text[len(prefix):].split(",")
-            if len(parts) != 2:
-                raise LiteralParseError("<window>", f"expected {prefix}center,radius")
-            center, radius = (parse_real(v, "<window>") for v in parts)
-            try:
-                return cls(center, radius)
-            except ValueError as exc:
-                raise LiteralParseError("<window>", str(exc)) from None
-    raise LiteralParseError("<window>", f"unknown window literal {text!r}")
+    return parse_literal(text, "<window>", {
+        "coswin:<center>,<radius>": RaisedCosineWindow,
+        "bumpwin:<center>,<radius>": SmoothBumpWindow,
+    })

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .automorphic import EisensteinParams, eisenstein_values
-from .fitting import LiteralParseError, parse_real
+from .fitting import parse_literal
 from .oscillatory import GL_NODES, GL_WEIGHTS
 
 MEAN_PANELS = 64  # equal panels per piece of BumpTest.mean; doubling them moves no tested mean by 1e-15
@@ -156,35 +156,9 @@ class ConstantTest:
 def parse_test_function(text: str):
     """Parse `eisenstein:t=<t>`, `bump:y0=<a>,y1=<b>`, `indicator:ygt=<c>`,
     `const:<c>`."""
-    text = text.strip()
-    for name, keys, build in (
-        ("eisenstein", ("t",), EisensteinTest),
-        ("bump", ("y0", "y1"), BumpTest),
-        ("indicator", ("ygt",), IndicatorTest),
-    ):
-        if text.startswith(name + ":"):
-            production, body = f"<test:{name}>", text[len(name) + 1:]
-            kv = _keyvals(body, production)
-            if set(kv) != set(keys):
-                form = ",".join(f"{k}=<real>" for k in keys)
-                raise LiteralParseError(production, f"expected {form}, got {body!r}")
-            try:  # the constructor's own refusal, e.g. y0 >= y1, names the production too
-                return build(*(kv[k] for k in keys))
-            except ValueError as exc:
-                raise LiteralParseError(production, str(exc)) from None
-    if text.startswith("const:"):
-        return ConstantTest(parse_real(text[len("const:"):], "<test:const>"))
-    raise LiteralParseError("<test>", f"unknown test function {text!r}")
-
-
-def _keyvals(body: str, production: str) -> dict:
-    out = {}
-    for item in body.split(","):
-        if "=" not in item:
-            raise LiteralParseError(production, f"expected key=value, got {item!r}")
-        key, val = item.split("=", 1)
-        key = key.strip()
-        if key in out:
-            raise LiteralParseError(production, f"repeated key {key!r} in {body!r}")
-        out[key] = parse_real(val, production)
-    return out
+    return parse_literal(text, "<test>", {
+        "eisenstein:t=<real>": EisensteinTest,
+        "bump:y0=<real>,y1=<real>": BumpTest,
+        "indicator:ygt=<real>": IndicatorTest,
+        "const:<c>": ConstantTest,
+    }, named=True)

@@ -23,6 +23,7 @@ def test_psi_literals_round_trip():
     assert isinstance(parse_psi("pow:1.5"), PowerPsi)
     assert isinstance(parse_psi("qlogq"), QLogQPsi)
     assert isinstance(parse_psi("const:0.5"), ConstPsi)
+    assert parse_psi("pow: 1") == parse_psi("pow:1")  # numbers may be spaced
     with pytest.raises(LiteralParseError) as err:
         parse_psi("exp:1")
     assert err.value.production == "<psi>"

@@ -552,6 +552,18 @@ def test_cli_khintchine_summary(capsys):
     assert summary["config"]["regime"] == "divergent-like"
 
 
+def test_cli_khintchine_rate_qmax_sets_the_rows(capsys):
+    argv = ("khintchine", "--measure", "leb", "--Q", "50", "--samples", "20")
+    code, out, err = run_cli(capsys, *argv, "--rate-qmax", "50")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(2, 51))
+    assert json.loads(err.strip().splitlines()[-1])["config"]["rate_qmax"] == 50
+    code, out, err = run_cli(capsys, *argv, "--rate-qmax", "1")
+    assert (code, out) == (1, "")
+    assert err == "horolab: error: rate_q_max must lie in [2, Q = 50], got 1\n"
+
+
 def test_cli_khintchine_refuses_unresolvable_shift(capsys):
     # every sample rounds to 1e300, so unchecked every q "hits": mean count 19, divergent-like
     code, out, err = run_cli(
@@ -653,6 +665,23 @@ def test_cli_stationary_accepts_exact_two_decades(xigrid, tmp_path, capsys):
          "horolab: error: literal, production <window>: bad number 'a'"),
         (("stationary", "--phase", "poly:0,0,1", "--window", "bumpwin:0,"),
          "horolab: error: literal, production <window>: bad number ''"),
+        # a bare name takes no body, a name with a body needs one, a fixed
+        # count of numbers takes no more and no fewer
+        (("fourier", "--measure", "leb:1", "--xi", "0:2:1"), "literal, production <atom>:"),
+        (("fourier", "--measure", "dirac:", "--xi", "0:2:1"), "literal, production <atom>:"),
+        (("fourier", "--measure", "dirac:1,2", "--xi", "0:2:1"), "literal, production <atom>:"),
+        (("khintchine", "--measure", "leb", "--psi", "qlogq:1", "--Q", "20"), "literal, production <psi>:"),
+        (("khintchine", "--measure", "leb", "--psi", "pow", "--Q", "20"), "literal, production <psi>:"),
+        (("equidist", "--measure", "leb", "--test", "const", "--ygrid", "0.25:0.5:4"),
+         "literal, production <test>:"),
+        (("equidist", "--measure", "leb", "--test", "const:1,2", "--ygrid", "0.25:0.5:4"),
+         "literal, production <test:const>:"),
+        (("equidist", "--measure", "leb", "--test", "eisenstein:t=1,", "--ygrid", "0.25:0.5:4"),
+         "literal, production <test:eisenstein>: expected key=value, got ''"),
+        (("stationary", "--phase", "poly:0,0,1", "--window", "coswin:0"), "literal, production <window>:"),
+        (("stationary", "--phase", "poly:0,0,1", "--window", "coswin:0,1,2"), "literal, production <window>:"),
+        (("stationary", "--phase", "poly:"), "literal, production <phase>:"),
+        (("stationary", "--phase", "poly:0,0,1,"), "literal, production <phase>:"),
     ],
 )
 def test_cli_malformed_literals_name_production(capsys, argv, needle):

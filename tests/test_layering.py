@@ -16,6 +16,9 @@ Every exception class is named by some `except` clause, since a refusal that no
 handler tells apart is a ValueError with its message; and every annotated field
 of a public class is read somewhere, since a field nothing reads is an output
 no command prints.
+
+One function, fitting.parse_literal, turns a constructor's ValueError into a
+LiteralParseError: a hand-written wrap elsewhere is a second literal reader.
 """
 
 import ast
@@ -217,16 +220,21 @@ def exception_classes(path: Path) -> list[str]:
     return found
 
 
-def names_caught(path: Path) -> set[str]:
-    """Every name in the type of an `except` clause of path."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+def handler_names(handler: ast.ExceptHandler) -> set[str]:
+    """Every name in the type of one `except` clause; none for a bare `except:`."""
+    if handler.type is None:
+        return set()
     return {
         node.id if isinstance(node, ast.Name) else node.attr
-        for handler in ast.walk(tree)
-        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
         for node in ast.walk(handler.type)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
+
+
+def names_caught(path: Path) -> set[str]:
+    """Every name in the type of an `except` clause of path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return set().union(*(handler_names(h) for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler)))
 
 
 def without_handler(defining: list[Path], reading: list[Path]) -> list[str]:
@@ -301,3 +309,48 @@ def test_the_field_rule_counts_only_attribute_loads(tmp_path):
         "def make(r):\n    r.stored = r.read\n    return Result(keyword=1, read=r.plain)\n"
     )
     assert fields_without_reader([lib], [lib]) == ["lib.Result.stored", "lib.Result.keyword"]
+
+
+def literal_rewraps(path: Path) -> list[str]:
+    """`module.function` for every `raise LiteralParseError(<production>, str(exc))`
+    in an `except ValueError as exc` handler of path, function being the
+    innermost one that holds it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {}  # id(node) -> name of the innermost function holding it; ast.walk visits outer ones first
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update({id(node): func.name for node in ast.walk(func)})
+    found = []
+    for handler in ast.walk(tree):
+        if not (isinstance(handler, ast.ExceptHandler) and handler.name and "ValueError" in handler_names(handler)):
+            continue
+        for node in ast.walk(handler):
+            if (
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and ast.unparse(node.exc.func).split(".")[-1] == "LiteralParseError"
+                and f"str({handler.name})" in map(ast.unparse, node.exc.args)
+            ):
+                found.append(f"{path.stem}.{owner.get(id(node), '<module>')}")
+    return found
+
+
+def test_one_function_rewraps_a_constructors_refusal():
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in literal_rewraps(path)]
+    assert found == ["fitting.parse_literal"]
+
+
+def test_the_rewrap_rule_sees_a_hand_written_wrap(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from . import fitting\nfrom .fitting import LiteralParseError\n\n\n"
+        "def parse_a(text):\n    try:\n        return A(float(text))\n"
+        "    except ValueError as exc:\n        raise LiteralParseError('<a>', str(exc)) from None\n\n\n"
+        "def parse_b(text):\n    def build():\n        try:\n            return B(text)\n"
+        "        except (TypeError, ValueError) as err:\n            raise fitting.LiteralParseError('<b>', str(err))\n"
+        "    return build()\n\n\n"
+        "def parse_c(text):\n    try:\n        return C(text)\n"
+        "    except ValueError:\n        raise LiteralParseError('<c>', f'bad c {text!r}') from None\n"
+        "    except KeyError as exc:\n        raise LiteralParseError('<c>', str(exc))\n"
+    )
+    assert literal_rewraps(src) == ["mod.parse_a", "mod.build"]

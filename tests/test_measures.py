@@ -710,6 +710,9 @@ def test_parse_round_trip_variants():
     m = parse_measure("leb+-0.25")
     assert isinstance(m, Convolution) and m.right.point == -0.25
     assert isinstance(parse_measure("dirac:2.5"), DiracMass)
+    # numbers may be spaced
+    assert parse_measure("dirac: 0.5") == DiracMass(0.5)
+    assert parse_measure("cantor: 3 :0,2") == CANTOR3
 
 
 def test_both_spellings_of_a_translate_parse_to_one_object():

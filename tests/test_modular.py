@@ -422,12 +422,21 @@ def test_test_function_literal_refuses_a_repeated_key(text, production):
         ("eisenstein:t=31.5", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 30, got 31.5"),
         ("eisenstein:s=1", "<test:eisenstein>", "expected t=<real>, got 's=1'"),
         ("eisenstein:1", "<test:eisenstein>", "expected key=value, got '1'"),
+        ("eisenstein:t=1,", "<test:eisenstein>", "expected key=value, got ''"),
+        ("const", "<test>", "'const'"),
+        ("const:1,2", "<test:const>", "'1,2'"),
     ],
 )
 def test_test_function_literal_names_its_production_on_a_refused_value(text, production, detail):
     with pytest.raises(LiteralParseError, match=detail) as exc:
         parse_test_function(text)
     assert exc.value.production == production
+
+
+def test_a_spaced_test_function_literal_reads_as_the_unspaced_one():
+    phi = parse_test_function("eisenstein: t = 1")
+    assert isinstance(phi, EisensteinTest) and (phi.t, phi.component) == (1.0, "re")
+    assert parse_test_function(" bump: y0 = 1 , y1=2 ") == BumpTest(1.0, 2.0)
 
 
 def test_mu_y_montecarlo_reads_no_lipschitz():

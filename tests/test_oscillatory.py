@@ -448,6 +448,9 @@ def test_parse_phase_and_window():
     w = parse_window("coswin:0.5,2")
     assert w.center == 0.5 and w.radius == 2.0
     assert isinstance(parse_window("bumpwin:0,1"), SmoothBumpWindow)
+    # numbers may be spaced
+    assert parse_phase("poly: 0, 0, 1") == f
+    assert parse_window("coswin: 0 , 1") == parse_window("coswin:0,1")
 
 
 @pytest.mark.parametrize(
