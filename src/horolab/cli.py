@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import measures as _measures
 from . import diophantine as _dio
 from .automorphic import spectral_gap_csv, spectral_gap_fit
 from .experiments import ExperimentConfig, run_basis_identity_check, run_equidistribution
-from .fitting import MAX_GRID_POINTS, DecayReport, LiteralParseError, csv_table, geometric_grid
+from .fitting import MAX_GRID_POINTS, DecayReport, csv_table, geometric_grid, parse_literal
 from .oscillatory import (
     ToleranceNotReachedError,
     check_xi_grid,
@@ -35,22 +34,33 @@ from .oscillatory import (
 )
 from .testfunctions import EisensteinTest
 
-_YGRID_FIELDS = (("ymax", float), ("ratio", float), ("count", int))
+
+def _ygrid(y_max: float, ratio: float, count: float) -> tuple[float, float, int]:
+    """The fields of --ygrid, once geometric_grid takes them."""
+    geometric_grid(y_max, ratio, count)
+    return y_max, ratio, int(count)
 
 
-def _parse_triple(text: str, production: str, fields) -> tuple:
-    """`a:b:c` as three values; fields holds the (name, type) of each."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        names = ":".join(name for name, _ in fields)
-        raise LiteralParseError(production, f"expected {names}, got {text!r}")
-    values = []
-    for (name, kind), part in zip(fields, parts):
-        try:
-            values.append(kind(part))
-        except ValueError:
-            raise LiteralParseError(production, f"bad {name} {part!r} in {text!r}") from None
-    return tuple(values)
+def _xi_range(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... up to stop: step > 0, stop >= start, at most MAX_GRID_POINTS points."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if stop < start:
+        raise ValueError("stop must be >= start")
+    if (stop + 0.5 * step - start) / step > MAX_GRID_POINTS:
+        raise ValueError(f"more than MAX_GRID_POINTS = {MAX_GRID_POINTS} points")
+    return np.arange(start, stop + 0.5 * step, step)
+
+
+def _xi_grid(start: float, stop: float, count: float) -> np.ndarray:
+    """count geometric points from start to stop, checked before np.geomspace runs and then by check_xi_grid."""
+    if start <= 0:
+        raise ValueError(f"start must be positive, got {start}")
+    if stop <= 0:
+        raise ValueError(f"stop must be positive, got {stop}")
+    if count % 1 != 0 or not 1 <= count <= MAX_GRID_POINTS:
+        raise ValueError(f"count must be a whole number in [1, MAX_GRID_POINTS = {MAX_GRID_POINTS}], got {count}")
+    return check_xi_grid(np.geomspace(start, stop, int(count)))
 
 
 def _true_or_false(text: str) -> bool:
@@ -107,18 +117,7 @@ def _summary(args, report: DecayReport | None = None, exponent=None, stderr=None
 
 def _cmd_fourier(args) -> tuple[str, dict]:
     measure = _measures.parse_measure(args.measure)
-    start, stop, step = _parse_triple(
-        args.xi, "<xi-range>", (("start", float), ("stop", float), ("step", float))
-    )
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError(f"<xi-range>: {args.xi!r} is not finite")
-    if step <= 0:
-        raise ValueError("<xi-range>: step must be positive")
-    if stop < start:
-        raise ValueError("<xi-range>: stop must be >= start")
-    if (stop + 0.5 * step - start) / step > MAX_GRID_POINTS:
-        raise ValueError(f"<xi-range>: {args.xi!r} has more than MAX_GRID_POINTS = {MAX_GRID_POINTS} points")
-    xs = np.arange(start, stop + 0.5 * step, step)
+    xs = parse_literal(args.xi, "<xi-range>", {"<start>:<stop>:<step>": _xi_range})
     vals = _measures.fourier_transform(measure, xs, args.tail_tol)
     return csv_table("xi,re,im,abs", xs, vals.real, vals.imag, np.abs(vals)), _summary(args)
 
@@ -126,9 +125,9 @@ def _cmd_fourier(args) -> tuple[str, dict]:
 def _cmd_dim(args) -> tuple[str, dict]:
     measure = _measures.parse_measure(args.measure)
     if args.xmax < 10_000:
-        raise ValueError("<dim>: --xmax must be at least 10^4 (two decades above 100)")
+        raise ValueError("--xmax must be at least 10^4 (two decades above 100)")
     if args.points > MAX_GRID_POINTS:
-        raise ValueError(f"<dim>: --points must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}")
+        raise ValueError(f"--points must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     grid = np.unique(np.round(np.geomspace(100, args.xmax, args.points)).astype(int))
     est = _measures.estimate_dim_l1(
         measure, grid, star=args.star, theta_grid=args.theta_grid
@@ -147,7 +146,7 @@ def _cmd_dim(args) -> tuple[str, dict]:
 
 
 def _experiment_config(args, method_default: str) -> ExperimentConfig:
-    y_max, ratio, count = _parse_triple(args.ygrid, "<ygrid>", _YGRID_FIELDS)
+    y_max, ratio, count = parse_literal(args.ygrid, "<ygrid>", {"<ymax>:<ratio>:<count>": _ygrid})
     args.method = args.method or method_default  # echoed in the JSON config
     return ExperimentConfig(
         measure=args.measure,
@@ -172,9 +171,8 @@ def _cmd_basis_check(args) -> tuple[str, dict]:
 
 
 def _cmd_spectral_gap(args) -> tuple[str, dict]:
-    y_max, ratio, count = _parse_triple(args.ygrid, "<ygrid>", _YGRID_FIELDS)
-    phi = EisensteinTest(t=args.t, component="complex")
-    report = spectral_gap_fit(phi, geometric_grid(y_max, ratio, count))
+    ys = geometric_grid(*parse_literal(args.ygrid, "<ygrid>", {"<ymax>:<ratio>:<count>": _ygrid}))
+    report = spectral_gap_fit(EisensteinTest(t=args.t, component="complex"), ys)
     return spectral_gap_csv(report), _summary(args, report)
 
 
@@ -196,17 +194,7 @@ def _cmd_khintchine(args) -> tuple[str, dict]:
 def _cmd_stationary(args) -> tuple[str, dict]:
     phase = parse_phase(args.phase)
     window = parse_window(args.window)
-    start, stop, count = _parse_triple(
-        args.xigrid, "<xi-grid>", (("start", float), ("stop", float), ("count", int))
-    )
-    if not start > 0:
-        raise ValueError(f"<xi-grid>: start must be positive, got {start}")
-    if count > MAX_GRID_POINTS:
-        raise ValueError(f"<xi-grid>: count must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}")
-    try:
-        grid = check_xi_grid(np.geomspace(start, stop, count))
-    except ValueError as exc:
-        raise ValueError(f"<xi-grid>: {exc}") from None
+    grid = parse_literal(args.xigrid, "<xi-grid>", {"<start>:<stop>:<count>": _xi_grid})
     try:
         vals = oscillatory_integrals(phase, window, grid, tol=args.tol)
     except ToleranceNotReachedError as exc:  # no --tol cures the other budget errors
@@ -253,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fourier", help="measure transform sweep (CSV xi,re,im,abs)")
     p.add_argument("--measure", required=True)
-    p.add_argument("--xi", required=True, help="start:stop:step")
+    p.add_argument("--xi", required=True, help="<start>:<stop>:<step>")
     p.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-12)
     _add_common(p)
     p.set_defaults(func=_cmd_fourier)
@@ -274,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--measure", required=True)
         p.add_argument("--test", default="eisenstein:t=1")
-        p.add_argument("--ygrid", default="0.25:0.5:15", help="ymax:ratio:count")
+        p.add_argument("--ygrid", default="0.25:0.5:15", help="<ymax>:<ratio>:<count>")
         p.add_argument("--x0", type=float, default=0.0)
         p.add_argument("--q", type=int, default=1)
         p.add_argument("--method", choices=("cylinder", "montecarlo"), default=None)
@@ -285,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral-gap", help="sup Fourier coefficient decay sweep")
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--ygrid", default="0.125:0.5:10", help="ymax:ratio:count")
+    p.add_argument("--ygrid", default="0.125:0.5:10", help="<ymax>:<ratio>:<count>")
     _add_common(p)
     p.set_defaults(func=_cmd_spectral_gap)
 
@@ -301,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stationary", help="oscillatory-integral decay sweep")
     p.add_argument("--phase", required=True, help="poly:c0,c1,...")
     p.add_argument("--window", default="coswin:0,1")
-    p.add_argument("--xigrid", default="10:10000:25", help="start:stop:count")
+    p.add_argument("--xigrid", default="10:10000:25", help="<start>:<stop>:<count>")
     p.add_argument("--tol", type=float, default=1e-10)
     _add_common(p)
     p.set_defaults(func=_cmd_stationary)
@@ -310,11 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Expand --config FILE into leading flags (command line overrides)."""
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    """argv with its --config file's flags after the subcommand, so flags on the command
+    line override them; argparse reads the path (--config FILE, --config=FILE, --conf FILE)."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?", const="")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    if not path:
         raise ValueError("--config needs a file path")
-    path = argv[idx + 1]
     injected = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -326,16 +318,12 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             key, value = (s.strip() for s in line.split("=", 1))
             # one token, so a value may begin with "-"
             injected.append(f"--{key.replace('_', '-')}={value}")
-    # keep the subcommand first, then injected defaults, then explicit flags
-    return argv[:1] + injected + [a for i, a in enumerate(argv[1:], 1) if i not in (idx, idx + 1)]
+    return argv[:1] + injected + argv[1:]
 
 
 def cli_main(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        if argv and argv[0] not in ("-h", "--help") and "--config" in argv:
-            argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_apply_config_file(argv))
         csv_text, summary = args.func(args)
         _emit(args, csv_text, summary)
         return 2 if summary["status"] == "inconclusive" else 0

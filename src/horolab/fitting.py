@@ -149,16 +149,17 @@ def parse_literal(text: str, production: str, forms: dict, named: bool = False):
     once in any order, passed in the form's order (`bump:y0=<real>,y1=<real>`);
     comma-separated reals, as many as the form names (`coswin:<center>,<radius>`)
     or one or more after `,...` (`poly:<c>,...`); or a grammar of its own when
-    build is a pair (read, build), read(body) giving the arguments.  Numbers
-    are read by parse_real.  A name no form takes names production; a
-    malformed body, or a ValueError of build, names the form's production:
-    production itself or, if named, `<p:name>` for production `<p>`.
+    build is a pair (read, build), read(body) giving the arguments.  A form
+    whose head is a field (`<start>:<stop>:<step>`) takes any text, split on
+    `:` into exactly its fields.  Numbers are read by parse_real.  A name no
+    form takes names production; a malformed body, or a ValueError of build,
+    names the form's production: production, or `<p:name>` if named.
     """
     text = text.strip()
     name, colon, body = text.partition(":")
     for form, build in forms.items():
         head, form_colon, fields = form.partition(":")
-        if (head, form_colon) == (name, colon):
+        if head.startswith("<") or (head, form_colon) == (name, colon):
             break
     else:
         raise LiteralParseError(production, f"expected {' | '.join(forms)}, got {text!r}")
@@ -167,6 +168,10 @@ def parse_literal(text: str, production: str, forms: dict, named: bool = False):
     if isinstance(build, tuple):
         read, build = build
         args = read(body)
+    elif head.startswith("<"):
+        if text.count(":") != form.count(":"):
+            raise LiteralParseError(production, f"expected {form}, got {text!r}")
+        args = [parse_real(part, production) for part in text.split(":")]
     elif "=" in fields:
         keys, values = [item.partition("=")[0] for item in fields.split(",")], {}
         for item in body.split(","):
@@ -331,15 +336,15 @@ def fit_decay_report(
 def geometric_grid(y_max: float, ratio: float, count: int) -> np.ndarray:
     """The descending y-grid y_max, y_max*ratio, ..., of count heights.
 
-    The one y-grid rule: y_max in (0, 1], ratio in (0, 1), and
-    1 <= count <= MAX_GRID_POINTS.
+    The one y-grid rule: y_max in (0, 1], ratio in (0, 1), and a whole
+    count in [1, MAX_GRID_POINTS].
     """
     if not 0.0 < y_max <= 1.0:
         raise ValueError(f"y_max must lie in (0, 1], got {y_max}")
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"y_ratio must lie in (0, 1) for a decreasing grid, got {ratio}")
-    if count < 1:
-        raise ValueError(f"y_count must be positive, got {count}")
+    if count < 1 or count % 1 != 0:
+        raise ValueError(f"y_count must be positive and whole, got {count}")
     if count > MAX_GRID_POINTS:
         raise ValueError(f"y_count must be at most MAX_GRID_POINTS = {MAX_GRID_POINTS}, got {count}")
-    return y_max * ratio ** np.arange(count)
+    return y_max * ratio ** np.arange(int(count))

@@ -301,8 +301,9 @@ def oscillatory_integral(f: PhasePolynomial, w: Window, xi: float, tol: float = 
 
     Panel count starts at NODES_PER_OSCILLATION nodes per oscillation of
     xi*f and doubles until two successive refinements agree within tol;
-    a count beyond MAX_PANELS raises ValueError, and twelve
-    doublings that do not settle raise ToleranceNotReachedError.
+    a count beyond MAX_PANELS raises ValueError, and a tol below the first
+    sum's rounding floor, or twelve doublings that do not settle, raise
+    ToleranceNotReachedError.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -322,10 +323,15 @@ def oscillatory_integral(f: PhasePolynomial, w: Window, xi: float, tol: float = 
                 f"over the budget of {MAX_PANELS}"
             )
         nxt = _composite_gl(f, w, xi, panels)
+        floor = math.ulp(1.0) * abs(nxt)  # eps*|sum|: closer agreement is rounding luck
+        if val is None and tol < floor:
+            break
         if val is not None and abs(nxt - val) <= tol:
             return nxt
         val, panels = nxt, panels * 2
-    raise ToleranceNotReachedError(f"panel refinement did not reach tol {tol} at xi = {xi}")
+    raise ToleranceNotReachedError(
+        f"panel refinement did not reach tol {tol} at xi = {xi}; its rounding floor eps*|sum| is {floor:.3g}"
+    )
 
 
 def stationary_phase_leading(f: PhasePolynomial, w: Window, xi: float) -> complex:

@@ -527,6 +527,14 @@ def test_cli_dim_rejects_empty_theta_grid(capsys):
     assert "theta_grid" in err
 
 
+def test_cli_ygrid_count_reads_as_a_whole_real(capsys):
+    # a count is read as a real and must be whole: 1e1 is the count 10
+    code, out, err = run_cli(capsys, "spectral-gap", "--ygrid", "0.25:0.5:1e1")
+    ten = run_cli(capsys, "spectral-gap", "--ygrid", "0.25:0.5:10")
+    assert code == 0 and (code, out) == ten[:2]
+    assert err.replace("0.25:0.5:1e1", "0.25:0.5:10") == ten[2]  # the JSON echoes the flag as spelled
+
+
 def test_cli_spectral_gap_csv_shape(tmp_path, capsys):
     out_file = tmp_path / "gap.csv"
     code, out, _ = run_cli(
@@ -608,12 +616,12 @@ def test_cli_stationary_accepts_exact_two_decades(xigrid, tmp_path, capsys):
         (("khintchine", "--measure", "leb", "--psi", "exp:2"), "<psi>"),
         (("fourier", "--measure", "leb", "--xi", "0-1-1"), "<xi-range>"),
         (("stationary", "--phase", "poly:0,0,1", "--xigrid", "10:10000:6.5"),
-         "<xi-grid>: bad count '6.5'"),
+         "literal, production <xi-grid>: count must be a whole number in [1, MAX_GRID_POINTS = 8388608], got 6.5"),
         (("stationary", "--phase", "poly:0,0,1", "--xigrid", "10:10000"),
-         "expected start:stop:count"),
-        (("spectral-gap", "--ygrid", "0.125:0.5:ten"), "<ygrid>: bad count 'ten'"),
+         "literal, production <xi-grid>: expected <start>:<stop>:<count>, got '10:10000'"),
+        (("spectral-gap", "--ygrid", "0.125:0.5:ten"), "literal, production <ygrid>: bad number 'ten'"),
         (("stationary", "--phase", "poly:0,0,1", "--xigrid", "10:2000000:6"),
-         "horolab: error: <xi-grid>: |xi| = 2000000.0 beyond"),
+         "horolab: error: literal, production <xi-grid>: |xi| = 2000000.0 beyond"),
         (("stationary", "--phase", "poly:0,0,nan"), "<phase>"),
         (("stationary", "--phase", "poly:0,0,1", "--window", "coswin:0,nan"), "<window>"),
         (("stationary", "--phase", "poly:0,0,1", "--xigrid", "10:999:6"),
@@ -646,16 +654,18 @@ def test_cli_stationary_accepts_exact_two_decades(xigrid, tmp_path, capsys):
         (("spectral-gap", "--t", "1e-300"), "horolab: error: spectral parameter t must satisfy 5e-07 <= t <= 30, got 1e-300"),
         (("equidist", "--measure", "leb", "--q", "0", "--ygrid", "0.25:0.5:4"), "horolab: error: require q >= 1"),
         (("basis-check", "--measure", "leb", "--q", "0", "--ygrid", "0.25:0.5:4"), "horolab: error: require q >= 1"),
-        (("fourier", "--measure", "leb", "--xi", "0:1:0"), "horolab: error: <xi-range>: step must be positive"),
-        (("dim", "--measure", "leb", "--xmax", "5000"), "horolab: error: <dim>: --xmax must be at least 10^4"),
+        (("fourier", "--measure", "leb", "--xi", "0:1:0"),
+         "horolab: error: literal, production <xi-range>: step must be positive"),
+        (("dim", "--measure", "leb", "--xmax", "5000"), "horolab: error: --xmax must be at least 10^4"),
         (("stationary", "--phase", "poly:0,0,1", "--xigrid", "0:100:8"),
-         "horolab: error: <xi-grid>: start must be positive, got 0.0"),
+         "horolab: error: literal, production <xi-grid>: start must be positive, got 0.0"),
         (("fourier", "--measure", "leb", "--xi", "0:1:1", "--config"), "horolab: error: --config needs a file path"),
         (("basis-check", "--measure", "leb", "--test", "bump:y0=1,y1=2", "--ygrid", "0.25:0.5:4"),
          "horolab: error: basis identity check requires an eisenstein test function"),
         (("spectral-gap", "--ygrid", "0.125:0.5:3"), "horolab: error: y_grid needs at least 4 points"),
         (("spectral-gap", "--ygrid", "0.125:0.9:8"), "horolab: error: y_grid must span at least 3 dyadic decades"),
-        (("fourier", "--measure", "cantor:3:0,2", "--xi", "5:0:1"), "horolab: error: <xi-range>: stop must be >= start"),
+        (("fourier", "--measure", "cantor:3:0,2", "--xi", "5:0:1"),
+         "horolab: error: literal, production <xi-range>: stop must be >= start"),
         # numbers in <psi> and <window> are read by parse_real, as in every other literal
         (("khintchine", "--measure", "leb", "--psi", "pow:abc", "--Q", "20"),
          "horolab: error: literal, production <psi>: bad number 'abc'"),
@@ -682,12 +692,22 @@ def test_cli_stationary_accepts_exact_two_decades(xigrid, tmp_path, capsys):
         (("stationary", "--phase", "poly:0,0,1", "--window", "coswin:0,1,2"), "literal, production <window>:"),
         (("stationary", "--phase", "poly:"), "literal, production <phase>:"),
         (("stationary", "--phase", "poly:0,0,1,"), "literal, production <phase>:"),
+        # each grid field is checked before numpy builds the grid
+        (("stationary", "--phase", "poly:0,0,1", "--xigrid", "10:-1000:6"),
+         "horolab: error: literal, production <xi-grid>: stop must be positive, got -1000.0"),
+        (("stationary", "--phase", "poly:0,0,1", "--xigrid", "10:0:6"),
+         "horolab: error: literal, production <xi-grid>: stop must be positive, got 0.0"),
+        (("stationary", "--phase", "poly:0,0,1", "--xigrid", "10:10000:0"),
+         "horolab: error: literal, production <xi-grid>: count must be a whole number in [1, MAX_GRID_POINTS"),
+        (("fourier", "--measure", "leb", "--xi", "0:1"),
+         "horolab: error: literal, production <xi-range>: expected <start>:<stop>:<step>, got '0:1'"),
     ],
 )
 def test_cli_malformed_literals_name_production(capsys, argv, needle):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert needle in err
+    assert err.count("\n") == 1  # one line: no usage line, no numpy warning
 
 
 @pytest.mark.parametrize(
@@ -705,8 +725,8 @@ def test_cli_malformed_literals_name_production(capsys, argv, needle):
         (("equidist", "--measure", "leb", "--x0", "nan", "--ygrid", "0.25:0.5:4"), "x0"),
         (("stationary", "--phase", "poly:0,0,1", "--window", "coswin:8.9e307,1"),
          "window support [8.9e+307, 8.9e+307]"),
-        (("fourier", "--measure", "leb", "--xi", "0:1:nan"), "<xi-range>: '0:1:nan' is not finite"),
-        (("fourier", "--measure", "leb", "--xi", "0:inf:1"), "<xi-range>: '0:inf:1' is not finite"),
+        (("fourier", "--measure", "leb", "--xi", "0:1:nan"), "literal, production <xi-range>: bad number 'nan'"),
+        (("fourier", "--measure", "leb", "--xi", "0:inf:1"), "literal, production <xi-range>: bad number 'inf'"),
         (("fourier", "--measure", "leb", "--xi", "0:2:1", "--tail-tol", "nan"),
          "tail_tol must be positive and finite, got nan"),
         (("fourier", "--measure", "dirac:0.3", "--xi", "0:2:1", "--tail-tol", "inf"),
@@ -780,7 +800,8 @@ def test_cli_stationary_names_tol_only_when_tol_can_cure(capsys, monkeypatch):
     code, _, err = run_cli(
         capsys, "stationary", "--phase", "poly:0,0,1", "--xigrid", "1:100:6", "--tol", "1e-300",
     )
-    assert code == 1 and "horolab: error: --tol: panel refinement did not reach tol" in err
+    assert code == 1 and err.startswith("horolab: error: --tol: panel refinement did not reach tol 1e-300")
+    assert " at xi = 1.0; its rounding floor eps*|sum| is " in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -791,6 +812,9 @@ def test_cli_stationary_names_tol_only_when_tol_can_cure(capsys, monkeypatch):
         ("0.125:2:10", "y_ratio must lie in (0, 1)"),
         ("2:0.5:10", "y_max must lie in (0, 1]"),
         ("0.125:0.5:0", "y_count must be positive"),
+        ("0.25:0.5:2.5", "y_count must be positive and whole, got 2.5"),
+        ("0.25:0.5:ten", "bad number 'ten'"),
+        ("0.25:0.5", "expected <ymax>:<ratio>:<count>, got '0.25:0.5'"),
     ],
 )
 @pytest.mark.parametrize("command", ["spectral-gap", "equidist", "basis-check"])
@@ -798,7 +822,7 @@ def test_cli_ygrid_rule_is_shared(capsys, command, ygrid, needle):
     extra = () if command == "spectral-gap" else ("--measure", "leb")
     code, out, err = run_cli(capsys, command, *extra, "--ygrid", ygrid)
     assert code == 1
-    assert f"horolab: error: {needle}" in err
+    assert err.startswith(f"horolab: error: literal, production <ygrid>: {needle}") and err.count("\n") == 1
     assert out == ""
 
 
@@ -840,7 +864,7 @@ def test_cli_spectral_gap_refuses_an_fft_over_budget(monkeypatch, capsys):
     [
         # estimate_dim_l1 refuses the last X of the grid, --xmax itself
         (("dim", "--measure", "leb", "--xmax", "1000000000000"), "X must be at most MAX_GRID_POINTS = 8388608"),
-        (("fourier", "--measure", "leb", "--xi", "0:1e12:1"), "<xi-range>"),
+        (("fourier", "--measure", "leb", "--xi", "0:1e12:1"), "literal, production <xi-range>: more than MAX_GRID_POINTS"),
     ],
 )
 def test_cli_refuses_a_grid_over_max_grid_points(monkeypatch, capsys, argv, prefix):
@@ -1011,6 +1035,20 @@ def test_cli_config_file_matches_flags(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_cli_config_is_read_in_every_spelling_argparse_takes(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("measure=cantor:3:0,2\nxi=0:3:1\n")
+    outputs = [
+        run_cli(capsys, "fourier", *spelling)
+        for spelling in (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)])
+    ]
+    assert outputs[0][0] == 0 and outputs[0][1].startswith("xi,re,im,abs")
+    assert outputs == [outputs[0]] * 3  # the same CSV and JSON bytes
+    missing = tmp_path / "missing.cfg"
+    code, out, err = run_cli(capsys, "fourier", "--measure", "leb", "--xi", "0:1:1", f"--config={missing}")
+    assert (code, out) == (1, "") and err.startswith("horolab: error: [Errno 2] No such file")
+
+
 def test_cli_config_line_without_equals_is_refused(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("measure=leb\n# comment\nxi 0:1:1\n")
@@ -1046,12 +1084,11 @@ def test_cli_usage_errors_exit_1_and_help_exits_0(capsys):
 def test_cli_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("measure=leb\nxi=0:2:1\n")
-    code, out, _ = run_cli(
-        capsys, "fourier", "--config", str(cfg), "--measure", "dirac:0.5"
-    )
-    assert code == 0
-    row = out.strip().splitlines()[2].split(",")  # xi = 1 row: |dirac hat| = 1
-    assert float(row[3]) == pytest.approx(1.0)
+    for spelling in (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)]):
+        code, out, _ = run_cli(capsys, "fourier", *spelling, "--measure", "dirac:0.5")
+        assert code == 0
+        row = out.strip().splitlines()[2].split(",")  # xi = 1 row: |dirac hat| = 1
+        assert float(row[3]) == pytest.approx(1.0)
 
 
 def test_cli_star_takes_an_optional_true_or_false(capsys):

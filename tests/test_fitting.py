@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -7,11 +8,13 @@ import pytest
 
 from horolab import fitting
 from horolab.fitting import (
+    LiteralParseError,
     csv_table,
     fit_decay_report,
     geometric_grid,
     least_squares_loglog,
     map_in_order,
+    parse_literal,
     robust_loglog,
 )
 
@@ -106,8 +109,30 @@ def test_csv_table_format():
 def test_geometric_grid_values():
     g = geometric_grid(0.25, 0.5, 3)
     assert np.allclose(g, [0.25, 0.125, 0.0625])
+    assert geometric_grid(0.25, 0.5, 3.0).tobytes() == g.tobytes()  # a whole real count
     with pytest.raises(ValueError):
         geometric_grid(1.0, -0.5, 3)
+    with pytest.raises(ValueError, match="y_count must be positive and whole, got 2.5"):
+        geometric_grid(0.25, 0.5, 2.5)
+
+
+def test_a_positional_form_splits_on_colons_into_reals():
+    forms = {"<a>:<b>:<n>": lambda a, b, n: (a, b, n)}
+    assert parse_literal(" 1:-2e3:4 ", "<p>", forms) == (1.0, -2000.0, 4.0)
+    for text, detail in (
+        ("1:2", "expected <a>:<b>:<n>, got '1:2'"),
+        ("1:2:3:4", "expected <a>:<b>:<n>, got '1:2:3:4'"),
+        ("1:x:3", "bad number 'x'"),
+        ("1:inf:3", "bad number 'inf'"),
+    ):
+        with pytest.raises(LiteralParseError, match=re.escape(f"literal, production <p>: {detail}")):
+            parse_literal(text, "<p>", forms)
+
+    def build(a, b, n):
+        raise ValueError("b must exceed a")
+
+    with pytest.raises(LiteralParseError, match=re.escape("literal, production <p>: b must exceed a")):
+        parse_literal("1:2:3", "<p>", {"<a>:<b>:<n>": build})
 
 
 def test_geometric_grid_refuses_a_count_over_max_grid_points(monkeypatch):

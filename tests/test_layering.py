@@ -19,9 +19,12 @@ no command prints.
 
 One function, fitting.parse_literal, turns a constructor's ValueError into a
 LiteralParseError: a hand-written wrap elsewhere is a second literal reader.
+For the same reason no plain ValueError carries a message that starts with a
+production, `<name>:`; that format is LiteralParseError's.
 """
 
 import ast
+import re
 import builtins
 from pathlib import Path
 
@@ -354,3 +357,51 @@ def test_the_rewrap_rule_sees_a_hand_written_wrap(tmp_path):
         "    except KeyError as exc:\n        raise LiteralParseError('<c>', str(exc))\n"
     )
     assert literal_rewraps(src) == ["mod.parse_a", "mod.build"]
+
+
+PRODUCTION_HEAD = re.compile(r"<[\w:-]+>:")
+
+
+def production_messages(path: Path) -> list[str]:
+    """`module:line` of every `raise ValueError(...)` in path whose message, a
+    string or an f-string, starts with a production `<name>:`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and ast.unparse(node.exc.func).split(".")[-1] == "ValueError"
+            and node.exc.args
+        ):
+            continue
+        message = node.exc.args[0]
+        if isinstance(message, ast.JoinedStr) and message.values:
+            message = message.values[0]
+        if (
+            isinstance(message, ast.Constant)
+            and isinstance(message.value, str)
+            and PRODUCTION_HEAD.match(message.value)
+        ):
+            found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_plain_value_error_names_a_production():
+    assert [hit for path in sorted(PACKAGE.glob("*.py")) for hit in production_messages(path)] == []
+
+
+def test_the_production_rule_sees_strings_and_f_strings(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import builtins\nfrom .fitting import LiteralParseError\n\n\n"
+        "def check(x, text):\n"
+        "    if x < 0:\n        raise ValueError('<xi-range>: step must be positive')\n"
+        "    if x > 1:\n        raise ValueError(f\"<test:bump>: {text!r} is not finite\")\n"
+        "    if x == 0:\n        raise builtins.ValueError(\"<dim>: --xmax is too small\")\n"
+        "    if x == 2:\n        raise LiteralParseError('<xi-grid>', 'count must be whole')\n"
+        "    if x == 3:\n        raise ValueError(f'{text}: <dim>: not at the start')\n"
+        "    if x == 4:\n        raise ValueError('<dim> is a name, not a production head')\n"
+        "    raise ValueError()\n"
+    )
+    assert production_messages(src) == ["mod:7", "mod:9", "mod:11"]

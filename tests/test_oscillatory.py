@@ -209,6 +209,22 @@ def test_panel_budget_refuses_before_allocating(monkeypatch):
         oscillatory_integral(X2, W1, 37.0)
 
 
+def test_a_tol_below_the_rounding_floor_is_refused_after_one_sum(monkeypatch):
+    # two refinements agree closer than eps*|sum| only by rounding luck, so a
+    # tol below that floor is refused at the first sum, not after twelve doublings
+    panels = []
+    real = oscillatory._composite_gl
+    monkeypatch.setattr(oscillatory, "_composite_gl", lambda f, w, xi, n: panels.append(n) or real(f, w, xi, n))
+    with pytest.raises(ToleranceNotReachedError) as exc:
+        oscillatory_integral(X2, W1, 100.0, tol=1e-300)
+    floor = math.ulp(1.0) * abs(real(X2, W1, 100.0, panels[0]))
+    assert len(panels) == 1 and 0 < floor < 1e-15
+    assert str(exc.value).endswith(f"at xi = 100.0; its rounding floor eps*|sum| is {floor:.3g}")
+    panels.clear()
+    oscillatory_integral(X2, W1, 100.0, tol=1e-12)  # |I| <= 1: every tol of 1e-12 or more is above it
+    assert len(panels) >= 2
+
+
 def composite_gl_whole(f, w, xi, panels):
     """The quadrature sum with each chunk's node values computed at once."""
     a, b = w.support
