@@ -42,7 +42,7 @@ from functools import cache
 
 import numpy as np
 
-from .fitting import MAX_GRID_POINTS, DecayReport, csv_table, fit_decay_report
+from .fitting import MAX_GRID_POINTS, DecayReport, csv_table, fit_decay_report, map_in_order
 from .measures import fourier_transform
 from .modular import reduce_many
 
@@ -55,6 +55,10 @@ K_SPLINE_FROM = TWO_PI * SQRT3_HALF  # sqrt(3) pi, the smallest node of a reduce
 K_SPLINE_KNOTS = 8500
 K_BASE_STEP = 1.0 / 64          # v-step of the K quadrature at orders t <= 8
 MAX_BESSEL_ORDER = 30.0
+# Largest spectral parameter of a series: on the arc |z| = 1.0005 its
+# E(-1/z) = E(z) holds to 1e-10 of max|E| at t = 14, 1.5e-9 at 15, and fails
+# (relative error 1.3) at 30, where the series loses the invariance.
+MAX_EISENSTEIN_ORDER = 14.0
 # Budgets, refused before allocation: MAX_GRID_POINTS live series terms (128 MiB
 # per complex table: lambda, coef, mu_hat at m/q) and 2**22 FFT points (64 MiB).
 MAX_FFT_POINTS = 2**22
@@ -161,10 +165,17 @@ def sigma_range(z: complex, m_max: int) -> np.ndarray:
     divisors with d <= sqrt(m).  Pass 2 adds, for q = isqrt(m_max) down to
     1, d = m/q to the multiples m = q d with d > q, which are the divisors
     with d > sqrt(m); as q falls, d = m/q rises, and every pass-2 divisor
-    of m exceeds every pass-1 one.  The powers are Python's complex pow,
-    as in the loop (np.power differs in the last bit).
+    of m exceeds every pass-1 one.
+
+    The powers are those of Python's complex pow d ** z, as in the loop,
+    for Re z = 0 (every caller passes z = 2it).  For a positive real d that
+    pow takes |d|^0 = 1 and returns cos and sin of z.imag * log(d), and
+    np.exp of 0 + i theta (glibc's cexp) returns the same bits; the logs
+    are math.log's, the libm log the pow calls (np.log and np.power differ
+    in the last bit).
     """
-    pw = np.array([d ** complex(z) for d in range(1, m_max + 1)], dtype=complex)
+    logs = np.fromiter(map(math.log, range(1, m_max + 1)), float, m_max)
+    pw = np.exp(complex(z) * logs)
     out = np.zeros(m_max, dtype=complex)
     root = math.isqrt(m_max)
     for d in range(1, root + 1):
@@ -195,6 +206,10 @@ def bessel_K_imag(t: float, x):
     cos(t sinh v) factor stays resolved up to t = 30; absolute error is
     below 1e-12 for x >= 1e-3 in that range.  x > 700 underflows: the value
     is exactly 0.
+
+    The x run in chunks through one (chunk, nodes) buffer per call, about
+    0.5 MB: each chunk's exp(-x cosh u) w is formed in place and summed row
+    by row, so no temporary of a chunk's size is allocated.
     """
     if t < 0 or t > MAX_BESSEL_ORDER:
         raise ValueError(f"supported order range is 0 <= t <= {MAX_BESSEL_ORDER}")
@@ -210,11 +225,17 @@ def bessel_K_imag(t: float, x):
         ch, w = _de_weights(t, float(x_arr[live].min()), step)
         xs = x_arr[live]
         vals = np.empty(xs.size)
-        chunk = max(1, 62_500 // ch.size)  # about 0.5 MB per temporary
+        chunk = max(1, 62_500 // ch.size)  # about 0.5 MB of buffer
+        buf = np.empty((min(chunk, xs.size), ch.size))
+        neg_ch = -ch
         for lo in range(0, xs.size, chunk):
             hi = min(lo + chunk, xs.size)
+            b = buf[: hi - lo]
+            np.multiply.outer(xs[lo:hi], neg_ch, out=b)  # -(x ch) bit for bit
+            np.exp(b, out=b)
+            b *= w
             # explicit sum keeps the reduction order fixed
-            vals[lo:hi] = (np.exp(-np.outer(xs[lo:hi], ch)) * w).sum(axis=1)
+            b.sum(axis=1, out=vals[lo:hi])
         out[live] = vals
     return float(out[0]) if scalar else out
 
@@ -319,9 +340,9 @@ class EisensteinParams:
     c: complex = field(init=False)
 
     def __post_init__(self):
-        # below 5e-7, s = 1 + 2it is within 1e-6 of zeta's pole; past 30, K_it is not resolved
-        if not 5e-7 <= self.t <= MAX_BESSEL_ORDER:
-            raise ValueError(f"spectral parameter t must satisfy 5e-07 <= t <= {MAX_BESSEL_ORDER:g}, got {self.t}")
+        # below 5e-7, s = 1 + 2it is within 1e-6 of zeta's pole; past 14, E(-1/z) = E(z) fails
+        if not 5e-7 <= self.t <= MAX_EISENSTEIN_ORDER:
+            raise ValueError(f"spectral parameter t must satisfy 5e-07 <= t <= {MAX_EISENSTEIN_ORDER:g}, got {self.t}")
         u = 1.0 + 2j * self.t
         self.zeta_1p2it = zeta_1line(u)
         # xi(u) = pi^(-u/2) Gamma(u/2) zeta(u)
@@ -434,21 +455,29 @@ def eisenstein_series_prediction(measure, params: EisensteinParams, height, x0: 
     is exactly 0 under the series K rule.  The coefficient table is built
     once, for the smallest height, and sliced at the others.  The base
     point's a(1/q) takes q >= 1.
+
+    Each height is independent once the table is built, so map_in_order
+    runs two at a time, the longest series (the smallest height) first so
+    it does not run last and alone; peak memory is the two largest
+    heights' working sets, and the values keep their order and bits.
     """
     if q < 1:
         raise ValueError("require q >= 1")
     heights = np.atleast_1d(np.asarray(height, dtype=float)).tolist()
     ends = [_live_end(h) for h in heights]
     coef = params.coef(max(ends))
-    out = []
-    for h, k in zip(heights, ends):
+
+    def value(j: int) -> complex:
+        h, k = heights[j], ends[j]
         m = np.arange(1, k + 1)
         mu_hat = fourier_transform(measure, m / q)
         phases = np.exp(2j * np.pi * m * (x0 % 1.0))  # e(m x0) has period 1 in x0
         # +-m pairs: a_m is even in m and mu_hat(-u) conjugates for real measures
         pair = 2.0 * np.real(phases * mu_hat)
         total = np.sum(_whittaker_terms(coef[:k], params.t, m, h, pair))
-        out.append(complex(constant_term(h, params) + total))
+        return complex(constant_term(h, params) + total)
+
+    out = _longest_first(value, ends)
     return out[0] if np.ndim(height) == 0 else np.array(out)
 
 
@@ -589,11 +618,29 @@ def _twisted_sum(spec: TwistedSumSpec, y: float, lam: np.ndarray) -> complex:
     return complex(np.sum(_whittaker_terms(coef, spec.t, m, y, np.cos(TWO_PI * m * spec.alpha))))
 
 
+def _longest_first(value, sizes) -> list:
+    """[value(j) for j in range(len(sizes))], map_in_order running the
+    largest size (the longest series) first: the last job to start is a
+    short one, so neither thread waits long for the other (Graham's
+    longest-first rule).  The list is in index order.
+    """
+    order = sorted(range(len(sizes)), key=lambda j: -sizes[j])
+    out = [None] * len(sizes)
+    for j, v in zip(order, map_in_order(value, order)):
+        out[j] = v
+    return out
+
+
 def twisted_sum_series(spec: TwistedSumSpec, y_grid) -> DecayReport:
-    """|_twisted_sum| over a descending y-grid with a decay fit; sieves once."""
+    """|_twisted_sum| over a descending y-grid with a decay fit; sieves once.
+
+    The heights then run two at a time through map_in_order, the smallest
+    (the longest sum) first, with the bits of the serial loop.
+    """
     y_grid = np.asarray(sorted(y_grid, reverse=True), dtype=float)
     lam = hecke_range(EisensteinParams(spec.t), _live_end(float(y_grid[-1])))
-    values = np.array([_twisted_sum(spec, float(y), lam) for y in y_grid])
+    ys = y_grid.tolist()
+    values = np.array(_longest_first(lambda j: _twisted_sum(spec, ys[j], lam), [1.0 / y for y in ys]))
     report = fit_decay_report(y_grid, np.abs(values))
     report.extra_columns = {
         "re": values.real,

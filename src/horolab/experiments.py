@@ -67,22 +67,32 @@ def _mu_y_series(measure, phi, cfg: ExperimentConfig):
     Height k draws from its own sub-seed, so every row is reproducible on
     its own, and the rows do not depend on which thread computed them:
     map_in_order runs two heights at a time, so peak memory is two heights'
-    working sets, and raises the exception of the first failing height in
-    grid order.  A value or error that is not finite (an observable near
-    the float range overflows its sum) is refused with its height.
+    working sets.  The smallest y starts first: it has the most cylinder
+    nodes, and would otherwise run last and alone.  Every height runs, and
+    the ValueError raised is that of the first failing height in grid
+    order.  A value or error that is not finite (an observable near the
+    float range overflows its sum) is refused with its height.
     """
     ys = cfg.y_grid
 
     def height(k: int):
-        value, err = mu_y_value(
-            measure, phi, float(ys[k]), cfg.x0, cfg.q, method=cfg.method, budget=cfg.budget,
-            seed=_sub_seed(cfg.seed, k), tol=cfg.tol,
-        )
-        if not (np.isfinite(value) and np.isfinite(err)):
-            raise ValueError(f"mu_y at y = {float(ys[k])!r} is not finite: value {value}, error {err}")
+        try:
+            value, err = mu_y_value(
+                measure, phi, float(ys[k]), cfg.x0, cfg.q, method=cfg.method, budget=cfg.budget,
+                seed=_sub_seed(cfg.seed, k), tol=cfg.tol,
+            )
+            if not (np.isfinite(value) and np.isfinite(err)):
+                raise ValueError(f"mu_y at y = {float(ys[k])!r} is not finite: value {value}, error {err}")
+        except ValueError as exc:  # raised below, in grid order
+            return exc
         return value, err
 
-    values, errs = zip(*map_in_order(height, range(ys.size)))
+    order = sorted(range(ys.size), key=lambda k: ys[k])  # smallest y first
+    rows = [row for _, row in sorted(zip(order, map_in_order(height, order)))]  # grid order
+    for row in rows:
+        if isinstance(row, ValueError):
+            raise row
+    values, errs = zip(*rows)
     return np.array(values), np.array(errs)
 
 

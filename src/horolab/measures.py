@@ -432,14 +432,16 @@ def _(measure: Convolution) -> float:
 
 
 @singledispatch
-def cylinder_nodes(measure, y: float, budget: int, tol: float, lip):
+def cylinder_nodes(measure, y: float, budget: int, tol: float, phi):
     """Nodes, each of mass 1/len(nodes), and the error bound of their mean as mu_y at height y.
 
     A `cantor:` leaf takes its digit cylinders' midpoints at the shallowest
-    depth whose width w gives lip * w / (2y) <= tol, for lip >= y|grad phi|;
-    q cancels, since at height y/q a cylinder spans w/q, a hyperbolic length
-    of w/y.  A point mass is one exact node, bound 0.0.  Lebesgue reports
-    None: the midpoint rule on 2^max(8, ceil(log2(8/y))) nodes capped at
+    depth whose width w gives lip * w / (2y) <= tol, for lip = phi.lipschitz
+    >= y|grad phi|; q cancels, since at height y/q a cylinder spans w/q, a
+    hyperbolic length of w/y.  That leaf is the only reader of
+    phi.lipschitz, which may be costly (EisensteinTest calibrates it).  A
+    point mass is one exact node, bound 0.0.  Lebesgue reports None: the
+    midpoint rule on 2^max(8, ceil(log2(8/y))) nodes capped at
     2^floor(log2 budget), which the caller checks at half resolution: an
     estimate, not a bound, blind on an integrand even about the grid.
     """
@@ -447,7 +449,8 @@ def cylinder_nodes(measure, y: float, budget: int, tol: float, lip):
 
 
 @cylinder_nodes.register
-def _(measure: FractalMeasure, y: float, budget: int, tol: float, lip):
+def _(measure: FractalMeasure, y: float, budget: int, tol: float, phi):
+    lip = getattr(phi, "lipschitz", None)
     if lip is None:
         raise ValueError("cylinder method needs a test function with a "
                          "declared Lipschitz constant")
@@ -472,7 +475,7 @@ def _(measure: FractalMeasure, y: float, budget: int, tol: float, lip):
 
 
 @cylinder_nodes.register
-def _(measure: LebesgueUnit, y: float, budget: int, tol: float, lip):
+def _(measure: LebesgueUnit, y: float, budget: int, tol: float, phi):
     if budget < 2:  # the half-resolution check takes every other node
         raise ValueError(f"cylinder budget must be >= 2 for the Lebesgue leaf, got {budget}")
     n = 1 << max(8, math.ceil(math.log2(8.0 / y)))
@@ -481,12 +484,12 @@ def _(measure: LebesgueUnit, y: float, budget: int, tol: float, lip):
 
 
 @cylinder_nodes.register
-def _(measure: DiracMass, y: float, budget: int, tol: float, lip):
+def _(measure: DiracMass, y: float, budget: int, tol: float, phi):
     return np.array([measure.point]), 0.0
 
 
 @cylinder_nodes.register
-def _(measure: Convolution, y: float, budget: int, tol: float, lip):
+def _(measure: Convolution, y: float, budget: int, tol: float, phi):
     # a translate moves the nodes of what it translates; anything else has
     # no cylinder structure worth enumerating
     leaf, x0 = split_translate(measure)
@@ -495,7 +498,7 @@ def _(measure: Convolution, y: float, budget: int, tol: float, lip):
             "cylinder method does not enumerate general convolutions; "
             "use method='montecarlo'"
         )
-    xs, bound = cylinder_nodes(leaf, y, budget, tol, lip)
+    xs, bound = cylinder_nodes(leaf, y, budget, tol, phi)
     return xs + x0, bound
 
 

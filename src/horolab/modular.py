@@ -106,8 +106,9 @@ def mu_y_value(
     lies in [1, MAX_GRID_POINTS].
 
     cylinder: the mean of phi over measures.cylinder_nodes, erring by at
-    most the bound they report (lip * width / (2y) <= tol on a `cantor:`
-    leaf, whatever q; 0 for a point mass).  The Lebesgue leaf reports none;
+    most the bound they report (phi.lipschitz * width / (2y) <= tol on a
+    `cantor:` leaf, whatever q, the only one that reads phi.lipschitz; 0 for
+    a point mass).  The Lebesgue leaf reports none;
     its error, the distance to the mean over every other node, is a
     half-resolution estimate, not a bound, that evaluates phi nowhere else:
     on an integrand even about the grid (phi even in x at x0 = 0 or 0.25,
@@ -147,8 +148,7 @@ def mu_y_value(
         return out
 
     if method == "cylinder":
-        lip = getattr(phi, "lipschitz", None)
-        xs, err = _measures.cylinder_nodes(measure, y, budget, tol, lip)
+        xs, err = _measures.cylinder_nodes(measure, y, budget, tol, phi)
         vals = evaluate(xs.size, lambda lo, hi: xs[lo:hi])
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused by the caller
             total = np.sum(vals * (1.0 / vals.size))

@@ -248,6 +248,19 @@ def test_eisenstein_modular_invariance(params_t1):
         assert v1 == pytest.approx(v2, abs=1e-9)
 
 
+@pytest.mark.parametrize("t", [1.0, 10.0, 14.0])
+def test_eisenstein_arc_invariance_up_to_the_cap(t):
+    # E(-1/z) = E(z) for z on the arc |z| = 1.0005 over the fundamental
+    # domain, -1/z just inside the unit circle, both summed by the series; at
+    # t = 30 this fails (relative error 1.3), so orders past 14 are refused
+    p = EisensteinParams(t)
+    th = np.linspace(math.pi / 3, 2 * math.pi / 3, 202)[1:-1]
+    z = 1.0005 * np.exp(1j * th)
+    w = -1 / z
+    here, there = eisenstein_values(z.real, z.imag, p), eisenstein_values(w.real, w.imag, p)
+    assert np.abs(here - there).max() <= 1e-9 * np.abs(here).max()
+
+
 def test_eisenstein_constant_term_by_quadrature(params_t1):
     y = 2.0
     n = 2048
@@ -281,7 +294,7 @@ def test_eisenstein_params_evaluates_zeta_once(monkeypatch):
     assert calls == [1 + 2j]
     monkeypatch.undo()
     # c(t) and the Whittaker norm keep the bits of a second, independent zeta call
-    for t in (0.37, 1.0, 5.5, 29.0):
+    for t in (0.37, 1.0, 5.5, 14.0):
         u = 1 + 2j * t
         xi1 = cmath.exp(-u / 2.0 * math.log(math.pi)) * gamma_complex(u / 2.0) * zeta_1line(u)
         p = EisensteinParams(t)
@@ -613,6 +626,36 @@ def test_twisted_sum_series_sieves_once(monkeypatch):
     assert [m for m in calls if m != 8] == [math.floor(46.0 / (2 * math.pi * 2.0**-8))]
 
 
+def test_height_sweeps_keep_their_bytes_on_two_threads(monkeypatch):
+    # the heights run longest first on two threads and come back in grid order
+    from horolab import fitting
+    from horolab.automorphic import eisenstein_series_prediction
+    from horolab.measures import parse_measure
+
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: 2)  # threads even on one CPU
+    spec = TwistedSumSpec(t=1.0, delta=0.5, alpha=0.37)
+    params = EisensteinParams(1.0)
+    measure = parse_measure("cantor:3:0,2")
+    heights = np.array([0.05, 0.2, 0.0125, 0.1, 0.025])  # not sorted: the output keeps this order
+
+    def run():
+        twisted = twisted_sum_series(spec, 0.25 * 2.0 ** -np.arange(8))
+        predicted = eisenstein_series_prediction(measure, params, heights, 0.25, 2)
+        return twisted.errors.tobytes(), twisted.extra_columns["re"].tobytes(), predicted.tobytes()
+
+    started = []
+    real_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or real_start(t))
+    monkeypatch.setattr(fitting, "THREADS", 2)
+    threaded = run()
+    assert len(started) == 2  # one helper per sweep
+    monkeypatch.setattr(fitting, "THREADS", 1)
+    assert run() == threaded
+    assert len(started) == 2
+    single = [eisenstein_series_prediction(measure, params, h, 0.25, 2) for h in heights]
+    assert threaded[2] == np.array(single).tobytes()
+
+
 def _sigma_range_loop(z, m_max):
     # the plain sieve: one slice update per d, so index m - 1 receives its
     # divisors in increasing order
@@ -623,12 +666,15 @@ def _sigma_range_loop(z, m_max):
 
 
 @pytest.mark.parametrize(
-    "m_max",
-    [1, 2, 3, 4, 5, 9, 16, 97, 121, 997, 7919, 10201, 2228, 11140, 29987, 228164],
+    "m_max, t",
+    [pytest.param(m, 1.0, id=str(m)) for m in (1, 2, 3, 4, 5, 9, 16, 97, 121, 997, 7919, 10201, 2228, 11140, 29987, 228164)]
+    + [pytest.param(29987, t, id=f"29987-t{t:g}") for t in (5e-7, 0.5, 10.0, 30.0)],
 )
-def test_sigma_range_equals_per_divisor_loop(m_max):
-    # squares, primes, m = 1..5 and twisted-sweep horizons
-    assert sigma_range(2j, m_max).tobytes() == _sigma_range_loop(2j, m_max).tobytes()
+def test_sigma_range_equals_per_divisor_loop(m_max, t):
+    # squares, primes, m = 1..5 and twisted-sweep horizons at t = 1; the
+    # vectorised powers keep the bits of d ** z at every order
+    z = 2j * t
+    assert sigma_range(z, m_max).tobytes() == _sigma_range_loop(z, m_max).tobytes()
 
 
 TWISTED_YS = 0.25 * 2.0 ** -np.array([0, 3, 6, 9])

@@ -119,6 +119,32 @@ def test_threaded_sweep_equals_serial_sweep(monkeypatch, tmp_path, command, meth
 
 
 @pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_raises_the_grid_first_failing_height_when_a_smaller_y_fails_first(monkeypatch, threads):
+    from horolab import experiments, fitting
+
+    cfg = ExperimentConfig(
+        measure="leb", test="eisenstein:t=1", y_max=0.25, y_ratio=0.5, y_count=8,
+        method="montecarlo", budget=2000, seed=1,
+    )
+    ys = cfg.y_grid.tolist()
+    started = []
+
+    def failing(measure, phi, y, x0, q, **kwargs):
+        k = ys.index(y)
+        started.append(k)
+        if k in (1, 6):  # height 6 starts, and fails, long before height 1
+            raise ValueError(f"height {k}")
+        return 0.5, 0.0
+
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fitting, "THREADS", threads)
+    monkeypatch.setattr(experiments, "mu_y_value", failing)
+    with pytest.raises(ValueError, match="height 1"):
+        run_equidistribution(cfg)
+    assert 7 in started[:threads] and sorted(started) == list(range(8))  # smallest y first; every height runs
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_raises_the_first_failing_height(monkeypatch, threads):
     from horolab import experiments, fitting
 
@@ -147,6 +173,9 @@ def test_sweep_raises_the_first_failing_height(monkeypatch, threads):
 
 
 THREADED_COMMANDS = {
+    # the series prediction runs its heights longest first, and mu_y the smallest y first
+    "basis-check": ["basis-check", "--measure", "leb", "--ygrid", "0.25:0.5:8", "--method", "cylinder",
+                    "--tol", "1e-8"],
     "dim": ["dim", "--measure", "cantor:450:0..446", "--xmax", str(2 * ABS_BLOCK + 4321)],
     "dim-star": ["dim", "--measure", "cantor:3:0,2", "--xmax", "12000", "--star", "--theta-grid", "9"],
     "fourier": ["fourier", "--measure", "cantor:3:0,2*dirac:0.3", "--xi", f"0:{ABS_BLOCK // 4 + 9}:0.25"],
@@ -643,15 +672,15 @@ def test_cli_stationary_accepts_exact_two_decades(xigrid, tmp_path, capsys):
         (("equidist", "--measure", "leb", "--test", "indicator:ygt=-1", "--ygrid", "0.25:0.5:4"),
          "horolab: error: literal, production <test:indicator>: require c > 0"),
         (("equidist", "--measure", "leb", "--test", "eisenstein:t=0", "--ygrid", "0.25:0.5:4"),
-         "horolab: error: literal, production <test:eisenstein>: spectral parameter t must satisfy 5e-07 <= t <= 30, got 0.0"),
-        # t past MAX_BESSEL_ORDER, or near zeta's pole at s = 1, is refused by EisensteinParams itself
+         "horolab: error: literal, production <test:eisenstein>: spectral parameter t must satisfy 5e-07 <= t <= 14, got 0.0"),
+        # t past MAX_EISENSTEIN_ORDER, or near zeta's pole at s = 1, is refused by EisensteinParams itself
         (("equidist", "--measure", "leb", "--test", "eisenstein:t=-1", "--ygrid", "0.25:0.5:4"),
-         "horolab: error: literal, production <test:eisenstein>: spectral parameter t must satisfy 5e-07 <= t <= 30, got -1.0"),
+         "horolab: error: literal, production <test:eisenstein>: spectral parameter t must satisfy 5e-07 <= t <= 14, got -1.0"),
         (("equidist", "--measure", "leb", "--test", "eisenstein:t=30.5", "--ygrid", "0.25:0.5:4"),
-         "horolab: error: literal, production <test:eisenstein>: spectral parameter t must satisfy 5e-07 <= t <= 30, got 30.5"),
+         "horolab: error: literal, production <test:eisenstein>: spectral parameter t must satisfy 5e-07 <= t <= 14, got 30.5"),
         (("equidist", "--measure", "leb", "--test", "eisenstein:t=31.5", "--ygrid", "0.25:0.5:4"),
-         "horolab: error: literal, production <test:eisenstein>: spectral parameter t must satisfy 5e-07 <= t <= 30, got 31.5"),
-        (("spectral-gap", "--t", "1e-300"), "horolab: error: spectral parameter t must satisfy 5e-07 <= t <= 30, got 1e-300"),
+         "horolab: error: literal, production <test:eisenstein>: spectral parameter t must satisfy 5e-07 <= t <= 14, got 31.5"),
+        (("spectral-gap", "--t", "1e-300"), "horolab: error: spectral parameter t must satisfy 5e-07 <= t <= 14, got 1e-300"),
         (("equidist", "--measure", "leb", "--q", "0", "--ygrid", "0.25:0.5:4"), "horolab: error: require q >= 1"),
         (("basis-check", "--measure", "leb", "--q", "0", "--ygrid", "0.25:0.5:4"), "horolab: error: require q >= 1"),
         (("fourier", "--measure", "leb", "--xi", "0:1:0"),

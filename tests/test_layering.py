@@ -17,6 +17,11 @@ handler tells apart is a ValueError with its message; and every annotated field
 of a public class is read somewhere, since a field nothing reads is an output
 no command prints.
 
+A test function's Lipschitz constant may be costly (EisensteinTest calibrates
+it on a grid), and only a `cantor:` leaf's cylinder depth needs it, so the
+`.lipschitz` attribute is read only inside the measures.cylinder_nodes
+registrations; testfunctions.py defines it.
+
 One function, fitting.parse_literal, turns a constructor's ValueError into a
 LiteralParseError: a hand-written wrap elsewhere is a second literal reader.
 For the same reason no plain ValueError carries a message that starts with a
@@ -405,3 +410,46 @@ def test_the_production_rule_sees_strings_and_f_strings(tmp_path):
         "    raise ValueError()\n"
     )
     assert production_messages(src) == ["mod:7", "mod:9", "mod:11"]
+
+
+def lipschitz_reads(path: Path) -> list[str]:
+    """`module.function`, in source order, for every read of a `.lipschitz`
+    attribute in path, `x.lipschitz` or `getattr(x, "lipschitz", ...)`,
+    function being the innermost one that holds it, or `f.register` for a
+    registration of f."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {}  # id(node) -> the innermost function holding it; ast.walk visits outer ones first
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            registers = [ast.unparse(d) for d in func.decorator_list if ast.unparse(d).endswith(".register")]
+            owner.update({id(node): registers[0] if registers else func.name for node in ast.walk(func)})
+    found = []
+    for node in ast.walk(tree):
+        attribute = isinstance(node, ast.Attribute) and node.attr == "lipschitz" and isinstance(node.ctx, ast.Load)
+        by_name = (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "lipschitz"
+        )
+        if attribute or by_name:
+            found.append((node.lineno, node.col_offset, f"{path.stem}.{owner.get(id(node), '<module>')}"))
+    return [hit for *_, hit in sorted(found)]  # in source order
+
+
+def test_only_the_cylinder_registrations_read_a_lipschitz_constant():
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in lipschitz_reads(path)]
+    assert found == ["measures.cylinder_nodes.register"]
+
+
+def test_the_lipschitz_rule_sees_both_kinds_of_read(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "class Phi:\n    lipschitz = 0.0\n\n\nclass Psi:\n    @property\n    def lipschitz(self):\n        return 1.0\n\n\n"
+        "def mean(phi, y):\n    lip = getattr(phi, 'lipschitz', None)\n    return phi.lipschitz * lip\n\n\n"
+        "@nodes.register\ndef _(measure, phi):\n    return phi.lipschitz\n\n\n"
+        "def build(phi):\n    phi.lipschitz = 2.0\n    return getattr(phi, 'mean')\n\n\n"
+        "bound = Phi().lipschitz\n"
+    )
+    assert lipschitz_reads(src) == ["mod.mean", "mod.mean", "mod.nodes.register", "mod.<module>"]

@@ -416,10 +416,11 @@ def test_test_function_literal_refuses_a_repeated_key(text, production):
     [
         ("bump:y0=2,y1=1", "<test:bump>", "require 0 < y0 < y1"),
         ("indicator:ygt=-1", "<test:indicator>", "require c > 0"),
-        ("eisenstein:t=0", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 30, got 0.0"),
-        ("eisenstein:t=-1", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 30, got -1.0"),
-        ("eisenstein:t=30.5", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 30, got 30.5"),
-        ("eisenstein:t=31.5", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 30, got 31.5"),
+        ("eisenstein:t=0", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 14, got 0.0"),
+        ("eisenstein:t=-1", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 14, got -1.0"),
+        ("eisenstein:t=14.5", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 14, got 14.5"),
+        ("eisenstein:t=30.5", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 14, got 30.5"),
+        ("eisenstein:t=31.5", "<test:eisenstein>", "spectral parameter t must satisfy 5e-07 <= t <= 14, got 31.5"),
         ("eisenstein:s=1", "<test:eisenstein>", "expected t=<real>, got 's=1'"),
         ("eisenstein:1", "<test:eisenstein>", "expected key=value, got '1'"),
         ("eisenstein:t=1,", "<test:eisenstein>", "expected key=value, got ''"),
@@ -451,6 +452,21 @@ def test_mu_y_montecarlo_reads_no_lipschitz():
     assert got == want
 
 
+@pytest.mark.parametrize("literal", ["leb", "dirac:0.3", "leb+0.25", "dirac:0.1*leb"])
+def test_mu_y_cylinder_reads_no_lipschitz_off_a_cantor_leaf(literal):
+    # only a `cantor:` leaf's depth needs the constant, which EisensteinTest
+    # calibrates on a 41 x 41 grid
+    class NoLipschitz(EisensteinTest):
+        @property
+        def lipschitz(self):
+            raise AssertionError("a cylinder row read the Lipschitz constant")
+
+    measure = parse_measure(literal)
+    got = mu_y_value(measure, NoLipschitz(1.0), 0.1, 0.2, 2, method="cylinder", budget=4096)
+    want = mu_y_value(measure, EisensteinTest(1.0), 0.1, 0.2, 2, method="cylinder", budget=4096)
+    assert got == want
+
+
 @pytest.mark.parametrize(
     "convolved, shifted",
     [
@@ -472,13 +488,20 @@ def test_mu_y_cylinder_folds_point_masses_into_shifts(convolved, shifted):
     assert got == pytest.approx(moved, abs=1e-12)
 
 
+class Lipschitz:
+    """A test function stand-in for cylinder_nodes: only its constant is read."""
+
+    def __init__(self, lipschitz):
+        self.lipschitz = lipschitz
+
+
 def test_cylinder_node_widths():
     from horolab.measures import cylinder_nodes
 
-    xs, bound = cylinder_nodes(parse_measure("dirac:0.3"), 0.1, 10, 1e-6, None)
+    xs, bound = cylinder_nodes(parse_measure("dirac:0.3"), 0.1, 10, 1e-6, Lipschitz(None))
     assert xs.tolist() == [0.3] and bound == 0.0
-    assert cylinder_nodes(parse_measure("leb"), 0.1, 10**6, 1e-6, None)[1] is None
-    xs, bound = cylinder_nodes(parse_measure("cantor:3:0,2"), 0.1, 10**6, 1e-3, 2.0)
+    assert cylinder_nodes(parse_measure("leb"), 0.1, 10**6, 1e-6, Lipschitz(None))[1] is None
+    xs, bound = cylinder_nodes(parse_measure("cantor:3:0,2"), 0.1, 10**6, 1e-3, Lipschitz(2.0))
     # lip * 3^-J / (2y) <= tol at the shallowest J: 3^-9 <= 1e-4 < 3^-8
     assert bound == pytest.approx(2.0 * 3.0**-9 / 0.2, rel=1e-15) and bound <= 1e-3 < 3 * bound
     assert xs.size == 2**9 and np.diff(xs).min() == pytest.approx(2 * 3.0**-9)
@@ -489,7 +512,7 @@ def test_cylinder_refuses_a_tol_that_is_not_positive():
 
     for tol in (0.0, -1.0):
         with pytest.raises(ValueError, match="cylinder tol must be > 0"):
-            cylinder_nodes(parse_measure("cantor:3:1"), 0.1, 10**6, tol, 2.0)
+            cylinder_nodes(parse_measure("cantor:3:1"), 0.1, 10**6, tol, Lipschitz(2.0))
 
 
 @pytest.mark.parametrize("literal", ["cantor:3:0,2", "cantor:10:0,1,5"])
